@@ -2,7 +2,7 @@
 exact search, and batch reporting over a directory of graph files.
 
 Exit codes: 0 success, 1 not admissible (or failed verification), 2 parse or
-usage error, 3 internal invariant violation.
+usage error, 3 internal invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -191,7 +192,7 @@ def _batch_row(path: Path) -> dict[str, str]:
         status.append("chi_exhausted")
     exact_value: int | None = None
     if verdict.admissible:
-        exact = exact_rich_flow_number(g, budget)
+        exact = exact_rich_flow_number(g, budget, chi_prime=chi.value)
         exact_value = exact.value
         row["exact_R"] = "" if exact.value is None else str(exact.value)
         if exact.value is None:
@@ -298,7 +299,16 @@ def run(argv=None) -> int:
     except InternalDefectError as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # Exit code 1 means "not admissible", so no other failure may reach it.
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -60,93 +60,118 @@ def _value_order(k: int) -> list[int]:
 
 def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | None:
     """Backtracking over integer edge values in +-{1..k-1} with conservation
-    propagation and adjacent-absolute pruning. None means proven infeasible."""
+    propagation and adjacent-absolute pruning. None means proven infeasible.
+
+    The first edge in search order only takes positive values: negating a
+    rich flow gives a rich flow, so this loses no solution."""
     m = g.edge_count
     n = g.vertex_count
     if m == 0:
         return []
-    degsum = [g.degree(e.tail) + g.degree(e.head) for e in g.edges]
-    order = sorted(range(m), key=lambda e: (-degsum[e], e))
-    adjacent: list[list[int]] = [[] for _ in range(m)]
-    for v in range(n):
-        inc = g.incident(v)
-        for i, e in enumerate(inc):
-            for f in inc[i + 1 :]:
-                adjacent[e].append(f)
-                adjacent[f].append(e)
-    vals: list[int | None] = [None] * m
+    tails = [e.tail for e in g.edges]
+    heads = [e.head for e in g.edges]
+    degree = [g.degree(v) for v in range(n)]
+    order = sorted(range(m), key=lambda e: (-degree[tails[e]] - degree[heads[e]], e))
+    vals = [0] * m  # 0 marks an undecided edge; placed values are never 0
     acc = [0] * n  # signed sum of decided incident values (tail positive)
-    undecided = [g.degree(v) for v in range(n)]
+    undecided = degree[:]
+    # XOR of the undecided incident edge ids: the forced edge once one is left.
+    free = [0] * n
+    for eid in range(m):
+        free[tails[eid]] ^= eid
+        free[heads[eid]] ^= eid
+    # Bit a is set when a decided incident edge carries absolute value a.
+    used = [0] * n
     domain = _value_order(k)
-
-    def sign_at(eid: int, v: int) -> int:
-        return 1 if g.edge(eid).tail == v else -1
+    tick = budget.tick
 
     def place(eid: int, value: int, trail: list[int]) -> bool:
-        budget.tick()
-        if value == 0 or abs(value) >= k:
+        tick()
+        a = value if value > 0 else -value
+        if a == 0 or a >= k:
             return False
-        for f in adjacent[eid]:
-            fv = vals[f]
-            if fv is not None and abs(fv) == abs(value):
-                return False
+        bit = 1 << a
+        t = tails[eid]
+        h = heads[eid]
+        if (used[t] | used[h]) & bit:
+            return False
         vals[eid] = value
         trail.append(eid)
-        edge = g.edge(eid)
-        for v in edge.ends:
-            acc[v] += sign_at(eid, v) * value
-            undecided[v] -= 1
-        for v in edge.ends:
-            if undecided[v] == 0 and acc[v] != 0:
-                return False
-        for v in edge.ends:
+        used[t] |= bit
+        used[h] |= bit
+        acc[t] += value
+        acc[h] -= value
+        free[t] ^= eid
+        free[h] ^= eid
+        undecided[t] -= 1
+        undecided[h] -= 1
+        if (undecided[t] == 0 and acc[t]) or (undecided[h] == 0 and acc[h]):
+            return False
+        for v in (t, h):
             if undecided[v] == 1:
-                forced = next(f for f in g.incident(v) if vals[f] is None)
-                need = -acc[v] * sign_at(forced, v)
-                if not place(forced, need, trail):
+                forced = free[v]
+                if not place(forced, -acc[v] if tails[forced] == v else acc[v], trail):
                     return False
         return True
 
-    def undo(trail: list[int], depth: int) -> None:
-        while len(trail) > depth:
+    def undo(trail: list[int]) -> None:
+        while trail:
             eid = trail.pop()
             value = vals[eid]
-            vals[eid] = None
-            for v in g.edge(eid).ends:
-                acc[v] -= sign_at(eid, v) * value
-                undecided[v] += 1
+            vals[eid] = 0
+            bit = 1 << (value if value > 0 else -value)
+            t = tails[eid]
+            h = heads[eid]
+            used[t] ^= bit
+            used[h] ^= bit
+            acc[t] -= value
+            acc[h] += value
+            free[t] ^= eid
+            free[h] ^= eid
+            undecided[t] += 1
+            undecided[h] += 1
 
     def solve(pos: int) -> bool:
-        while pos < m and vals[order[pos]] is not None:
+        while pos < m and vals[order[pos]]:
             pos += 1
         if pos == m:
             return True
         eid = order[pos]
         trail: list[int] = []
-        for value in domain:
-            if place(eid, value, trail):
-                if solve(pos + 1):
-                    return True
-            undo(trail, 0)
+        for value in range(1, k) if pos == 0 else domain:
+            if place(eid, value, trail) and solve(pos + 1):
+                return True
+            undo(trail)
         return False
 
     if solve(0):
-        return [v for v in vals]
+        return vals
     return None
 
 
-def exact_rich_flow_number(g: Multigraph, budget: SearchBudget | None = None) -> ExactResult:
+def exact_rich_flow_number(
+    g: Multigraph, budget: SearchBudget | None = None, *, chi_prime: int | None = None
+) -> ExactResult:
     """Least k admitting a rich k-flow, with a verified witness.
 
     Inadmissible graphs get an exact empty result (the two admissibility
-    obstructions are the only ones); infeasibility of a particular k is
-    proved by exhaustion, never assumed.
+    obstructions are the only ones). In a rich k-flow the absolute values
+    properly edge-colour G with k-1 colours, so k <= chi' is ruled out by that
+    argument rather than by search: the k loop starts at ``chi_prime + 1``
+    when the caller passes the exact chromatic index, and at Delta+1
+    otherwise. Every k the loop does try and reject is proved infeasible by
+    exhaustion, never assumed; that search fixes the first edge's sign, since
+    negating a rich flow gives another.
     """
     budget = budget or SearchBudget()
+    delta = g.max_degree()
+    if chi_prime is not None and chi_prime < delta:
+        raise PreconditionError(f"chi_prime {chi_prime} is below the maximum degree {delta}")
     if not is_rich_flow_admissible(g).admissible:
         return ExactResult(None, "exact", None)
     state = _Budget(budget)
-    for k in range(2, budget.k_max + 1):
+    lowest = max(2, (delta if chi_prime is None else chi_prime) + 1)
+    for k in range(lowest, budget.k_max + 1):
         try:
             vals = _rich_flow_search(g, k, state)
         except BudgetExhaustedError:

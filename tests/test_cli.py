@@ -2,7 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import richflow
+from richflow import cli
 from richflow.cli import run
 
 from conftest import CORPUS
@@ -15,6 +21,30 @@ def graph(name: str) -> str:
 def test_check_admissible(capsys, k4):
     assert run(["check", graph("k4")]) == 0
     assert capsys.readouterr().out.strip() == "admissible"
+
+
+def test_module_entry_point_runs():
+    src = str(Path(richflow.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "richflow.cli", "check", graph("k4")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "admissible"
+
+
+def test_unexpected_error_exits_three(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check", boom)
+    assert run(["check", graph("k4")]) == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_check_inadmissible_message(capsys):

@@ -3,21 +3,26 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from richflow import (
     BudgetExhaustedError,
     GroupTag,
+    Multigraph,
     PreconditionError,
     SearchBudget,
     brute_force_flow,
     chromatic_index,
     exact_rich_flow_number,
     is_rich,
+    is_rich_flow_admissible,
     nowhere_zero_z6,
     verify_flow,
 )
 
 from conftest import load, relabel
+from reference_oracle import reference_rich_flow_number
 
 
 def test_theta_rich_flow_number(t3):
@@ -136,3 +141,41 @@ def test_exact_values_invariant_under_relabeling():
             h = relabel(g, vperm, eperm)
             assert exact_rich_flow_number(h).value == base_r
             assert chromatic_index(h).value == base_chi
+
+
+def test_chi_prime_below_max_degree_is_rejected(t3):
+    with pytest.raises(PreconditionError):
+        exact_rich_flow_number(t3, chi_prime=2)
+
+
+@st.composite
+def small_admissible_multigraphs(draw) -> Multigraph:
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 8))
+    edges = []
+    for _ in range(m):
+        u = draw(st.integers(0, n - 1))
+        v = (u + draw(st.integers(1, n - 1))) % n
+        edges.append((u, v))
+    g = Multigraph(n, edges)
+    assume(is_rich_flow_admissible(g).admissible)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_admissible_multigraphs())
+def test_exact_matches_reference_search(g):
+    budget = SearchBudget(k_max=12, node_limit=30_000)
+    chi = chromatic_index(g, budget)
+    expected = reference_rich_flow_number(g, budget.k_max, budget.node_limit)
+    for result in (
+        exact_rich_flow_number(g, budget),
+        exact_rich_flow_number(g, budget, chi_prime=chi.value),
+    ):
+        if result.value is None:
+            continue
+        assert is_rich(g, result.witness)
+        if chi.value is not None:
+            assert result.value >= chi.value + 1
+        if expected is not None:
+            assert result.value == expected
