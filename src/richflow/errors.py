@@ -18,6 +18,11 @@ class AdmissibilityError(PreconditionError):
         super().__init__(verdict.describe())
         self.verdict = verdict
 
+    def __reduce__(self):
+        # Rebuild from the verdict, not from the message in args, so the error
+        # survives pickling (a batch worker process raising it, for one).
+        return type(self), (self.verdict,)
+
 
 class BudgetExhaustedError(RuntimeError):
     """A bounded search ran out of its node or time budget before finishing."""

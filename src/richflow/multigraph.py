@@ -655,33 +655,47 @@ def _biconnected_edge_groups(g: Multigraph, edge_ids) -> list[frozenset[int]]:
     low: dict[int, int] = {}
     groups: list[frozenset[int]] = []
     stack_edges: list[int] = []
-    timer = [0]
-
-    def dfs(v: int, parent_edge: int) -> None:
-        disc[v] = low[v] = timer[0]
-        timer[0] += 1
-        for eid in adj[v]:
-            if eid == parent_edge:
-                continue
-            w = g.edge(eid).other_end(v)
-            if w not in disc:
-                stack_edges.append(eid)
-                dfs(w, eid)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:
+    timer = 0
+    for root in sorted(adj):
+        if root in disc:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        # Iterative DFS, as in bridges(); a frame is (vertex, parent edge, next index).
+        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        while stack:
+            v, parent_edge, idx = stack.pop()
+            inc = adj[v]
+            advanced = False
+            while idx < len(inc):
+                eid = inc[idx]
+                idx += 1
+                if eid == parent_edge:
+                    continue
+                w = g.edge(eid).other_end(v)
+                if w not in disc:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack_edges.append(eid)
+                    stack.append((v, parent_edge, idx))
+                    stack.append((w, eid, 0))
+                    advanced = True
+                    break
+                if disc[w] < disc[v]:
+                    stack_edges.append(eid)
+                    low[v] = min(low[v], disc[w])
+            if not advanced and stack:
+                # v finished; its parent frame is on top. Close the block below it.
+                pv = stack[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= disc[pv]:
                     group = []
                     while True:
                         top = stack_edges.pop()
                         group.append(top)
-                        if top == eid:
+                        if top == parent_edge:
                             break
                     groups.append(frozenset(group))
-            elif disc[w] < disc[v]:
-                stack_edges.append(eid)
-                low[v] = min(low[v], disc[w])
-    for v in sorted(adj):
-        if v not in disc:
-            dfs(v, -1)
     return groups
 
 

@@ -3,13 +3,18 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
+from concurrent.futures import Future, process
 from pathlib import Path
+
+import pytest
 
 import richflow
 from richflow import cli
 from richflow.cli import run
+from richflow.errors import InternalDefectError
 
 from conftest import CORPUS
 
@@ -132,10 +137,13 @@ def test_batch_report(tmp_path, capsys):
 
 
 def test_batch_jobs_rows_identical(tmp_path):
+    directory = tmp_path / "graphs"
+    shutil.copytree(CORPUS, directory)
+    (directory / "broken.graph").write_text("3 2\n0 1\n")
     r1 = tmp_path / "r1.csv"
     r2 = tmp_path / "r2.csv"
-    assert run(["batch", str(CORPUS), "--report", str(r1)]) == 0
-    assert run(["batch", str(CORPUS), "--report", str(r2), "--jobs", "4"]) == 0
+    assert run(["batch", str(directory), "--report", str(r1)]) == 0
+    assert run(["batch", str(directory), "--report", str(r2), "--jobs", "4"]) == 0
 
     def strip_elapsed(path):
         rows = list(csv.DictReader(path.read_text().splitlines()))
@@ -144,3 +152,73 @@ def test_batch_jobs_rows_identical(tmp_path):
         return rows
 
     assert strip_elapsed(r1) == strip_elapsed(r2)
+    broken = next(r for r in strip_elapsed(r2) if r["graph_path"] == "broken.graph")
+    assert broken["status"].startswith("parse_error: edge count mismatch")
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the process pool with one that runs each row at submit, in this
+    process; returns its log of worker counts asked for and of shutdowns."""
+    log: list = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            log.append(("workers", max_workers))
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            log.append(("shutdown", cancel_futures))
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", InlinePool)
+    return log
+
+
+def test_batch_worker_defect_exits_three(monkeypatch, tmp_path, capsys):
+    def boom(_):
+        raise InternalDefectError("synthetic")
+
+    # Workers are forked, so they see the patched function.
+    monkeypatch.setattr(cli, "synthesize_rich_flow", boom)
+    code = run(["batch", str(CORPUS), "--report", str(tmp_path / "r.csv"), "--jobs", "2"])
+    assert code == 3
+    assert "internal defect: synthetic" in capsys.readouterr().err
+
+
+def test_batch_error_shuts_pool_down_with_cancel(monkeypatch, tmp_path, inline_pool):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def boom(_):
+        raise InternalDefectError("synthetic")
+
+    monkeypatch.setattr(cli, "synthesize_rich_flow", boom)
+    assert run(["batch", str(CORPUS), "--report", str(tmp_path / "r.csv"), "--jobs", "2"]) == 3
+    assert inline_pool == [("workers", 2), ("shutdown", True)]
+
+
+def test_batch_empty_directory_writes_header_only(tmp_path, inline_pool):
+    directory = tmp_path / "empty"
+    directory.mkdir()
+    report = tmp_path / "r.csv"
+    assert run(["batch", str(directory), "--report", str(report), "--jobs", "2"]) == 0
+    assert report.read_text() == ",".join(cli.BATCH_COLUMNS) + "\n"
+    assert inline_pool == []
+
+
+def test_batch_worker_count_is_capped(monkeypatch, tmp_path, inline_pool):
+    files = len(list(CORPUS.glob("*.graph")))
+    cpus = len(os.sched_getaffinity(0))
+    report = tmp_path / "r.csv"
+    assert run(["batch", str(CORPUS), "--report", str(report), "--jobs", "10000"]) == 0
+    assert inline_pool == ([("workers", min(files, cpus)), ("shutdown", True)] if cpus > 1 else [])
+    inline_pool.clear()
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 10**6)
+    assert run(["batch", str(CORPUS), "--report", str(report), "--jobs", "10000"]) == 0
+    assert inline_pool == [("workers", files), ("shutdown", True)]

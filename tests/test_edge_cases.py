@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 from richflow import (
     Multigraph,
     is_rich_flow_admissible,
@@ -7,6 +9,7 @@ from richflow import (
     synthesize_rich_flow,
     validate_circuit_chain,
 )
+from richflow import errors
 from richflow.cli import run
 from richflow.multigraph import _chain_via_backtracking
 
@@ -57,3 +60,19 @@ def test_internal_defect_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "synthesize_rich_flow", boom)
     assert run(["synth", str(CORPUS / "k4.graph"), "-o", "/tmp/defect.json"]) == 3
+
+
+def test_every_error_type_survives_pickling():
+    verdict = is_rich_flow_admissible(load("c4"))
+    types = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    assert len(types) == 5
+    for cls in types:
+        exc = cls(verdict) if cls is errors.AdmissibilityError else cls(f"{cls.__name__} text")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert getattr(back, "verdict", None) == getattr(exc, "verdict", None)

@@ -19,7 +19,7 @@ from richflow import (
     parse_multigraph,
     validate_circuit_chain,
 )
-from richflow.multigraph import Circuit, CircuitChain
+from richflow.multigraph import Circuit, CircuitChain, _biconnected_edge_groups
 
 from conftest import ALL_NAMES, load, oracle_cuts, relabel
 
@@ -282,3 +282,9 @@ def test_attachable_block_spanning_error(k4):
 def test_attachable_block_gated_by_vertex_step(k4):
     with pytest.raises(PreconditionError, match="vertex-attachment"):
         find_attachable_block(k4, {0, 1, 2})
+
+
+def test_biconnected_edge_groups_long_cycle_is_one_block():
+    n = 3000
+    g = Multigraph(n, [(i, (i + 1) % n) for i in range(n)])
+    assert _biconnected_edge_groups(g, range(n)) == [frozenset(range(n))]
