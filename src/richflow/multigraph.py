@@ -752,71 +752,13 @@ def _chain_via_block_path(g: Multigraph, union_edges, u: int, v: int) -> Circuit
     return CircuitChain(tuple(circuits))
 
 
-def _all_circuits(g: Multigraph, cap: int = 20000) -> list[Circuit]:
-    """Every circuit of g (anchored at its minimum edge id), up to a count cap."""
-    out: list[Circuit] = []
-    m = g.edge_count
-    for anchor in range(m):
-        a = g.edge(anchor)
-        # Path from a.head back to a.tail using only edges with larger ids;
-        # each circuit shows up exactly once, anchored at its smallest edge.
-        stack: list[tuple[int, list[int], list[int]]] = [(a.head, [a.tail, a.head], [anchor])]
-        while stack:
-            cur, verts, eids = stack.pop()
-            for eid in g.incident(cur):
-                if eid <= anchor or eid in eids:
-                    continue
-                w = g.edge(eid).other_end(cur)
-                if w == a.tail:
-                    out.append(Circuit(tuple(verts), tuple(eids + [eid])))
-                    if len(out) > cap:
-                        raise InternalDefectError("circuit enumeration cap exceeded")
-                elif w not in verts:
-                    stack.append((w, verts + [w], eids + [eid]))
-    return out
-
-
-def _chain_via_backtracking(g: Multigraph, u: int, v: int) -> CircuitChain | None:
-    circuits = _all_circuits(g)
-    order = sorted(range(len(circuits)), key=lambda i: (len(circuits[i]), circuits[i].edges))
-    by_vertex: dict[int, list[int]] = {}
-    for i in order:
-        for w in circuits[i].vertices:
-            by_vertex.setdefault(w, []).append(i)
-
-    def extend(chain: list[Circuit], used: set[int], entry: int | None) -> CircuitChain | None:
-        cand = CircuitChain(tuple(chain))
-        if validate_circuit_chain(g, cand, (u, v)):
-            return cand
-        if len(chain) >= g.vertex_count:
-            return None
-        last = chain[-1]
-        for w in sorted(last.vertex_set):
-            if w == entry or w == u:
-                continue
-            for ci in by_vertex.get(w, ()):
-                nxt = circuits[ci]
-                if nxt.vertex_set & used != {w}:
-                    continue
-                res = extend(chain + [nxt], used | nxt.vertex_set, w)
-                if res is not None:
-                    return res
-        return None
-
-    for ci in by_vertex.get(u, ()):
-        first = circuits[ci]
-        res = extend([first], set(first.vertex_set), None)
-        if res is not None:
-            return res
-    return None
-
-
 def find_circuit_chain(g: Multigraph, u: int, v: int) -> CircuitChain:
     """A circuit chain connecting u and v in a 2-edge-connected graph.
 
-    Fast path: union of two edge-disjoint u-v paths of minimum total size,
-    decomposed into its block path. Falls back to exhaustive backtracking.
-    The result is always validated before it is returned.
+    The union of two edge-disjoint u-v paths of minimum total size splits
+    into a chain of circuits along its block path, so this always finds one;
+    a miss is an internal defect. The result is validated before it is
+    returned.
     """
     if u == v:
         raise PreconditionError("endpoints must be distinct")
@@ -829,9 +771,6 @@ def find_circuit_chain(g: Multigraph, u: int, v: int) -> CircuitChain:
         chain = _chain_via_block_path(g, usage.keys(), u, v)
         if chain is not None and validate_circuit_chain(g, chain, (u, v)):
             return chain
-    chain = _chain_via_backtracking(g, u, v)
-    if chain is not None and validate_circuit_chain(g, chain, (u, v)):
-        return chain
     raise InternalDefectError(f"no circuit chain certified between {u} and {v}")
 
 

@@ -63,7 +63,14 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
     propagation and adjacent-absolute pruning. None means proven infeasible.
 
     The first edge in search order only takes positive values: negating a
-    rich flow gives a rich flow, so this loses no solution."""
+    rich flow gives a rich flow, so this loses no solution.
+
+    After each placement, an endpoint v with ``left`` undecided edges fails
+    when its unused absolute values ``avail`` cannot finish it: the ``left``
+    edges need distinct values from ``avail``, and their sum must have the
+    parity of ``acc[v]``, since a signed value and its absolute value have
+    the same parity. Both the search and the propagation are loops, not
+    recursion, so no graph size reaches Python's recursion limit."""
     m = g.edge_count
     n = g.vertex_count
     if m == 0:
@@ -82,40 +89,67 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
         free[heads[eid]] ^= eid
     # Bit a is set when a decided incident edge carries absolute value a.
     used = [0] * n
+    every = (1 << k) - 2  # bits 1..k-1
+    odd = sum(1 << a for a in range(1, k, 2))
+    first_values = range(1, k)
     domain = _value_order(k)
+    trail: list[int] = []  # placed edges, in placement order
     tick = budget.tick
 
-    def place(eid: int, value: int, trail: list[int]) -> bool:
-        tick()
-        a = value if value > 0 else -value
-        if a == 0 or a >= k:
-            return False
-        bit = 1 << a
-        t = tails[eid]
-        h = heads[eid]
-        if (used[t] | used[h]) & bit:
-            return False
-        vals[eid] = value
-        trail.append(eid)
-        used[t] |= bit
-        used[h] |= bit
-        acc[t] += value
-        acc[h] -= value
-        free[t] ^= eid
-        free[h] ^= eid
-        undecided[t] -= 1
-        undecided[h] -= 1
-        if (undecided[t] == 0 and acc[t]) or (undecided[h] == 0 and acc[h]):
-            return False
-        for v in (t, h):
-            if undecided[v] == 1:
-                forced = free[v]
-                if not place(forced, -acc[v] if tails[forced] == v else acc[v], trail):
+    def place(eid: int, value: int) -> bool:
+        """Puts value on eid, then every value conservation forces, depth
+        first from the tail's side; False when some placement fails."""
+        pending: list[int] = []  # endpoints still to test for a forced edge
+        while True:
+            tick()
+            a = value if value > 0 else -value
+            if a == 0 or a >= k:
+                return False
+            bit = 1 << a
+            t = tails[eid]
+            h = heads[eid]
+            if (used[t] | used[h]) & bit:
+                return False
+            vals[eid] = value
+            trail.append(eid)
+            used[t] |= bit
+            used[h] |= bit
+            acc[t] += value
+            acc[h] -= value
+            free[t] ^= eid
+            free[h] ^= eid
+            undecided[t] -= 1
+            undecided[h] -= 1
+            for v in (t, h):
+                left = undecided[v]
+                parity = acc[v] & 1
+                if left == 0:
+                    if acc[v]:
+                        return False
+                    continue
+                avail = every & ~used[v]
+                count = avail.bit_count()
+                odds = (avail & odd).bit_count()
+                if (
+                    left > count
+                    or (left == count and odds & 1 != parity)
+                    or (odds == 0 and parity)
+                    or (odds == count and (left ^ parity) & 1)
+                ):
                     return False
-        return True
+            pending.append(h)
+            pending.append(t)
+            while pending:
+                v = pending.pop()
+                if undecided[v] == 1:
+                    eid = free[v]
+                    value = -acc[v] if tails[eid] == v else acc[v]
+                    break
+            else:
+                return True
 
-    def undo(trail: list[int]) -> None:
-        while trail:
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
             eid = trail.pop()
             value = vals[eid]
             vals[eid] = 0
@@ -131,22 +165,30 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
             undecided[t] += 1
             undecided[h] += 1
 
-    def solve(pos: int) -> bool:
+    # One frame per branching edge: [position in order, index of its next
+    # value, trail length before its first value].
+    frames: list[list[int]] = []
+    pos = 0
+    while True:
         while pos < m and vals[order[pos]]:
             pos += 1
         if pos == m:
-            return True
-        eid = order[pos]
-        trail: list[int] = []
-        for value in range(1, k) if pos == 0 else domain:
-            if place(eid, value, trail) and solve(pos + 1):
-                return True
-            undo(trail)
-        return False
-
-    if solve(0):
-        return vals
-    return None
+            return vals
+        frames.append([pos, 0, len(trail)])
+        while frames:
+            frame = frames[-1]
+            pos, index, mark = frame
+            undo(mark)
+            values = first_values if pos == 0 else domain
+            if index == len(values):
+                frames.pop()
+                continue
+            frame[1] = index + 1
+            if place(order[pos], values[index]):
+                pos += 1
+                break
+        else:
+            return None
 
 
 def exact_rich_flow_number(
@@ -162,6 +204,15 @@ def exact_rich_flow_number(
     otherwise. Every k the loop does try and reject is proved infeasible by
     exhaustion, never assumed; that search fixes the first edge's sign, since
     negating a rich flow gives another.
+
+    After each placed value the search also drops a branch when some vertex's
+    unused absolute values cannot finish it: too few are left for its
+    undecided edges, or every way to pick them gives a sum whose parity
+    differs from the vertex's decided signed sum, which conservation forbids.
+    These cuts hold no solution and keep the search order, so every result
+    found without them is found again with the same witness, and more graphs
+    resolve within a node budget; ``batch`` fills ``exact_R`` on more rows,
+    and every value it filled before is unchanged.
     """
     budget = budget or SearchBudget()
     delta = g.max_degree()
@@ -228,32 +279,40 @@ def chromatic_index(g: Multigraph, budget: SearchBudget | None = None) -> ExactR
     shannon = (3 * delta) // 2
 
     def try_colors(color_count: int) -> tuple[int, ...] | None:
+        """Depth-first over the edges in order, a loop rather than recursion;
+        edge order[pos] takes colours up to one above the highest colour on
+        order[:pos], which is highest[pos]."""
         colors: list[int | None] = [None] * m
         used: list[set[int]] = [set() for _ in range(g.vertex_count)]
-
-        def solve(pos: int, highest: int) -> bool:
-            if pos == m:
-                return True
-            eid = order[pos]
-            edge = g.edge(eid)
-            limit = min(color_count, highest + 1)
-            for c in range(1, limit + 1):
+        highest = [0] * (m + 1)
+        pos = 0
+        c = 1  # the next colour to try on order[pos]
+        while pos < m:
+            edge = g.edge(order[pos])
+            limit = min(color_count, highest[pos] + 1)
+            while c <= limit:
                 state.tick()
-                if c in used[edge.tail] or c in used[edge.head]:
-                    continue
-                colors[eid] = c
+                if c not in used[edge.tail] and c not in used[edge.head]:
+                    break
+                c += 1
+            if c <= limit:
+                colors[edge.id] = c
                 used[edge.tail].add(c)
                 used[edge.head].add(c)
-                if solve(pos + 1, max(highest, c)):
-                    return True
-                colors[eid] = None
-                used[edge.tail].discard(c)
-                used[edge.head].discard(c)
-            return False
-
-        if solve(0, 0):
-            return tuple(colors)
-        return None
+                highest[pos + 1] = max(highest[pos], c)
+                pos += 1
+                c = 1
+                continue
+            if pos == 0:
+                return None
+            pos -= 1
+            edge = g.edge(order[pos])
+            c = colors[edge.id]
+            colors[edge.id] = None
+            used[edge.tail].discard(c)
+            used[edge.head].discard(c)
+            c += 1
+        return tuple(colors)
 
     for count in range(delta, shannon + 1):
         try:

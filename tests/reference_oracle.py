@@ -1,9 +1,17 @@
-"""Test-only reference for the exact rich flow number.
+"""Test-only references for the exact rich flow number.
 
-This is the plain backtracking search the oracle started from: it tries every
-k from 2 upwards and both signs on every edge, with no lower bound from the
-chromatic index and no symmetry breaking. Tests compare the oracle's faster
-search against it wherever both finish within their node budgets.
+``reference_rich_flow_number`` is the plain backtracking search the oracle
+started from: it tries every k from 2 upwards and both signs on every edge,
+with no lower bound from the chromatic index and no symmetry breaking.
+
+``unpruned_rich_flow_search`` is the oracle's kernel as it was before it
+pruned on each vertex's unused values and conservation parity: the same
+search order, recursive, testing a vertex only once all its edges are
+decided. The pruned kernel must return the same list wherever it finishes,
+in no more nodes.
+
+Tests compare the oracle's faster search against both wherever they finish
+within their node budgets.
 """
 
 from __future__ import annotations
@@ -98,6 +106,93 @@ def _rich_flow_search(g: Multigraph, k: int, nodes: _Nodes) -> list[int] | None:
 
     if solve(0):
         return list(vals)
+    return None
+
+
+def unpruned_rich_flow_search(g: Multigraph, k: int, budget) -> list[int] | None:
+    """The unpruned kernel; ``budget.tick()`` is called once per placement."""
+    m = g.edge_count
+    n = g.vertex_count
+    if m == 0:
+        return []
+    tails = [e.tail for e in g.edges]
+    heads = [e.head for e in g.edges]
+    degree = [g.degree(v) for v in range(n)]
+    order = sorted(range(m), key=lambda e: (-degree[tails[e]] - degree[heads[e]], e))
+    vals = [0] * m
+    acc = [0] * n
+    undecided = degree[:]
+    free = [0] * n
+    for eid in range(m):
+        free[tails[eid]] ^= eid
+        free[heads[eid]] ^= eid
+    used = [0] * n
+    domain = []
+    for a in range(1, k):
+        domain.extend((a, -a))
+    tick = budget.tick
+
+    def place(eid: int, value: int, trail: list[int]) -> bool:
+        tick()
+        a = value if value > 0 else -value
+        if a == 0 or a >= k:
+            return False
+        bit = 1 << a
+        t = tails[eid]
+        h = heads[eid]
+        if (used[t] | used[h]) & bit:
+            return False
+        vals[eid] = value
+        trail.append(eid)
+        used[t] |= bit
+        used[h] |= bit
+        acc[t] += value
+        acc[h] -= value
+        free[t] ^= eid
+        free[h] ^= eid
+        undecided[t] -= 1
+        undecided[h] -= 1
+        if (undecided[t] == 0 and acc[t]) or (undecided[h] == 0 and acc[h]):
+            return False
+        for v in (t, h):
+            if undecided[v] == 1:
+                forced = free[v]
+                if not place(forced, -acc[v] if tails[forced] == v else acc[v], trail):
+                    return False
+        return True
+
+    def undo(trail: list[int]) -> None:
+        while trail:
+            eid = trail.pop()
+            value = vals[eid]
+            vals[eid] = 0
+            bit = 1 << (value if value > 0 else -value)
+            t = tails[eid]
+            h = heads[eid]
+            used[t] ^= bit
+            used[h] ^= bit
+            acc[t] -= value
+            acc[h] += value
+            free[t] ^= eid
+            free[h] ^= eid
+            undecided[t] += 1
+            undecided[h] += 1
+
+    def solve(pos: int) -> bool:
+        while pos < m and vals[order[pos]]:
+            pos += 1
+        if pos == m:
+            return True
+        eid = order[pos]
+        trail: list[int] = []
+        for value in range(1, k) if pos == 0 else domain:
+            if place(eid, value, trail) and solve(pos + 1):
+                return True
+            undo(trail)
+        return False
+
+    if solve(0):
+        return vals
     return None
 
 

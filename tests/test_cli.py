@@ -156,6 +156,20 @@ def test_batch_jobs_rows_identical(tmp_path):
     assert broken["status"].startswith("parse_error: edge count mismatch")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_corpus_matches_golden_report(monkeypatch, tmp_path, jobs):
+    # Only the node limits bind, so every column but elapsed_ms is fixed; a
+    # change to the oracles or the synthesis that moves one must update this.
+    monkeypatch.setenv("RICHFLOW_TIME_LIMIT_S", "1000000")
+    report = tmp_path / "report.csv"
+    assert run(["batch", str(CORPUS), "--report", str(report), "--jobs", jobs]) == 0
+    rows = list(csv.DictReader(report.read_text().splitlines()))
+    for row in rows:
+        row.pop("elapsed_ms")
+    golden = Path(__file__).resolve().parent / "golden" / "corpus_batch.csv"
+    assert rows == list(csv.DictReader(golden.read_text().splitlines()))
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replaces the process pool with one that runs each row at submit, in this

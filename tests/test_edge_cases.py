@@ -4,6 +4,7 @@ import pickle
 
 from richflow import (
     Multigraph,
+    find_circuit_chain,
     is_rich_flow_admissible,
     rich_mod_flow,
     synthesize_rich_flow,
@@ -11,9 +12,9 @@ from richflow import (
 )
 from richflow import errors
 from richflow.cli import run
-from richflow.multigraph import _chain_via_backtracking
 
-from conftest import CORPUS, load
+from conftest import ADMISSIBLE_NAMES, CORPUS, load
+from reference_chain import chain_via_backtracking
 
 
 def test_single_vertex_graph_is_degenerate_but_safe():
@@ -32,14 +33,16 @@ def test_two_parallel_edges_rejected():
 
 
 def test_chain_backtracking_fallback_agrees(bowtie):
-    ch = _chain_via_backtracking(bowtie, 0, 4)
-    assert ch is not None and validate_circuit_chain(bowtie, ch, (0, 4))
-    c4 = load("c4")
-    ch2 = _chain_via_backtracking(c4, 0, 2)
-    assert ch2 is not None and validate_circuit_chain(c4, ch2, (0, 2))
-    k4 = load("k4")
-    ch3 = _chain_via_backtracking(k4, 1, 2)
-    assert ch3 is not None and validate_circuit_chain(k4, ch3, (1, 2))
+    for g, ends in ((bowtie, (0, 4)), (load("c4"), (0, 2)), (load("k4"), (1, 2))):
+        reference = chain_via_backtracking(g, *ends)
+        assert reference is not None and validate_circuit_chain(g, reference, ends)
+        assert validate_circuit_chain(g, find_circuit_chain(g, *ends), ends)
+    # With no fallback, a miss would raise InternalDefectError.
+    for name in ADMISSIBLE_NAMES:
+        g = load(name)
+        for u in range(g.vertex_count):
+            for v in range(u + 1, g.vertex_count):
+                assert validate_circuit_chain(g, find_circuit_chain(g, u, v), (u, v))
 
 
 def test_time_limit_env_validation(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from richflow import (
     BudgetExhaustedError,
+    Flow,
     GroupTag,
     Multigraph,
     PreconditionError,
@@ -20,9 +21,15 @@ from richflow import (
     nowhere_zero_z6,
     verify_flow,
 )
+from richflow.oracle import _Budget, _rich_flow_search
 
 from conftest import load, relabel
-from reference_oracle import reference_rich_flow_number
+from reference_oracle import (
+    ReferenceBudgetExhausted,
+    _Nodes,
+    reference_rich_flow_number,
+    unpruned_rich_flow_search,
+)
 
 
 def test_theta_rich_flow_number(t3):
@@ -179,3 +186,63 @@ def test_exact_matches_reference_search(g):
             assert result.value >= chi.value + 1
         if expected is not None:
             assert result.value == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_admissible_multigraphs())
+def test_pruned_search_matches_unpruned_reference(g):
+    for k in range(g.max_degree() + 1, 9):
+        nodes = _Nodes(30_000)
+        try:
+            expected = unpruned_rich_flow_search(g, k, nodes)
+        except ReferenceBudgetExhausted:
+            continue
+        state = _Budget(SearchBudget(node_limit=nodes.limit))
+        assert _rich_flow_search(g, k, state) == expected
+        assert state.nodes <= nodes.count
+
+
+def test_parity_resolves_graph_the_unpruned_search_left_open():
+    # A degree-6 vertex with k = 7 must carry all of 1..6, whose sum 21 is odd,
+    # so conservation fails there; the unpruned search ran out of nodes first.
+    pairs = [(2, 3), (0, 1), (3, 1), (0, 2), (3, 0), (0, 1), (2, 0), (2, 3), (3, 1), (3, 2), (0, 1), (2, 1)]
+    g = Multigraph(4, pairs)
+    budget = SearchBudget(k_max=8, node_limit=200_000)
+    assert chromatic_index(g, budget).value == 6
+    with pytest.raises(ReferenceBudgetExhausted):
+        unpruned_rich_flow_search(g, 7, _Nodes(budget.node_limit))
+    state = _Budget(budget)
+    assert _rich_flow_search(g, 7, state) is None
+    assert state.nodes < 20
+    result = exact_rich_flow_number(g, budget, chi_prime=6)
+    assert result.value == 8 and is_rich(g, result.witness)
+
+
+def prism(n: int) -> Multigraph:
+    """C_n x K_2: two n-cycles joined by n spokes."""
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    inner = [(n + i, n + (i + 1) % n) for i in range(n)]
+    return Multigraph(2 * n, outer + inner + [(i, n + i) for i in range(n)])
+
+
+def test_oracle_kernels_do_not_recurse_on_a_long_prism():
+    g = prism(1500)
+    budget = SearchBudget(node_limit=50_000)
+    chi = chromatic_index(g, budget)
+    assert chi.status in ("exact", "exhausted_budget")
+    if chi.value is not None:
+        assert chi.value == 3
+    # Called directly: exact_rich_flow_number would first run the O(m^3)
+    # admissibility check.
+    state = _Budget(budget)
+    try:
+        vals = _rich_flow_search(g, 4, state)
+    except BudgetExhaustedError:
+        return
+    if vals is not None:
+        # is_rich tests all edge pairs, which takes seconds at this size.
+        rep = verify_flow(g, Flow(g, GroupTag.integers(4), tuple(vals)))
+        assert rep.conserved and rep.nowhere_zero
+        for v in range(g.vertex_count):
+            values = {abs(vals[e]) for e in g.incident(v)}
+            assert len(values) == g.degree(v) and max(values) < 4
