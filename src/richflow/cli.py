@@ -114,15 +114,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = _load_graph(args.graph)
-    verdict = is_rich_flow_admissible(g)
-    if not verdict.admissible:
-        print(verdict.describe())
-        print("R = none")
-        return 1
     budget = SearchBudget(
         k_max=args.kmax, node_limit=args.node_limit, time_limit=_time_limit()
     )
     result = exact_rich_flow_number(g, budget)
+    if result.value is None and result.status == "exact":
+        # The oracle's only exact empty answer: g is not admissible.
+        print(is_rich_flow_admissible(g).describe())
+        print("R = none")
+        return 1
     if result.value is None:
         print(f"R = unknown (budget exhausted up to k_max={args.kmax})")
         return 0
@@ -152,7 +152,7 @@ def _cmd_oracle_nz(args) -> int:
     group = _parse_group(args.group)
     budget = SearchBudget(time_limit=_time_limit())
     try:
-        flow = brute_force_flow(g, group, require_rich=False, budget=budget)
+        flow = brute_force_flow(g, group, budget=budget)
     except BudgetExhaustedError:
         print("search budget exhausted; existence undecided")
         return 0

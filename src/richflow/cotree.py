@@ -75,15 +75,13 @@ def cotree_flow_search(
     g: Multigraph,
     group: GroupTag,
     *,
-    require_rich: bool = False,
     node_limit: int | None = None,
     deadline: float | None = None,
 ) -> Flow | None:
     """Some conserved nowhere-zero flow over the group, or None if none exists.
 
-    With require_rich (integer groups only) adjacent edges must also differ in
-    absolute value. Raises BudgetExhaustedError when a limit cuts the search
-    short, so None always means proven non-existence.
+    Raises BudgetExhaustedError when a limit cuts the search short, so None
+    always means proven non-existence.
     """
     m = g.edge_count
     if m == 0:
@@ -102,28 +100,10 @@ def cotree_flow_search(
             domain.extend((a, -a))
     else:
         domain = group.nonzero_elements()
-    adjacency: list[list[int]] = [[] for _ in range(m)]
-    if require_rich:
-        if group.kind != "int":
-            raise BudgetExhaustedError("richness applies to integer flows only")
-        for v in range(g.vertex_count):
-            inc = g.incident(v)
-            for i, e in enumerate(inc):
-                for f in inc[i + 1 :]:
-                    adjacency[e].append(f)
-                    adjacency[f].append(e)
     tree_val = {t: group.zero() for t in tree}
     finalized: list = [None] * m
     nodes = [0]
     result: list[Flow | None] = [None]
-
-    def value_clashes(eid: int, val) -> bool:
-        target = abs(val)
-        for other in adjacency[eid]:
-            ov = finalized[other]
-            if ov is not None and abs(ov) == target:
-                return True
-        return False
 
     def assign(idx: int) -> bool:
         if idx == len(co):
@@ -137,8 +117,6 @@ def cotree_flow_search(
                 raise BudgetExhaustedError("co-tree search node limit reached")
             if deadline is not None and nodes[0] % 512 == 0 and time.monotonic() > deadline:
                 raise BudgetExhaustedError("co-tree search time limit reached")
-            if require_rich and value_clashes(co_e, val):
-                continue
             finalized[co_e] = val
             touched: list[int] = []
             done: list[int] = []
@@ -154,9 +132,6 @@ def cotree_flow_search(
                         ok = False
                         break
                     if group.kind == "int" and abs(tv) >= group.bound:
-                        ok = False
-                        break
-                    if require_rich and value_clashes(t, tv):
                         ok = False
                         break
                     finalized[t] = tv

@@ -248,13 +248,17 @@ def make_adjacent_pair(g: Multigraph, e: int, f: int) -> AdjacentPair:
 
 
 def adjacent_pairs(g: Multigraph) -> list[AdjacentPair]:
-    """All unordered pairs of adjacent edges, anchored at the lowest shared vertex."""
+    """All unordered pairs of adjacent edges, anchored at the lowest shared
+    vertex and ordered by (e, f); read off the incidence lists in sum-of-
+    squared-degrees time."""
     out = []
-    for e in range(g.edge_count):
-        for f in range(e + 1, g.edge_count):
-            shared = g.shared_vertices(e, f)
-            if shared:
-                out.append(AdjacentPair(e, f, shared[0]))
+    for edge in g.edges:
+        anchors: dict[int, int] = {}
+        for v in sorted(edge.ends):
+            for f in g.incident(v):
+                if f > edge.id:
+                    anchors.setdefault(f, v)
+        out.extend(AdjacentPair(edge.id, f, anchors[f]) for f in sorted(anchors))
     return out
 
 

@@ -51,11 +51,19 @@ class _Budget:
             raise BudgetExhaustedError("time limit reached")
 
 
-def _value_order(k: int) -> list[int]:
-    out = []
-    for a in range(1, k):
-        out.extend((a, -a))
-    return out
+def _signed_sums(avail: int, left: int, offset: int) -> int:
+    """Bitmask of every sum +-a_1 +- ... +- a_left over ``left`` distinct
+    values a_i, taken from the bits set in ``avail``; bit s + offset stands
+    for sum s, so offset must be at least the sum of avail's values."""
+    layers = [1 << offset] + [0] * left  # layers[j]: the sums of j values
+    while avail:
+        a = (avail & -avail).bit_length() - 1
+        avail &= avail - 1
+        for j in range(left, 0, -1):
+            prev = layers[j - 1]
+            if prev:
+                layers[j] |= prev << a | prev >> a
+    return layers[left]
 
 
 def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | None:
@@ -66,11 +74,24 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
     rich flow gives a rich flow, so this loses no solution.
 
     After each placement, an endpoint v with ``left`` undecided edges fails
-    when its unused absolute values ``avail`` cannot finish it: the ``left``
-    edges need distinct values from ``avail``, and their sum must have the
-    parity of ``acc[v]``, since a signed value and its absolute value have
-    the same parity. Both the search and the propagation are loops, not
-    recursion, so no graph size reaches Python's recursion limit."""
+    unless some ``left`` distinct unused absolute values, signed, sum to the
+    vertex's decided signed sum ``acc[v]``, as conservation requires. The
+    sets of such sums are memoised by (unused values, left).
+
+    Parallel edges can swap values, negated where their orientations
+    differ, so within each bundle of parallel edges only absolute values
+    that strictly increase with edge id are searched: the edge at index i
+    (from 0) of a bundle of p takes |value| in i+1..k-p+i, above its decided
+    lower bundle members and below its higher ones. The first witness stays the one found without
+    this rule. For parallel e < f, e is decided first, by branching: edges
+    are branched on by (-degree sum, id), and neither can be forced while
+    the other is undecided. Had that witness |e| > |f|, the swapped flow
+    (negated if e is the positive-only first edge) would agree with it up to
+    e's branch and take a smaller absolute value there, tried earlier, so a
+    solution would have been found before it.
+
+    Both the search and the propagation are loops, not recursion, so no
+    graph size reaches Python's recursion limit."""
     m = g.edge_count
     n = g.vertex_count
     if m == 0:
@@ -90,9 +111,18 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
     # Bit a is set when a decided incident edge carries absolute value a.
     used = [0] * n
     every = (1 << k) - 2  # bits 1..k-1
-    odd = sum(1 << a for a in range(1, k, 2))
-    first_values = range(1, k)
-    domain = _value_order(k)
+    offset = k * (k - 1) // 2
+    reach: dict[int, int] = {}  # left << k | avail -> _signed_sums bitmask
+    # The parallel edges of each edge, itself included, ascending.
+    bundles: dict[tuple[int, ...], list[int]] = {}
+    bundle_of = [bundles.setdefault(tuple(sorted(e.ends)), []) for e in g.edges]
+    for eid, bundle in enumerate(bundle_of):
+        bundle.append(eid)
+    lowest = [bundle.index(eid) + 1 for eid, bundle in enumerate(bundle_of)]
+    highest = [k - len(bundle) + low - 1 for bundle, low in zip(bundle_of, lowest)]
+    domain = [s * a for a in range(1, k) for s in (1, -1)]
+    choices = [domain[2 * lowest[eid] - 2 : 2 * highest[eid]] for eid in order]
+    choices[0] = choices[0][::2]  # the first edge: positive values only
     trail: list[int] = []  # placed edges, in placement order
     tick = budget.tick
 
@@ -103,13 +133,16 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
         while True:
             tick()
             a = value if value > 0 else -value
-            if a == 0 or a >= k:
+            if not lowest[eid] <= a <= highest[eid]:
                 return False
             bit = 1 << a
             t = tails[eid]
             h = heads[eid]
             if (used[t] | used[h]) & bit:
                 return False
+            for f in bundle_of[eid]:
+                if vals[f] and (f < eid) != (abs(vals[f]) < a):
+                    return False
             vals[eid] = value
             trail.append(eid)
             used[t] |= bit
@@ -121,21 +154,11 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
             undecided[t] -= 1
             undecided[h] -= 1
             for v in (t, h):
-                left = undecided[v]
-                parity = acc[v] & 1
-                if left == 0:
-                    if acc[v]:
-                        return False
-                    continue
-                avail = every & ~used[v]
-                count = avail.bit_count()
-                odds = (avail & odd).bit_count()
-                if (
-                    left > count
-                    or (left == count and odds & 1 != parity)
-                    or (odds == 0 and parity)
-                    or (odds == count and (left ^ parity) & 1)
-                ):
+                key = undecided[v] << k | (every & ~used[v])
+                sums = reach.get(key)
+                if sums is None:
+                    sums = reach[key] = _signed_sums(key & every, undecided[v], offset)
+                if not sums >> (acc[v] + offset) & 1:
                     return False
             pending.append(h)
             pending.append(t)
@@ -179,7 +202,7 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
             frame = frames[-1]
             pos, index, mark = frame
             undo(mark)
-            values = first_values if pos == 0 else domain
+            values = choices[pos]
             if index == len(values):
                 frames.pop()
                 continue
@@ -205,14 +228,15 @@ def exact_rich_flow_number(
     exhaustion, never assumed; that search fixes the first edge's sign, since
     negating a rich flow gives another.
 
-    After each placed value the search also drops a branch when some vertex's
-    unused absolute values cannot finish it: too few are left for its
-    undecided edges, or every way to pick them gives a sum whose parity
-    differs from the vertex's decided signed sum, which conservation forbids.
-    These cuts hold no solution and keep the search order, so every result
-    found without them is found again with the same witness, and more graphs
-    resolve within a node budget; ``batch`` fills ``exact_R`` on more rows,
-    and every value it filled before is unchanged.
+    Two cuts prune that search without changing its order: a vertex whose
+    undecided edges cannot take distinct unused absolute values with signs
+    that cancel its decided sum ends the branch, and parallel edges take
+    absolute values increasing with edge id, since they can swap values
+    (``_rich_flow_search`` proves the first witness is kept). So every
+    result found without them is found again with the same witness, in no
+    more nodes, and more graphs resolve within a node budget; ``batch``
+    fills ``exact_R`` on more rows, and every value it filled before is
+    unchanged.
     """
     budget = budget or SearchBudget()
     delta = g.max_degree()
@@ -238,22 +262,18 @@ def exact_rich_flow_number(
 def brute_force_flow(
     g: Multigraph,
     group: GroupTag,
-    require_rich: bool = False,
     budget: SearchBudget | None = None,
 ) -> Flow | None:
     """Some conserved nowhere-zero flow over the group by co-tree enumeration.
 
     None only when exhaustive search proves non-existence; budget exhaustion
-    raises instead of making a false claim. Richness is only meaningful for
-    integer groups.
+    raises instead of making a false claim. Rich flows come from
+    ``exact_rich_flow_number``.
     """
-    if require_rich and group.kind != "int":
-        raise PreconditionError("richness applies to integer flows only")
     budget = budget or SearchBudget()
     flow = cotree.cotree_flow_search(
         g,
         group,
-        require_rich=require_rich,
         node_limit=budget.node_limit,
         deadline=time.monotonic() + budget.time_limit,
     )
@@ -261,8 +281,6 @@ def brute_force_flow(
         rep = verify_flow(g, flow)
         if not (rep.conserved and rep.nowhere_zero):
             raise InternalDefectError("co-tree search produced an invalid flow")
-        if require_rich and not is_rich(g, flow):
-            raise InternalDefectError("co-tree search produced a non-rich flow")
     return flow
 
 

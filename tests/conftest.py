@@ -101,6 +101,13 @@ def oracle_cuts(g: Multigraph):
     return bridges, two_cuts
 
 
+def prism(n: int) -> Multigraph:
+    """C_n x K_2: two n-cycles joined by n spokes."""
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    inner = [(n + i, n + (i + 1) % n) for i in range(n)]
+    return Multigraph(2 * n, outer + inner + [(i, n + i) for i in range(n)])
+
+
 def relabel(g: Multigraph, vperm: list[int], eperm: list[int]) -> Multigraph:
     """Graph with vertices renamed by vperm and edges reordered by eperm."""
     pairs = [None] * g.edge_count

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import richflow
-from richflow import cli
+from richflow import cli, multigraph, oracle
 from richflow.cli import run
 from richflow.errors import InternalDefectError
 
@@ -69,6 +69,28 @@ def test_exact_inadmissible(capsys):
     assert "not admissible" in out and "R = none" in out
 
 
+@pytest.mark.parametrize(
+    ("name", "code", "expected"),
+    [
+        ("t3", 0, "R = 4\n"),
+        ("c4", 1, "not admissible: 2-edge-cut {0,1} shares vertex 1\nR = none\n"),
+    ],
+)
+def test_exact_checks_admissibility_once(monkeypatch, capsys, name, code, expected):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return multigraph.is_rich_flow_admissible(g)
+
+    monkeypatch.setattr(cli, "is_rich_flow_admissible", counted)
+    monkeypatch.setattr(oracle, "is_rich_flow_admissible", counted)
+    assert run(["exact", graph(name), "--kmax", "8"]) == code
+    assert capsys.readouterr().out == expected
+    # The oracle checks once; the CLI again only to word a refusal.
+    assert len(calls) == 1 + code
+
+
 def test_synth_then_verify(tmp_path, capsys):
     out = tmp_path / "dt.flow.json"
     assert run(["synth", graph("dt"), "-o", str(out)]) == 0
@@ -117,6 +139,7 @@ def test_oracle_nz_zk(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert run(["exact", graph("t3"), "--kmax", "1"]) == 2
+    assert run(["exact", graph("c4"), "--node-limit", "0"]) == 2
     assert run(["oracle-nz", graph("k4"), "--group", "zk:4"]) == 2
     assert run(["check", str(CORPUS / "missing.graph")]) == 2
     assert run(["bogus-command"]) == 2

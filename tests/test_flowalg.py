@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richflow import (
     Flow,
@@ -27,7 +29,7 @@ from richflow import (
     zero_flow,
 )
 from richflow.cotree import fundamental_circuit_signs, spanning_forest
-from conftest import load
+from conftest import load, prism
 
 
 def path3() -> Multigraph:
@@ -221,6 +223,30 @@ def test_degree_three_vertices_have_no_confluent_pairs():
         for p in adjacent_pairs(g):
             if g.degree(p.shared_vertex) == 3:
                 assert not pair_relation(f, p).confluent, (name, p)
+
+
+@st.composite
+def loop_free_multigraphs(draw) -> Multigraph:
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=14))
+    return Multigraph(n, [(u, (u + d) % n) for u, d in steps])
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop_free_multigraphs())
+def test_adjacent_pairs_match_all_pair_listing(g):
+    expected = [
+        make_adjacent_pair(g, e, f)
+        for e in range(g.edge_count)
+        for f in range(e + 1, g.edge_count)
+        if g.shared_vertices(e, f)
+    ]
+    assert adjacent_pairs(g) == expected
+
+
+def test_adjacent_pairs_of_a_long_prism():
+    # 3,000 cubic vertices with 3 pairs each, among 10.1 million edge pairs.
+    assert len(adjacent_pairs(prism(1500))) == 9000
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,9 +22,9 @@ from richflow import (
     nowhere_zero_z6,
     verify_flow,
 )
-from richflow.oracle import _Budget, _rich_flow_search
+from richflow.oracle import _Budget, _rich_flow_search, _signed_sums
 
-from conftest import load, relabel
+from conftest import load, prism, relabel
 from reference_oracle import (
     ReferenceBudgetExhausted,
     _Nodes,
@@ -79,14 +80,9 @@ def test_brute_force_none_on_bridge():
 
 
 def test_brute_force_rich_theta(t3):
-    f = brute_force_flow(t3, GroupTag.integers(4), require_rich=True)
+    f = exact_rich_flow_number(t3).witness
     assert sorted(abs(v) for v in f.values) == [1, 2, 3]
     assert is_rich(t3, f)
-
-
-def test_brute_force_rich_requires_integers(t3):
-    with pytest.raises(PreconditionError):
-        brute_force_flow(t3, GroupTag.z6(), require_rich=True)
 
 
 def test_brute_force_budget_raises(t3):
@@ -156,8 +152,8 @@ def test_chi_prime_below_max_degree_is_rejected(t3):
 
 
 @st.composite
-def small_admissible_multigraphs(draw) -> Multigraph:
-    n = draw(st.integers(2, 5))
+def small_admissible_multigraphs(draw, max_n: int = 5) -> Multigraph:
+    n = draw(st.integers(2, max_n))
     m = draw(st.integers(1, 8))
     edges = []
     for _ in range(m):
@@ -189,8 +185,9 @@ def test_exact_matches_reference_search(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_admissible_multigraphs())
+@given(st.one_of(small_admissible_multigraphs(), small_admissible_multigraphs(max_n=3)))
 def test_pruned_search_matches_unpruned_reference(g):
+    # On n <= 3 most edges sit in bundles of parallel edges.
     for k in range(g.max_degree() + 1, 9):
         nodes = _Nodes(30_000)
         try:
@@ -218,11 +215,56 @@ def test_parity_resolves_graph_the_unpruned_search_left_open():
     assert result.value == 8 and is_rich(g, result.witness)
 
 
-def prism(n: int) -> Multigraph:
-    """C_n x K_2: two n-cycles joined by n spokes."""
-    outer = [(i, (i + 1) % n) for i in range(n)]
-    inner = [(n + i, n + (i + 1) % n) for i in range(n)]
-    return Multigraph(2 * n, outer + inner + [(i, n + i) for i in range(n)])
+signed_sum_cases = st.integers(2, 10).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(0, (1 << k) - 2), st.integers(0, k))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sum_cases)
+def test_signed_sums_match_enumeration(case):
+    k, avail, left = case
+    avail &= ~1  # values are 1..k-1
+    offset = k * (k - 1) // 2
+    values = [a for a in range(1, k) if avail >> a & 1]
+    expected = 0
+    for chosen in itertools.combinations(values, left):
+        for signs in itertools.product((1, -1), repeat=left):
+            expected |= 1 << (offset + sum(s * a for s, a in zip(signs, chosen)))
+    assert _signed_sums(avail, left, offset) == expected
+
+
+@pytest.mark.parametrize(("p", "r"), [(3, 4), (4, 5), (5, 7), (6, 8), (7, 8)])
+def test_dipole_rich_flow_number(p, r):
+    # Two vertices joined by p parallel edges: R is the least k for which p
+    # distinct values in 1..k-1 can be signed to sum to 0.
+    def balanced(k: int) -> bool:
+        return any(
+            sum(s * a for s, a in zip(signs, chosen)) == 0
+            for chosen in itertools.combinations(range(1, k), p)
+            for signs in itertools.product((1, -1), repeat=p)
+        )
+
+    assert [k for k in range(2, r + 1) if balanced(k)] == [r]
+    g = Multigraph(2, [(0, 1)] * p)
+    result = exact_rich_flow_number(g)
+    assert result.value == r and is_rich(g, result.witness)
+
+
+def test_bundles_resolve_graph_the_unpruned_search_left_open():
+    # batch-small seed 2, small-0109: bundles of 4 and 4 parallel edges.
+    pairs = [(2, 3), (0, 1), (2, 1), (1, 0), (2, 3), (0, 1), (3, 1), (0, 1), (0, 2), (3, 2), (2, 3)]
+    g = Multigraph(4, pairs)
+    budget = SearchBudget(k_max=8, node_limit=200_000)
+    assert chromatic_index(g, budget).value == 6
+    with pytest.raises(ReferenceBudgetExhausted):
+        unpruned_rich_flow_search(g, 8, _Nodes(budget.node_limit))
+    state = _Budget(budget)
+    vals = _rich_flow_search(g, 8, state)
+    assert vals is not None and state.nodes < 20_000
+    assert is_rich(g, Flow(g, GroupTag.integers(8), tuple(vals)))
+    result = exact_rich_flow_number(g, budget, chi_prime=6)
+    assert result.value == 8 and is_rich(g, result.witness)
 
 
 def test_oracle_kernels_do_not_recurse_on_a_long_prism():
@@ -240,9 +282,4 @@ def test_oracle_kernels_do_not_recurse_on_a_long_prism():
     except BudgetExhaustedError:
         return
     if vals is not None:
-        # is_rich tests all edge pairs, which takes seconds at this size.
-        rep = verify_flow(g, Flow(g, GroupTag.integers(4), tuple(vals)))
-        assert rep.conserved and rep.nowhere_zero
-        for v in range(g.vertex_count):
-            values = {abs(vals[e]) for e in g.incident(v)}
-            assert len(values) == g.degree(v) and max(values) < 4
+        assert is_rich(g, Flow(g, GroupTag.integers(4), tuple(vals)))
