@@ -26,7 +26,6 @@ from .errors import (
 from .flowalg import GroupTag, read_flow_json, rich_report, verify_flow, write_flow_json
 from .multigraph import (
     Multigraph,
-    edge_connectivity_at_least,
     is_rich_flow_admissible,
     parse_multigraph,
 )
@@ -199,7 +198,7 @@ def _batch_row(name: str, g: Multigraph, parse_s: float = 0.0) -> dict[str, str]
             row["conj1_bound"] = str(_conj1_bound(delta))
             if exact_value is not None and exact_value > _conj1_bound(delta):
                 status.append("conj1_violated")
-        three_connected = edge_connectivity_at_least(g, 3)
+        three_connected = not verdict.two_cuts
         row["conj2_applicable"] = "true" if three_connected else "false"
         if three_connected:
             row["conj2_bound"] = str(delta + 3)

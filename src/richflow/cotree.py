@@ -102,56 +102,55 @@ def cotree_flow_search(
         domain = group.nonzero_elements()
     tree_val = {t: group.zero() for t in tree}
     finalized: list = [None] * m
-    nodes = [0]
-    result: list[Flow | None] = [None]
-
-    def assign(idx: int) -> bool:
-        if idx == len(co):
-            vals = list(finalized)
-            result[0] = Flow(g, group, tuple(vals))
-            return True
-        co_e = co[idx]
-        for val in domain:
-            nodes[0] += 1
-            if node_limit is not None and nodes[0] > node_limit:
-                raise BudgetExhaustedError("co-tree search node limit reached")
-            if deadline is not None and nodes[0] % 512 == 0 and time.monotonic() > deadline:
-                raise BudgetExhaustedError("co-tree search time limit reached")
-            finalized[co_e] = val
-            touched: list[int] = []
-            done: list[int] = []
-            ok = True
-            for t, sign in members[co_e]:
-                delta = val if sign == 1 else group.neg(val)
-                tree_val[t] = group.add(tree_val[t], delta)
-                remaining[t] -= 1
-                touched.append(t)
-                if remaining[t] == 0:
-                    tv = tree_val[t]
-                    if group.is_zero(tv):
-                        ok = False
-                        break
-                    if group.kind == "int" and abs(tv) >= group.bound:
-                        ok = False
-                        break
-                    finalized[t] = tv
-                    done.append(t)
-            if ok and assign(idx + 1):
-                return True
+    nodes = 0
+    # Depth-first over co-tree positions with an explicit stack: next_try[d]
+    # is the domain index to try next at depth d, and trail[d] holds the
+    # (tree edge, delta) pairs and finalized tree edges of the value placed there.
+    next_try = [0] * len(co)
+    trail: list[tuple[list[tuple[int, object]], list[int]]] = []
+    depth = 0
+    while depth >= 0:
+        if depth == len(co):
+            return Flow(g, group, tuple(finalized))
+        co_e = co[depth]
+        if len(trail) > depth:  # retract the value placed at this depth
+            touched, done = trail.pop()
             for t in done:
                 finalized[t] = None
-            for t in touched:
-                delta = val if members_sign(co_e, t) == 1 else group.neg(val)
+            for t, delta in touched:
                 tree_val[t] = group.add(tree_val[t], group.neg(delta))
                 remaining[t] += 1
             finalized[co_e] = None
-        return False
-
-    sign_lookup = {co_e: dict(members[co_e]) for co_e in co}
-
-    def members_sign(co_e: int, t: int) -> int:
-        return sign_lookup[co_e][t]
-
-    if assign(0):
-        return result[0]
+        if next_try[depth] == len(domain):
+            next_try[depth] = 0
+            depth -= 1
+            continue
+        val = domain[next_try[depth]]
+        next_try[depth] += 1
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
+            raise BudgetExhaustedError("co-tree search node limit reached")
+        if deadline is not None and nodes % 512 == 0 and time.monotonic() > deadline:
+            raise BudgetExhaustedError("co-tree search time limit reached")
+        finalized[co_e] = val
+        touched, done = [], []
+        trail.append((touched, done))
+        ok = True
+        for t, sign in members[co_e]:
+            delta = val if sign == 1 else group.neg(val)
+            tree_val[t] = group.add(tree_val[t], delta)
+            remaining[t] -= 1
+            touched.append((t, delta))
+            if remaining[t] == 0:
+                tv = tree_val[t]
+                if group.is_zero(tv):
+                    ok = False
+                    break
+                if group.kind == "int" and abs(tv) >= group.bound:
+                    ok = False
+                    break
+                finalized[t] = tv
+                done.append(t)
+        if ok:
+            depth += 1
     return None

@@ -275,25 +275,19 @@ def pair_relation(flow: Flow, pair: AdjacentPair) -> PairRelation:
     when the values cancel and contrafluent when they agree; the outcome is
     independent of which shared vertex of a parallel pair is used.
     """
-    g = flow.graph
-    shared = g.shared_vertices(pair.e, pair.f)
-    if pair.shared_vertex not in shared:
+    e, f = flow.graph.edge(pair.e), flow.graph.edge(pair.f)
+    w = pair.shared_vertex
+    if not (e.touches(w) and f.touches(w)):
         raise PreconditionError("pair anchor is not a shared vertex of its edges")
-    w = shared[0]
-    in_e = flow.value_into(pair.e, w)
-    in_f = flow.value_into(pair.f, w)
-    rel = PairRelation(
-        confluent=(in_e == flow.group.neg(in_f)),
-        contrafluent=(in_e == in_f),
-    )
-    if len(shared) == 2:
-        w2 = shared[1]
-        alt = PairRelation(
-            confluent=(flow.value_into(pair.e, w2) == flow.group.neg(flow.value_into(pair.f, w2))),
-            contrafluent=(flow.value_into(pair.e, w2) == flow.value_into(pair.f, w2)),
-        )
-        if alt != rel:
-            raise InternalDefectError("pair relation differs between shared vertices")
+
+    def relation_at(v: int) -> PairRelation:
+        in_e = flow.value_into(pair.e, v)
+        in_f = flow.value_into(pair.f, v)
+        return PairRelation(confluent=(in_e == flow.group.neg(in_f)), contrafluent=(in_e == in_f))
+
+    rel = relation_at(w)
+    if e.other_end(w) == f.other_end(w) and relation_at(e.other_end(w)) != rel:
+        raise InternalDefectError("pair relation differs between shared vertices")
     return rel
 
 
@@ -490,12 +484,9 @@ def modular_to_integer(g: Multigraph, flow: Flow) -> Flow:
 # Certificate files
 
 
-_GROUP_NAMES = {"int": "int", "zk": "zk", "z2": "z2", "z6": "z6", "zkxz2": "zkxz2"}
-
-
 def write_flow_json(flow: Flow) -> str:
     g = flow.graph
-    payload: dict = {"format": 1, "group": _GROUP_NAMES[flow.group.kind]}
+    payload: dict = {"format": 1, "group": flow.group.kind}
     if flow.group.kind == "int":
         payload["bound"] = flow.group.bound
     else:

@@ -4,9 +4,14 @@ Vertices are numbered 0..n-1 and edges 0..m-1. Each edge stores (tail, head);
 the pair tail -> head is the edge's fixed reference orientation. Parallel
 edges are allowed and distinguished by edge id; loops are rejected everywhere.
 
-This module also provides connectivity and cut analysis (bridges, 2-edge-cuts,
-edge-connectivity thresholds), the rich-flow-admissibility verdict, circuits,
-circuit chains, and the block machinery used by the synthesis tower.
+This module also provides connectivity and cut analysis, the
+rich-flow-admissibility verdict, circuits, circuit chains, and the block
+machinery used by the synthesis tower. Each cut question has one owner:
+- one lowpoint DFS, `_biconnected_edge_groups`, finds blocks; bridges are
+  its single-edge blocks, and circuit chains walk its blocks;
+- `is_rich_flow_admissible` is the one caller of `enumerate_two_edge_cuts`,
+  and its verdict carries the 2-edge-cuts that `edge_connectivity_at_least`
+  (t = 3) and the synthesis split read.
 """
 
 from __future__ import annotations
@@ -191,23 +196,30 @@ def is_connected(g: Multigraph, *, without: frozenset[int] = frozenset()) -> boo
     return len(connected_components(g, without=without)) <= 1
 
 
-def bridges(g: Multigraph) -> frozenset[int]:
-    """Edge ids whose removal increases the number of components (DFS lowpoint)."""
-    n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    result: set[int] = set()
+def _biconnected_edge_groups(g: Multigraph, edge_ids) -> list[frozenset[int]]:
+    """Blocks (biconnected components) of the subgraph spanned by edge_ids."""
+    edge_ids = sorted(set(edge_ids))
+    adj: dict[int, list[int]] = {}
+    for eid in edge_ids:
+        e = g.edge(eid)
+        adj.setdefault(e.tail, []).append(eid)
+        adj.setdefault(e.head, []).append(eid)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    groups: list[frozenset[int]] = []
+    stack_edges: list[int] = []
     timer = 0
-    for root in range(n):
-        if disc[root] != -1:
+    for root in sorted(adj):
+        if root in disc:
             continue
-        # Iterative DFS; parent edge skipped by id so parallels act as back edges.
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
         disc[root] = low[root] = timer
         timer += 1
+        # Iterative DFS, parent edge skipped by id so parallels act as back
+        # edges; a frame is (vertex, parent edge, next index).
+        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
         while stack:
             v, parent_edge, idx = stack.pop()
-            inc = g.incident(v)
+            inc = adj[v]
             advanced = False
             while idx < len(inc):
                 eid = inc[idx]
@@ -215,21 +227,37 @@ def bridges(g: Multigraph) -> frozenset[int]:
                 if eid == parent_edge:
                     continue
                 w = g.edge(eid).other_end(v)
-                if disc[w] == -1:
+                if w not in disc:
                     disc[w] = low[w] = timer
                     timer += 1
+                    stack_edges.append(eid)
                     stack.append((v, parent_edge, idx))
                     stack.append((w, eid, 0))
                     advanced = True
                     break
-                low[v] = min(low[v], disc[w])
+                if disc[w] < disc[v]:
+                    stack_edges.append(eid)
+                    low[v] = min(low[v], disc[w])
             if not advanced and stack:
-                # v finished; propagate lowpoint to its parent frame.
-                pv, _, _ = stack[-1]
+                # v finished; its parent frame is on top. Close the block below it.
+                pv = stack[-1][0]
                 low[pv] = min(low[pv], low[v])
-                if low[v] > disc[pv] and parent_edge != -1:
-                    result.add(parent_edge)
-    return frozenset(result)
+                if low[v] >= disc[pv]:
+                    group = []
+                    while True:
+                        top = stack_edges.pop()
+                        group.append(top)
+                        if top == parent_edge:
+                            break
+                    groups.append(frozenset(group))
+    return groups
+
+
+def bridges(g: Multigraph) -> frozenset[int]:
+    """Edge ids whose removal increases the number of components: the
+    single-edge blocks of g (a parallel edge shares its block with its twin)."""
+    groups = _biconnected_edge_groups(g, range(g.edge_count))
+    return frozenset(eid for grp in groups if len(grp) == 1 for eid in grp)
 
 
 class _UnionFind:
@@ -283,16 +311,17 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
 
 
 def edge_connectivity_at_least(g: Multigraph, t: int) -> bool:
-    """True iff g is connected and has no edge cut of size < t, for t in {1,2,3}."""
+    """True iff g is connected and has no edge cut of size < t, for t in {1,2,3}.
+
+    t = 1 and t = 2 take linear time; t = 3 reads the admissibility verdict's
+    2-edge-cuts.
+    """
     if t not in (1, 2, 3):
         raise PreconditionError(f"threshold must be 1, 2 or 3, got {t}")
-    if not is_connected(g):
-        return False
-    if t >= 2 and bridges(g):
-        return False
-    if t >= 3 and enumerate_two_edge_cuts(g):
-        return False
-    return True
+    if t == 3:
+        verdict = is_rich_flow_admissible(g)
+        return verdict.admissible and not verdict.two_cuts
+    return is_connected(g) and (t == 1 or not bridges(g))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +330,20 @@ def edge_connectivity_at_least(g: Multigraph, t: int) -> bool:
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
-    """Outcome of the admissibility test, with a concrete witness on failure."""
+    """Outcome of the admissibility test, with a concrete witness on failure.
+
+    two_cuts is every 2-edge-cut of g as ascending edge-id pairs in
+    `enumerate_two_edge_cuts` order whenever g is connected and bridgeless,
+    so also for a shared-vertex refusal, and () otherwise. An admissible
+    verdict with no 2-edge-cuts means g is 3-edge-connected.
+    """
 
     admissible: bool
     kind: str | None = None  # "disconnected" | "bridge" | "shared_two_cut"
     bridge: int | None = None
     cut_pair: tuple[int, int] | None = None
     shared_vertex: int | None = None
+    two_cuts: tuple[tuple[int, int], ...] = ()
 
     def describe(self) -> str:
         if self.admissible:
@@ -321,19 +357,25 @@ class AdmissibilityVerdict:
 
 
 def is_rich_flow_admissible(g: Multigraph) -> AdmissibilityVerdict:
-    """Connected, bridgeless, and no 2-edge-cut whose edges share an endpoint."""
+    """Connected, bridgeless, and no 2-edge-cut whose edges share an endpoint.
+
+    This is the one place that enumerates 2-edge-cuts; callers read them from
+    the verdict.
+    """
     if not is_connected(g):
         return AdmissibilityVerdict(False, kind="disconnected")
     br = bridges(g)
     if br:
         return AdmissibilityVerdict(False, kind="bridge", bridge=min(br))
-    for e, f in enumerate_two_edge_cuts(g):
+    cuts = tuple(enumerate_two_edge_cuts(g))
+    for e, f in cuts:
         shared = g.shared_vertices(e, f)
         if shared:
             return AdmissibilityVerdict(
-                False, kind="shared_two_cut", cut_pair=(e, f), shared_vertex=shared[0]
+                False, kind="shared_two_cut", cut_pair=(e, f), shared_vertex=shared[0],
+                two_cuts=cuts,
             )
-    return AdmissibilityVerdict(True)
+    return AdmissibilityVerdict(True, two_cuts=cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -639,115 +681,36 @@ def _min_two_flow(g: Multigraph, s: int, t: int) -> dict[int, int] | None:
             v = edge.tail if d == 1 else edge.head
             steps += 1
             if steps > g.edge_count + 1:
-                return None  # stale parent cycle; caller falls back
+                return None  # stale parent cycle; find_circuit_chain raises
     return usage
 
 
-def _biconnected_edge_groups(g: Multigraph, edge_ids) -> list[frozenset[int]]:
-    """Blocks (biconnected components) of the subgraph spanned by edge_ids."""
-    edge_ids = sorted(set(edge_ids))
-    adj: dict[int, list[int]] = {}
-    for eid in edge_ids:
-        e = g.edge(eid)
-        adj.setdefault(e.tail, []).append(eid)
-        adj.setdefault(e.head, []).append(eid)
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    groups: list[frozenset[int]] = []
-    stack_edges: list[int] = []
-    timer = 0
-    for root in sorted(adj):
-        if root in disc:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        # Iterative DFS, as in bridges(); a frame is (vertex, parent edge, next index).
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        while stack:
-            v, parent_edge, idx = stack.pop()
-            inc = adj[v]
-            advanced = False
-            while idx < len(inc):
-                eid = inc[idx]
-                idx += 1
-                if eid == parent_edge:
-                    continue
-                w = g.edge(eid).other_end(v)
-                if w not in disc:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack_edges.append(eid)
-                    stack.append((v, parent_edge, idx))
-                    stack.append((w, eid, 0))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    stack_edges.append(eid)
-                    low[v] = min(low[v], disc[w])
-            if not advanced and stack:
-                # v finished; its parent frame is on top. Close the block below it.
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    group = []
-                    while True:
-                        top = stack_edges.pop()
-                        group.append(top)
-                        if top == parent_edge:
-                            break
-                    groups.append(frozenset(group))
-    return groups
-
-
 def _chain_via_block_path(g: Multigraph, union_edges, u: int, v: int) -> CircuitChain | None:
+    """The blocks of the union of two edge-disjoint u-v paths as a chain of
+    circuits, walked from u's block to v's block.
+
+    A simple path cannot leave a cut vertex and come back, so every block of
+    the union lies on the u-v path of its block-cut tree: u lies in one
+    block, and each next block is the only unvisited one through a vertex of
+    the current block. None when the blocks do not walk that way or one is
+    not a circuit; the caller validates the chain.
+    """
     groups = _biconnected_edge_groups(g, union_edges)
-    if not groups:
-        return None
-    vset_of = []
-    for grp in groups:
-        vs: set[int] = set()
-        for eid in grp:
-            vs |= set(g.edge(eid).ends)
-        vset_of.append(frozenset(vs))
-    in_blocks: dict[int, list[int]] = {}
-    for i, vs in enumerate(vset_of):
+    vertex_sets = [frozenset(w for eid in grp for w in g.edge(eid).ends) for grp in groups]
+    blocks_at: dict[int, list[int]] = {}
+    for i, vs in enumerate(vertex_sets):
         for w in vs:
-            in_blocks.setdefault(w, []).append(i)
-    if u not in in_blocks or v not in in_blocks:
+            blocks_at.setdefault(w, []).append(i)
+    if len(blocks_at.get(u, ())) != 1:
         return None
-    # Block-cut tree BFS; nodes are ("b", i) and ("v", cut vertex).
-    cut_vertices = {w for w, bs in in_blocks.items() if len(bs) > 1}
-    start = ("v", u) if u in cut_vertices else ("b", in_blocks[u][0])
-    goal = ("v", v) if v in cut_vertices else ("b", in_blocks[v][0])
-    parent: dict = {start: None}
-    queue = deque([start])
-    while queue and goal not in parent:
-        node = queue.popleft()
-        kind, x = node
-        if kind == "b":
-            nbrs = [("v", w) for w in sorted(vset_of[x] & cut_vertices)]
-        else:
-            nbrs = [("b", i) for i in in_blocks[x]]
-        for nb in nbrs:
-            if nb not in parent:
-                parent[nb] = node
-                queue.append(nb)
-    if goal not in parent:
-        return None
-    path = []
-    node = goal
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
-    block_ids = [x for kind, x in path if kind == "b"]
-    circuits = []
-    for i in block_ids:
-        circ = circuit_from_edge_set(g, groups[i])
-        if circ is None:
+    walk = [blocks_at[u][0]]
+    while v not in vertex_sets[walk[-1]]:
+        nxt = {j for w in vertex_sets[walk[-1]] for j in blocks_at[w]} - set(walk)
+        if len(nxt) != 1:
             return None
-        circuits.append(circ)
-    if not circuits:
+        walk.append(nxt.pop())
+    circuits = [circuit_from_edge_set(g, groups[i]) for i in walk]
+    if None in circuits:
         return None
     return CircuitChain(tuple(circuits))
 

@@ -39,7 +39,7 @@ from .multigraph import (
     circuit_through_edge,
     connected_components,
     edge_connectivity_at_least,
-    enumerate_two_edge_cuts,
+    enumerate_two_edge_cuts,  # noqa: F401  (perfbench/trace.py wraps it under this module)
     find_attachable_block,
     find_circuit_chain,
     find_circuit_through,
@@ -625,11 +625,10 @@ def split_on_two_cut(g: Multigraph) -> TwoCutSplit | None:
     verdict = is_rich_flow_admissible(g)
     if not verdict.admissible:
         raise AdmissibilityError(verdict)
-    cuts = enumerate_two_edge_cuts(g)
-    if not cuts:
+    if not verdict.two_cuts:
         return None
     best = None
-    for ea, eb in sorted(cuts):
+    for ea, eb in verdict.two_cuts:
         comps = connected_components(g, without=frozenset((ea, eb)))
         if len(comps) != 2:
             raise InternalDefectError("a 2-edge-cut of a bridgeless graph split 3 ways")

@@ -115,3 +115,8 @@ def relabel(g: Multigraph, vperm: list[int], eperm: list[int]) -> Multigraph:
         e = g.edge(old)
         pairs[new] = (vperm[e.tail], vperm[e.head])
     return Multigraph(g.vertex_count, pairs)
+
+
+def doubled_cycle(n: int) -> Multigraph:
+    """C_n with every edge doubled: n + 1 co-tree edges, one circuit per pair."""
+    return Multigraph(n, [(i, (i + 1) % n) for i in range(n) for _ in range(2)])

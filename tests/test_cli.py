@@ -15,8 +15,10 @@ import richflow
 from richflow import cli, multigraph, oracle
 from richflow.cli import run
 from richflow.errors import InternalDefectError
+from richflow.flowalg import read_flow_json, verify_flow
+from richflow.multigraph import format_multigraph
 
-from conftest import CORPUS
+from conftest import CORPUS, doubled_cycle
 
 
 def graph(name: str) -> str:
@@ -135,6 +137,16 @@ def test_oracle_nz_zk(capsys):
     assert run(["oracle-nz", graph("k4"), "--group", "zk:5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["group"] == "zk" and payload["k"] == 5
+
+
+def test_oracle_nz_on_a_long_doubled_cycle(tmp_path, capsys):
+    # 1,201 co-tree edges, more than Python's default recursion limit.
+    g = doubled_cycle(1200)
+    path = tmp_path / "doubled.graph"
+    path.write_text(format_multigraph(g))
+    assert run(["oracle-nz", str(path), "--group", "z2"]) == 0
+    rep = verify_flow(g, read_flow_json(capsys.readouterr().out, g))
+    assert rep.conserved and rep.nowhere_zero
 
 
 def test_usage_errors_exit_two(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richflow import (
+    AdjacentPair,
     Flow,
     GroupTag,
     Multigraph,
@@ -142,6 +143,13 @@ def test_parallel_pair_relation_vertex_independent(t3):
         # pair_relation itself asserts agreement between the two shared
         # vertices; just exercise it on random values.
         pair_relation(f, make_adjacent_pair(t3, 0, 1))
+
+
+def test_pair_relation_rejects_an_anchor_off_the_pair():
+    g = path3()
+    f = Flow(g, GroupTag.zk(11), (3, 3, 0))
+    with pytest.raises(PreconditionError, match="anchor"):
+        pair_relation(f, AdjacentPair(0, 1, 0))
 
 
 def test_strongly_intersecting_cases(k4):

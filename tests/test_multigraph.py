@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richflow import (
     GraphInputError,
@@ -21,7 +23,7 @@ from richflow import (
 )
 from richflow.multigraph import Circuit, CircuitChain, _biconnected_edge_groups
 
-from conftest import ALL_NAMES, load, oracle_cuts, relabel
+from conftest import ALL_NAMES, load, oracle_components, oracle_cuts, relabel
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,37 @@ def test_edge_connectivity_thresholds(k4):
     assert not edge_connectivity_at_least(load("c4"), 3)
     assert not edge_connectivity_at_least(load("bridge"), 2)
     assert edge_connectivity_at_least(load("bridge"), 1)
+    # Admissible, with one 2-edge-cut {4, 5} whose edges share no vertex.
+    g = Multigraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
+    assert is_rich_flow_admissible(g).two_cuts == ((4, 5),)
+    assert not edge_connectivity_at_least(g, 3)
+
+
+@st.composite
+def small_multigraphs(draw) -> Multigraph:
+    """Loop-free multigraphs with n <= 7 and m <= 12; parallel edges and
+    disconnected graphs included."""
+    n = draw(st.integers(2, 7))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=12))
+    return Multigraph(n, [(u, (u + d) % n) for u, d in steps])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_cut_answers_match_subset_deletion_oracle(g):
+    expect_bridges, expect_cuts = oracle_cuts(g)
+    connected = oracle_components(g.vertex_count, [e.ends for e in g.edges]) == 1
+    two_connected = connected and not expect_bridges
+    assert bridges(g) == frozenset(expect_bridges)
+    verdict = is_rich_flow_admissible(g)
+    assert verdict.two_cuts == (tuple(sorted(expect_cuts)) if two_connected else ())
+    assert edge_connectivity_at_least(g, 1) == connected
+    assert edge_connectivity_at_least(g, 2) == two_connected
+    assert edge_connectivity_at_least(g, 3) == (two_connected and not expect_cuts)
+    if two_connected:
+        for u in range(g.vertex_count):
+            for v in range(u + 1, g.vertex_count):
+                assert validate_circuit_chain(g, find_circuit_chain(g, u, v), (u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +166,8 @@ def test_c4_witness_is_lowest_adjacent_pair():
     assert v.cut_pair == (0, 1)
     assert v.shared_vertex == 1
     assert v.describe() == "not admissible: 2-edge-cut {0,1} shares vertex 1"
+    # The refusal still carries every 2-edge-cut.
+    assert v.two_cuts == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_doubled_triangle_witness():

@@ -20,7 +20,7 @@ from richflow import (
     verify_flow,
 )
 
-from conftest import ADMISSIBLE_NAMES, load
+from conftest import ADMISSIBLE_NAMES, doubled_cycle, load
 
 
 def random_pair_set(g, rng, max_pairs=4) -> PairSet:
@@ -113,6 +113,13 @@ def test_z6_on_c4_is_unit_circulation():
 def test_z6_on_k4(k4):
     f = nowhere_zero_z6(k4)
     rep = verify_flow(k4, f)
+    assert rep.conserved and rep.nowhere_zero
+
+
+def test_z6_on_a_long_doubled_cycle():
+    # 1,201 co-tree edges, more than Python's default recursion limit.
+    g = doubled_cycle(1200)
+    rep = verify_flow(g, nowhere_zero_z6(g))
     assert rep.conserved and rep.nowhere_zero
 
 
