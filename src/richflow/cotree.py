@@ -12,7 +12,7 @@ import time
 from collections import deque
 
 from .errors import BudgetExhaustedError
-from .flowalg import Flow, GroupTag
+from .flowalg import Flow, GroupTag, cyclic_values
 from .multigraph import Multigraph
 
 
@@ -94,23 +94,29 @@ def cotree_flow_search(
             remaining[t] += 1
     if any(count == 0 for count in remaining.values()):
         return None  # a tree edge in no circuit is a bridge; it would stay zero
+    # Values are plain integers mod `mod` (see flowalg.cyclic_values), or
+    # bounded integers when mod is None; the domain keeps the group's order.
+    bound = group.bound
     if group.kind == "int":
         domain = []
-        for a in range(1, group.bound):
+        for a in range(1, bound):
             domain.extend((a, -a))
+        mod = None
     else:
-        domain = group.nonzero_elements()
-    tree_val = {t: group.zero() for t in tree}
+        domain, mod = cyclic_values(group, group.nonzero_elements())
+    tree_val = {t: 0 for t in tree}
     finalized: list = [None] * m
     nodes = 0
     # Depth-first over co-tree positions with an explicit stack: next_try[d]
     # is the domain index to try next at depth d, and trail[d] holds the
     # (tree edge, delta) pairs and finalized tree edges of the value placed there.
     next_try = [0] * len(co)
-    trail: list[tuple[list[tuple[int, object]], list[int]]] = []
+    trail: list[tuple[list[tuple[int, int]], list[int]]] = []
     depth = 0
     while depth >= 0:
         if depth == len(co):
+            if group.kind == "zkxz2":
+                return Flow(g, group, tuple((x, x) for x in finalized))  # (x mod k, x mod 2)
             return Flow(g, group, tuple(finalized))
         co_e = co[depth]
         if len(trail) > depth:  # retract the value placed at this depth
@@ -118,7 +124,7 @@ def cotree_flow_search(
             for t in done:
                 finalized[t] = None
             for t, delta in touched:
-                tree_val[t] = group.add(tree_val[t], group.neg(delta))
+                tree_val[t] -= delta
                 remaining[t] += 1
             finalized[co_e] = None
         if next_try[depth] == len(domain):
@@ -137,16 +143,13 @@ def cotree_flow_search(
         trail.append((touched, done))
         ok = True
         for t, sign in members[co_e]:
-            delta = val if sign == 1 else group.neg(val)
-            tree_val[t] = group.add(tree_val[t], delta)
+            delta = sign * val
+            tree_val[t] += delta
             remaining[t] -= 1
             touched.append((t, delta))
             if remaining[t] == 0:
-                tv = tree_val[t]
-                if group.is_zero(tv):
-                    ok = False
-                    break
-                if group.kind == "int" and abs(tv) >= group.bound:
+                tv = tree_val[t] if mod is None else tree_val[t] % mod
+                if tv == 0 or (mod is None and abs(tv) >= bound):
                     ok = False
                     break
                 finalized[t] = tv

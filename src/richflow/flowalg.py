@@ -7,6 +7,12 @@ directly on stored values and orientation signs.
 
 Supported value groups: Z_k for odd k >= 3, Z_2, Z_6, Z_k x Z_2, and bounded
 integers (values strictly inside (-bound, bound)).
+
+`GroupTag` names the value group at the boundary: on a `Flow` and in
+certificate files. The loops that check and combine flows do not dispatch on
+it per value; they work on plain integers, reduced by one modulus per flow
+(none for integer flows). Z_k x Z_2 is cyclic of order 2k for odd k, so
+(a, b) is handled as the x in 0..2k-1 with x = a mod k and x = b mod 2.
 """
 
 from __future__ import annotations
@@ -65,41 +71,6 @@ class GroupTag:
             return 6
         return None
 
-    def zero(self):
-        return (0, 0) if self.kind == "zkxz2" else 0
-
-    def normalize(self, v):
-        if self.kind == "zkxz2":
-            a, b = v
-            return (a % self.k, b % 2)
-        if self.kind == "int":
-            return int(v)
-        return v % self.modulus
-
-    def add(self, a, b):
-        if self.kind == "zkxz2":
-            return ((a[0] + b[0]) % self.k, (a[1] + b[1]) % 2)
-        if self.kind == "int":
-            return a + b
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        if self.kind == "zkxz2":
-            return ((-a[0]) % self.k, a[1] % 2)
-        if self.kind == "int":
-            return -a
-        return (-a) % self.modulus
-
-    def scale(self, c: int, a):
-        if self.kind == "zkxz2":
-            return ((c * a[0]) % self.k, (c * a[1]) % 2)
-        if self.kind == "int":
-            return c * a
-        return (c * a) % self.modulus
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
-
     def nonzero_elements(self):
         """Deterministically ordered nonzero elements of a modular group."""
         if self.kind == "zkxz2":
@@ -107,6 +78,23 @@ class GroupTag:
         if self.kind == "int":
             raise PreconditionError("integer value domain is not finite")
         return list(range(1, self.modulus))
+
+
+def cyclic_values(group: GroupTag, values) -> tuple[list[int] | tuple, int | None]:
+    """Values of the group as plain integers, and the modulus m they live under.
+
+    Every modular group here is cyclic, Z_m, and values come back unchanged
+    except that Z_k x Z_2 maps onto Z_2k. For integers m is None.
+    """
+    if group.kind == "zkxz2":
+        k = group.k
+        return [a + k * ((a + b) & 1) for a, b in values], 2 * k
+    return values, group.modulus
+
+
+def _negated(group: GroupTag, v):
+    """-v, reduced later by `Flow`."""
+    return (-v[0], v[1]) if group.kind == "zkxz2" else -v
 
 
 @dataclass(frozen=True)
@@ -120,30 +108,26 @@ class Flow:
     def __post_init__(self) -> None:
         if len(self.values) != self.graph.edge_count:
             raise PreconditionError("one value per edge required")
-        norm = tuple(self.group.normalize(v) for v in self.values)
-        if self.group.kind == "int":
-            for v in norm:
-                if abs(v) >= self.group.bound:
-                    raise PreconditionError(
-                        f"integer flow value {v} violates bound {self.group.bound}"
-                    )
+        tag = self.group
+        if tag.kind == "int":
+            norm = tuple(map(int, self.values))
+            if max(map(abs, norm), default=0) >= tag.bound:
+                v = next(v for v in norm if abs(v) >= tag.bound)
+                raise PreconditionError(f"integer flow value {v} violates bound {tag.bound}")
+        elif tag.kind == "zkxz2":
+            k = tag.k
+            norm = tuple((a % k, b % 2) for a, b in self.values)
+        else:
+            mod = tag.modulus
+            norm = tuple(v % mod for v in self.values)
         object.__setattr__(self, "values", norm)
 
     def value(self, e: int):
         return self.values[e]
 
-    def value_into(self, e: int, v: int):
-        """The value of edge e when e is oriented into vertex v."""
-        edge = self.graph.edge(e)
-        if edge.head == v:
-            return self.values[e]
-        if edge.tail == v:
-            return self.group.neg(self.values[e])
-        raise PreconditionError(f"vertex {v} is not an endpoint of edge {e}")
-
 
 def zero_flow(g: Multigraph, group: GroupTag) -> Flow:
-    return Flow(g, group, tuple(group.zero() for _ in range(g.edge_count)))
+    return Flow(g, group, ((0, 0) if group.kind == "zkxz2" else 0,) * g.edge_count)
 
 
 def send_through_circuit(g: Multigraph, circuit: Circuit, a, group: GroupTag) -> Flow:
@@ -154,11 +138,10 @@ def send_through_circuit(g: Multigraph, circuit: Circuit, a, group: GroupTag) ->
     """
     if not validate_circuit(g, circuit):
         raise PreconditionError("not a valid circuit of this graph")
-    vals = [group.zero()] * g.edge_count
-    a = group.normalize(a)
+    vals = list(zero_flow(g, group).values)
     for pos, eid in enumerate(circuit.edges):
         sign = circuit.traversal_sign(g, pos)
-        vals[eid] = a if sign == 1 else group.neg(a)
+        vals[eid] = a if sign == 1 else _negated(group, a)
     return Flow(g, group, tuple(vals))
 
 
@@ -181,12 +164,11 @@ def linear_combine(terms, bound: int | None = None) -> Flow:
                 raise PreconditionError("cannot mix integer and modular flows")
         elif f.group != tag:
             raise PreconditionError("flows over different groups cannot be combined")
-    vals = []
-    for e in range(g.edge_count):
-        acc = tag.zero()
-        for c, f in terms:
-            acc = tag.add(acc, tag.scale(c, f.values[e]))
-        vals.append(acc)
+    coefs = [c for c, _ in terms]
+    columns = zip(*(cyclic_values(f.group, f.values)[0] for _, f in terms))
+    vals = [sum(c * x for c, x in zip(coefs, col)) for col in columns]
+    if tag.kind == "zkxz2":
+        vals = [(x, x) for x in vals]  # Flow reduces it to (x mod k, x mod 2)
     if tag.kind == "int":
         need = max((abs(v) for v in vals), default=0) + 1
         out_tag = GroupTag.integers(bound if bound is not None else max(need, 2))
@@ -272,23 +254,30 @@ def pair_relation(flow: Flow, pair: AdjacentPair) -> PairRelation:
     """Confluency of an adjacent pair under consistent orientation.
 
     With both edges oriented into the shared vertex, the pair is confluent
-    when the values cancel and contrafluent when they agree; the outcome is
-    independent of which shared vertex of a parallel pair is used.
+    when the values cancel and contrafluent when they agree. Only whether the
+    two edges point the same way at the anchor matters, and at the other
+    shared vertex of a parallel pair both edges turn round, so the outcome
+    does not depend on which shared vertex is used.
     """
-    e, f = flow.graph.edge(pair.e), flow.graph.edge(pair.f)
+    g = flow.graph
+    e, f = g.edge(pair.e), g.edge(pair.f)
     w = pair.shared_vertex
     if not (e.touches(w) and f.touches(w)):
         raise PreconditionError("pair anchor is not a shared vertex of its edges")
-
-    def relation_at(v: int) -> PairRelation:
-        in_e = flow.value_into(pair.e, v)
-        in_f = flow.value_into(pair.f, v)
-        return PairRelation(confluent=(in_e == flow.group.neg(in_f)), contrafluent=(in_e == in_f))
-
-    rel = relation_at(w)
-    if e.other_end(w) == f.other_end(w) and relation_at(e.other_end(w)) != rel:
-        raise InternalDefectError("pair relation differs between shared vertices")
-    return rel
+    x, y = flow.values[pair.e], flow.values[pair.f]
+    tag = flow.group
+    if tag.kind == "zkxz2":
+        if x[1] != y[1]:
+            return PairRelation(confluent=False, contrafluent=False)
+        x, y, mod = x[0], y[0], tag.k
+    else:
+        mod = tag.modulus
+    if (e.head == w) != (f.head == w):
+        y = -y
+    # Oriented into w the values are now s*x and s*y for one sign s.
+    if mod is None:
+        return PairRelation(confluent=(x == -y), contrafluent=(x == y))
+    return PairRelation(confluent=((x + y) % mod == 0), contrafluent=((x - y) % mod == 0))
 
 
 def strongly_intersecting(g: Multigraph, p1: AdjacentPair, p2: AdjacentPair) -> bool:
@@ -313,25 +302,29 @@ class FlowReport:
     zero_edges: tuple[int, ...]
 
 
+def _net_outflow(g: Multigraph, values) -> list[int]:
+    """Per vertex, the values on edges leaving it minus those on edges entering it."""
+    acc = [0] * g.vertex_count
+    for e, x in zip(g.edges, values):
+        acc[e.tail] += x
+        acc[e.head] -= x
+    return acc
+
+
 def verify_flow(g: Multigraph, flow: Flow) -> FlowReport:
     """Exact conservation and nowhere-zero checks with violation witnesses."""
     if flow.graph != g:
         raise PreconditionError("flow belongs to a different graph")
-    tag = flow.group
-    bad_vertices = []
-    for v in range(g.vertex_count):
-        acc = tag.zero()
-        for eid in g.incident(v):
-            e = g.edge(eid)
-            val = flow.values[eid]
-            acc = tag.add(acc, val if e.tail == v else tag.neg(val))
-        if not tag.is_zero(acc):
-            bad_vertices.append(v)
-    zeros = tuple(e for e in range(g.edge_count) if tag.is_zero(flow.values[e]))
+    values, mod = cyclic_values(flow.group, flow.values)
+    sums = _net_outflow(g, values)
+    if mod is not None:
+        sums = [x % mod for x in sums]
+    bad_vertices = tuple(v for v, x in enumerate(sums) if x)
+    zeros = tuple(e for e, x in enumerate(values) if x == 0)
     return FlowReport(
         conserved=not bad_vertices,
         nowhere_zero=not zeros,
-        violating_vertices=tuple(bad_vertices),
+        violating_vertices=bad_vertices,
         zero_edges=zeros,
     )
 
@@ -358,16 +351,27 @@ class RichnessChecks:
 
 
 def rich_report(g: Multigraph, flow: Flow) -> RichnessChecks:
+    """The four richness conditions, each local to one vertex, in O(n + m).
+
+    Two edges are adjacent exactly when they share a vertex, parallel edges
+    included, so distinct |values| at every vertex covers every adjacent pair.
+    """
     if flow.group.kind != "int":
         raise PreconditionError("richness is defined for integer flows")
-    rep = verify_flow(g, flow)
-    bound_ok = all(abs(v) < flow.group.bound for v in flow.values)
-    distinct = True
-    for pair in adjacent_pairs(g):
-        if abs(flow.values[pair.e]) == abs(flow.values[pair.f]):
-            distinct = False
-            break
-    return RichnessChecks(rep.conserved, rep.nowhere_zero, distinct, bound_ok)
+    if flow.graph != g:
+        raise PreconditionError("flow belongs to a different graph")
+    values = flow.values
+    size = list(map(abs, values))
+    distinct = all(
+        len(set(map(size.__getitem__, inc))) == len(inc)
+        for inc in map(g.incident, range(g.vertex_count))
+    )
+    return RichnessChecks(
+        conserved=not any(_net_outflow(g, values)),
+        nowhere_zero=0 not in size,
+        adjacent_abs_distinct=distinct,
+        bound_ok=max(size, default=0) < flow.group.bound,
+    )
 
 
 def is_rich(g: Multigraph, flow: Flow) -> bool:
@@ -436,10 +440,7 @@ def modular_to_integer(g: Multigraph, flow: Flow) -> Flow:
     if not rep.conserved:
         raise PreconditionError("input flow is not conserved")
     r = list(flow.values)
-    div = [0] * g.vertex_count
-    for e in g.edges:
-        div[e.tail] += r[e.id]
-        div[e.head] -= r[e.id]
+    div = _net_outflow(g, r)
     demands = []
     for v in range(g.vertex_count):
         if div[v] % k != 0:
@@ -500,43 +501,63 @@ def write_flow_json(flow: Flow) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _require_ints(name: str, values) -> None:
+    """GraphInputError unless every value is a JSON integer (not a boolean)."""
+    for x in values:
+        if type(x) is not int:
+            raise GraphInputError(f"certificate field {name!r} must be an integer, got {x!r}")
+
+
 def read_flow_json(text: str, g: Multigraph) -> Flow:
-    """Parse a certificate against its graph, normalizing reversed edge rows."""
+    """Parse a certificate against its graph, normalizing reversed edge rows.
+
+    Every number must be a JSON integer, and a Z_k x Z_2 value a list of two
+    of them; anything else raises GraphInputError.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"certificate is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != 1:
+    version = payload.get("format") if isinstance(payload, dict) else None
+    if type(version) is not int or version != 1:
         raise GraphInputError("certificate format field must be 1")
     kind = payload.get("group")
     if kind == "int":
-        tag = GroupTag.integers(int(payload["bound"]))
-    elif kind == "zk":
-        tag = GroupTag.zk(int(payload["k"]))
-    elif kind == "z2":
-        tag = GroupTag.z2()
-    elif kind == "z6":
-        tag = GroupTag.z6()
-    elif kind == "zkxz2":
-        tag = GroupTag.zkxz2(int(payload["k"]))
+        _require_ints("bound", (payload.get("bound"),))
+        tag = GroupTag.integers(payload["bound"])
+    elif kind in ("zk", "zkxz2"):
+        _require_ints("k", (payload.get("k"),))
+        tag = GroupTag(kind, k=payload["k"])
+    elif kind in ("z2", "z6"):
+        tag = GroupTag(kind)
     else:
         raise GraphInputError(f"unknown certificate group {kind!r}")
     rows = payload.get("edges")
     if not isinstance(rows, list) or len(rows) != g.edge_count:
         raise GraphInputError("certificate edge list does not match the graph")
+    if not all(isinstance(row, dict) for row in rows):
+        raise GraphInputError("certificate edge rows must be objects")
+    ids, tails, heads, values = (
+        [row.get(key) for row in rows] for key in ("id", "tail", "head", "value")
+    )
+    for key, column in (("id", ids), ("tail", tails), ("head", heads)):
+        _require_ints(key, column)
+    if kind == "zkxz2":
+        if not all(isinstance(v, list) and len(v) == 2 for v in values):
+            raise GraphInputError("certificate zkxz2 values must be lists of two integers")
+        values = [tuple(v) for v in values]
+        _require_ints("value", [x for v in values for x in v])
+    else:
+        _require_ints("value", values)
     vals: list = [None] * g.edge_count
-    for row in rows:
-        eid = int(row["id"])
+    for eid, tail, head, value in zip(ids, tails, heads, values):
         if not (0 <= eid < g.edge_count) or vals[eid] is not None:
             raise GraphInputError(f"bad or duplicate edge id {eid} in certificate")
-        edge = g.edge(eid)
-        tail, head = int(row["tail"]), int(row["head"])
-        raw = row["value"]
-        value = tuple(raw) if kind == "zkxz2" else raw
-        if (tail, head) == edge.ends:
+        edge = g.edges[eid]
+        if tail == edge.tail and head == edge.head:
             vals[eid] = value
-        elif (head, tail) == edge.ends:
-            vals[eid] = tag.neg(tag.normalize(value))
+        elif tail == edge.head and head == edge.tail:
+            vals[eid] = _negated(tag, value)
         else:
             raise GraphInputError(f"edge {eid} endpoints do not match the graph")
     return Flow(g, tag, tuple(vals))

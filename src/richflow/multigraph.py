@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import GraphInputError, InternalDefectError, PreconditionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: int
     tail: int
@@ -100,6 +100,8 @@ class Multigraph:
         return tuple(sorted(a & b))
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Multigraph):
             return NotImplemented
         return self._n == other._n and [e.ends for e in self._edges] == [
@@ -196,21 +198,26 @@ def is_connected(g: Multigraph, *, without: frozenset[int] = frozenset()) -> boo
     return len(connected_components(g, without=without)) <= 1
 
 
-def _biconnected_edge_groups(g: Multigraph, edge_ids) -> list[frozenset[int]]:
-    """Blocks (biconnected components) of the subgraph spanned by edge_ids."""
-    edge_ids = sorted(set(edge_ids))
-    adj: dict[int, list[int]] = {}
-    for eid in edge_ids:
-        e = g.edge(eid)
-        adj.setdefault(e.tail, []).append(eid)
-        adj.setdefault(e.head, []).append(eid)
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+def _biconnected_edge_groups(g: Multigraph, edge_ids=None) -> list[frozenset[int]]:
+    """Blocks (biconnected components) of the subgraph spanned by edge_ids,
+    or of all of g when edge_ids is None."""
+    n = g.vertex_count
+    edges = g.edges
+    if edge_ids is None:
+        adj = [g.incident(v) for v in range(n)]
+    else:
+        adj = [[] for _ in range(n)]
+        for eid in sorted(set(edge_ids)):
+            e = g.edge(eid)
+            adj[e.tail].append(eid)
+            adj[e.head].append(eid)
+    disc = [-1] * n
+    low = [0] * n
     groups: list[frozenset[int]] = []
     stack_edges: list[int] = []
     timer = 0
-    for root in sorted(adj):
-        if root in disc:
+    for root in range(n):
+        if disc[root] >= 0 or not adj[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
@@ -226,8 +233,9 @@ def _biconnected_edge_groups(g: Multigraph, edge_ids) -> list[frozenset[int]]:
                 idx += 1
                 if eid == parent_edge:
                     continue
-                w = g.edge(eid).other_end(v)
-                if w not in disc:
+                e = edges[eid]
+                w = e.head if e.tail == v else e.tail
+                if disc[w] < 0:
                     disc[w] = low[w] = timer
                     timer += 1
                     stack_edges.append(eid)
@@ -256,7 +264,7 @@ def _biconnected_edge_groups(g: Multigraph, edge_ids) -> list[frozenset[int]]:
 def bridges(g: Multigraph) -> frozenset[int]:
     """Edge ids whose removal increases the number of components: the
     single-edge blocks of g (a parallel edge shares its block with its twin)."""
-    groups = _biconnected_edge_groups(g, range(g.edge_count))
+    groups = _biconnected_edge_groups(g)
     return frozenset(eid for grp in groups if len(grp) == 1 for eid in grp)
 
 

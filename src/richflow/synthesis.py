@@ -210,9 +210,8 @@ def _check_flow_conditions(
         for e in range(g.edge_count):
             if e not in prev_h_edges and flow.values[e] != prev_flow.values[e]:
                 raise InternalDefectError(f"[{stage}] frozen edge {e} changed value")
-    zero = flow.group.zero()
-    for e in range(g.edge_count):
-        if e not in h_edges and flow.values[e] == zero:
+    for e in rep.zero_edges:
+        if e not in h_edges:
             raise InternalDefectError(f"[{stage}] edge {e} outside the stage is zero")
     ce = chain_edges(flow)
     union: set[int] = set()
@@ -570,7 +569,7 @@ def building_phi(
         stage="final",
     )
     stored = flow0.values[e_star]
-    fixed_value = stored if orientation == star.ends else tag.neg(stored)
+    fixed_value = stored if orientation == star.ends else ((-stored[0]) % k, stored[1])
     if fixed_value != (a, b):
         raise InternalDefectError(
             f"special edge carries {fixed_value} instead of {(a, b)}"
@@ -722,9 +721,10 @@ def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: Bui
         if orig is not None:
             vals[orig] = right.flow.values[new_id]
     t = left.flow.values[s1.added_edge]
+    minus_t = ((-t[0]) % k, t[1])
     ea, eb = split.cut
-    vals[ea] = t if g.edge(ea).ends == (split.u1, split.v1) else tag.neg(t)
-    vals[eb] = t if g.edge(eb).ends == (split.v2, split.u2) else tag.neg(t)
+    vals[ea] = t if g.edge(ea).ends == (split.u1, split.v1) else minus_t
+    vals[eb] = t if g.edge(eb).ends == (split.v2, split.u2) else minus_t
     if t[1] == 0:
         chains = [_map_chain(ch, s1.vertices_orig, s1.edges_orig) for ch in left.chains]
         chains += [_map_chain(ch, s2.vertices_orig, s2.edges_orig) for ch in right.chains]

@@ -1,0 +1,220 @@
+"""Test-only reference for the flow kernels: generic group arithmetic
+dispatched on the `GroupTag` for every value, and the verification, pair
+relation and co-tree search written on top of it, as the package had them
+before its kernels moved to plain integers.
+
+Tests compare `verify_flow`, `rich_report`, `pair_relation`, `Flow`
+normalisation, `linear_combine` and `cotree_flow_search` against these.
+"""
+
+from __future__ import annotations
+
+from richflow import AdjacentPair, Flow, FlowReport, GroupTag, Multigraph, RichnessChecks
+from richflow.cotree import fundamental_circuit_signs, spanning_forest
+from richflow.errors import InternalDefectError, PreconditionError
+
+
+# ---------------------------------------------------------------------------
+# Group arithmetic, one call per value
+
+
+def zero(tag: GroupTag):
+    return (0, 0) if tag.kind == "zkxz2" else 0
+
+
+def normalize(tag: GroupTag, v):
+    if tag.kind == "zkxz2":
+        a, b = v
+        return (a % tag.k, b % 2)
+    if tag.kind == "int":
+        return int(v)
+    return v % tag.modulus
+
+
+def add(tag: GroupTag, a, b):
+    if tag.kind == "zkxz2":
+        return ((a[0] + b[0]) % tag.k, (a[1] + b[1]) % 2)
+    if tag.kind == "int":
+        return a + b
+    return (a + b) % tag.modulus
+
+
+def neg(tag: GroupTag, a):
+    if tag.kind == "zkxz2":
+        return ((-a[0]) % tag.k, a[1] % 2)
+    if tag.kind == "int":
+        return -a
+    return (-a) % tag.modulus
+
+
+def scale(tag: GroupTag, c: int, a):
+    if tag.kind == "zkxz2":
+        return ((c * a[0]) % tag.k, (c * a[1]) % 2)
+    if tag.kind == "int":
+        return c * a
+    return (c * a) % tag.modulus
+
+
+def is_zero(tag: GroupTag, a) -> bool:
+    return a == zero(tag)
+
+
+def value_into(flow: Flow, e: int, v: int):
+    """The value of edge e when e is oriented into vertex v."""
+    edge = flow.graph.edge(e)
+    if edge.head == v:
+        return flow.values[e]
+    if edge.tail == v:
+        return neg(flow.group, flow.values[e])
+    raise PreconditionError(f"vertex {v} is not an endpoint of edge {e}")
+
+
+def linear_combine_values(terms) -> list:
+    """The edgewise sum of coefficient-scaled values, reduced term by term."""
+    tag = terms[0][1].group
+    out = []
+    for e in range(terms[0][1].graph.edge_count):
+        acc = zero(tag)
+        for c, f in terms:
+            acc = add(tag, acc, scale(tag, c, f.values[e]))
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Verification
+
+
+def adjacent_pairs(g: Multigraph) -> list[AdjacentPair]:
+    """Every pair of edges with a common endpoint, anchored at the lowest one."""
+    out = []
+    for e in range(g.edge_count):
+        for f in range(e + 1, g.edge_count):
+            shared = g.shared_vertices(e, f)
+            if shared:
+                out.append(AdjacentPair(e, f, shared[0]))
+    return out
+
+
+def verify_flow(g: Multigraph, flow: Flow) -> FlowReport:
+    if flow.graph != g:
+        raise PreconditionError("flow belongs to a different graph")
+    tag = flow.group
+    bad_vertices = []
+    for v in range(g.vertex_count):
+        acc = zero(tag)
+        for eid in g.incident(v):
+            e = g.edge(eid)
+            val = flow.values[eid]
+            acc = add(tag, acc, val if e.tail == v else neg(tag, val))
+        if not is_zero(tag, acc):
+            bad_vertices.append(v)
+    zeros = tuple(e for e in range(g.edge_count) if is_zero(tag, flow.values[e]))
+    return FlowReport(
+        conserved=not bad_vertices,
+        nowhere_zero=not zeros,
+        violating_vertices=tuple(bad_vertices),
+        zero_edges=zeros,
+    )
+
+
+def rich_report(g: Multigraph, flow: Flow) -> RichnessChecks:
+    if flow.group.kind != "int":
+        raise PreconditionError("richness is defined for integer flows")
+    rep = verify_flow(g, flow)
+    bound_ok = all(abs(v) < flow.group.bound for v in flow.values)
+    distinct = True
+    for pair in adjacent_pairs(g):
+        if abs(flow.values[pair.e]) == abs(flow.values[pair.f]):
+            distinct = False
+            break
+    return RichnessChecks(rep.conserved, rep.nowhere_zero, distinct, bound_ok)
+
+
+def pair_relation(flow: Flow, pair: AdjacentPair) -> tuple[bool, bool]:
+    """(confluent, contrafluent), evaluated at both shared vertices of a parallel pair."""
+    e, f = flow.graph.edge(pair.e), flow.graph.edge(pair.f)
+    w = pair.shared_vertex
+    if not (e.touches(w) and f.touches(w)):
+        raise PreconditionError("pair anchor is not a shared vertex of its edges")
+
+    def relation_at(v: int) -> tuple[bool, bool]:
+        in_e = value_into(flow, pair.e, v)
+        in_f = value_into(flow, pair.f, v)
+        return (in_e == neg(flow.group, in_f), in_e == in_f)
+
+    rel = relation_at(w)
+    if e.other_end(w) == f.other_end(w) and relation_at(e.other_end(w)) != rel:
+        raise InternalDefectError("pair relation differs between shared vertices")
+    return rel
+
+
+# ---------------------------------------------------------------------------
+# Co-tree search over group elements
+
+
+def cotree_flow_values(g: Multigraph, group: GroupTag) -> tuple | None:
+    """The values of the first conserved nowhere-zero flow in co-tree search
+    order, or None when there is none."""
+    m = g.edge_count
+    if m == 0:
+        return ()
+    tree, co = spanning_forest(g)
+    members = {co_e: fundamental_circuit_signs(g, tree, co_e) for co_e in co}
+    remaining = {t: 0 for t in tree}
+    for co_e in co:
+        for t, _ in members[co_e]:
+            remaining[t] += 1
+    if any(count == 0 for count in remaining.values()):
+        return None
+    if group.kind == "int":
+        domain = []
+        for a in range(1, group.bound):
+            domain.extend((a, -a))
+    else:
+        domain = group.nonzero_elements()
+    tree_val = {t: zero(group) for t in tree}
+    finalized: list = [None] * m
+    next_try = [0] * len(co)
+    trail: list = []
+    depth = 0
+    while depth >= 0:
+        if depth == len(co):
+            return tuple(finalized)
+        co_e = co[depth]
+        if len(trail) > depth:
+            touched, done = trail.pop()
+            for t in done:
+                finalized[t] = None
+            for t, delta in touched:
+                tree_val[t] = add(group, tree_val[t], neg(group, delta))
+                remaining[t] += 1
+            finalized[co_e] = None
+        if next_try[depth] == len(domain):
+            next_try[depth] = 0
+            depth -= 1
+            continue
+        val = domain[next_try[depth]]
+        next_try[depth] += 1
+        finalized[co_e] = val
+        touched, done = [], []
+        trail.append((touched, done))
+        ok = True
+        for t, sign in members[co_e]:
+            delta = val if sign == 1 else neg(group, val)
+            tree_val[t] = add(group, tree_val[t], delta)
+            remaining[t] -= 1
+            touched.append((t, delta))
+            if remaining[t] == 0:
+                tv = tree_val[t]
+                if is_zero(group, tv):
+                    ok = False
+                    break
+                if group.kind == "int" and abs(tv) >= group.bound:
+                    ok = False
+                    break
+                finalized[t] = tv
+                done.append(t)
+        if ok:
+            depth += 1
+    return None

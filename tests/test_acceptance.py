@@ -37,6 +37,7 @@ from richflow.cli import run
 from richflow.multigraph import find_circuit_through
 from richflow.flowalg import Flow
 
+import reference_flow
 from conftest import ADMISSIBLE_NAMES, ALL_NAMES, CORPUS, load, oracle_cuts
 from test_seymour import random_pair_set
 
@@ -187,7 +188,7 @@ def test_criterion_07_conversion_suite():
             if rng.random() < 0.5:
                 circ = circ.reversed()
             sent = send_through_circuit(g, circ, rng.randrange(1, modulus), tag)
-            acc = [tag.add(x, y) for x, y in zip(acc, sent.values)]
+            acc = [reference_flow.add(tag, x, y) for x, y in zip(acc, sent.values)]
         flow = Flow(g, tag, tuple(acc))
         lifted = modular_to_integer(g, flow)
         assert verify_flow(g, lifted).conserved

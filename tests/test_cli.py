@@ -18,7 +18,7 @@ from richflow.errors import InternalDefectError
 from richflow.flowalg import read_flow_json, verify_flow
 from richflow.multigraph import format_multigraph
 
-from conftest import CORPUS, doubled_cycle
+from conftest import ADMISSIBLE_NAMES, CORPUS, doubled_cycle
 
 
 def graph(name: str) -> str:
@@ -113,6 +113,69 @@ def test_verify_detects_corruption(tmp_path, capsys):
     out.write_text(json.dumps(payload))
     assert run(["verify", graph("t3"), str(out)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_verify_accepts_every_golden_certificate(capsys):
+    for name in ADMISSIBLE_NAMES:
+        assert run(["verify", graph(name), str(GOLDEN / f"{name}.flow.json")]) == 0, name
+        assert capsys.readouterr().out == (
+            "conserved: PASS\nnowhere_zero: PASS\nbound_ok: PASS\nadjacent_abs_distinct: PASS\n"
+        )
+
+
+# A (Z_11 x Z_2) flow of t3, all edges 0 -> 1: (3, 1), (7, 1), (1, 0).
+PAIR_CERTIFICATE = {"format": 1, "group": "zkxz2", "k": 11, "edges": [
+    {"id": e, "tail": 0, "head": 1, "value": v} for e, v in enumerate(([3, 1], [7, 1], [1, 0]))
+]}
+DROP = object()
+# name -> (base certificate, path to the edited field, new value or DROP).
+# The "t3" base is t3's golden certificate, whose edge 2 carries 12 on 0 -> 1.
+CERTIFICATE_EDITS = {
+    "fractional value": ("t3", ("edges", 2, "value"), 12.4),
+    "string value": ("t3", ("edges", 2, "value"), "12"),
+    "boolean value": ("t3", ("edges", 2, "value"), True),
+    "null value": ("t3", ("edges", 2, "value"), None),
+    "missing value": ("t3", ("edges", 2, "value"), DROP),
+    "string bound": ("t3", ("bound",), "x"),
+    "fractional bound": ("t3", ("bound",), 347.0),
+    "boolean id": ("t3", ("edges", 0, "id"), False),
+    "string tail": ("t3", ("edges", 1, "tail"), "0"),
+    "missing head": ("t3", ("edges", 1, "head"), DROP),
+    "boolean format": ("t3", ("format",), True),
+    "row not an object": ("t3", ("edges", 0), [0, 0, 1, -332]),
+    "scalar pair value": ("pairs", ("edges", 0, "value"), 3),
+    "short pair value": ("pairs", ("edges", 0, "value"), [3]),
+    "fractional pair entry": ("pairs", ("edges", 0, "value"), [3, 1.0]),
+    "boolean pair entry": ("pairs", ("edges", 0, "value"), [3, True]),
+    "string k": ("pairs", ("k",), "11"),
+}
+
+
+@pytest.mark.parametrize("edit", CERTIFICATE_EDITS)
+def test_verify_rejects_malformed_certificate_fields(tmp_path, capsys, edit):
+    base, (*where, last), value = CERTIFICATE_EDITS[edit]
+    if base == "t3":
+        cert = json.loads((GOLDEN / "t3.flow.json").read_text())
+    else:
+        cert = json.loads(json.dumps(PAIR_CERTIFICATE))
+    path = tmp_path / "t3.flow.json"
+    path.write_text(json.dumps(cert))
+    assert run(["verify", graph("t3"), str(path)]) == 0
+    target = cert
+    for key in where:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", graph("t3"), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal error" not in captured.err
 
 
 def test_synth_inadmissible_exit(tmp_path, capsys):

@@ -10,7 +10,9 @@ from richflow import (
     AdjacentPair,
     Flow,
     GroupTag,
+    InternalDefectError,
     Multigraph,
+    PairRelation,
     PreconditionError,
     adjacent_pairs,
     chain_edges,
@@ -23,13 +25,15 @@ from richflow import (
     product_flows,
     project_flow,
     read_flow_json,
+    rich_report,
     send_through_circuit,
     strongly_intersecting,
     verify_flow,
     write_flow_json,
     zero_flow,
 )
-from richflow.cotree import fundamental_circuit_signs, spanning_forest
+from richflow.cotree import cotree_flow_search, fundamental_circuit_signs, spanning_forest
+import reference_flow
 from conftest import load, prism
 
 
@@ -234,9 +238,11 @@ def test_degree_three_vertices_have_no_confluent_pairs():
 
 
 @st.composite
-def loop_free_multigraphs(draw) -> Multigraph:
+def loop_free_multigraphs(draw, max_edges: int = 14) -> Multigraph:
     n = draw(st.integers(2, 6))
-    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=14))
+    steps = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=max_edges)
+    )
     return Multigraph(n, [(u, (u + d) % n) for u, d in steps])
 
 
@@ -258,6 +264,89 @@ def test_adjacent_pairs_of_a_long_prism():
 
 
 # ---------------------------------------------------------------------------
+# Plain-integer kernels against the generic reference in reference_flow.py
+
+# One tag per group kind; small orders make zeros and equal |values| common.
+KINDS = (GroupTag.zk(5), GroupTag.z2(), GroupTag.z6(), GroupTag.zkxz2(3), GroupTag.integers(5))
+
+
+@st.composite
+def kernel_cases(draw) -> tuple[Multigraph, GroupTag, list]:
+    """A multigraph, a group, and raw values: random, or conserved by
+    deciding the tree edges from random co-tree values, with some edges then
+    overwritten. Integer values may leave the bound."""
+    g = draw(loop_free_multigraphs())
+    tag = draw(st.sampled_from(KINDS))
+    if tag.kind == "zkxz2":
+        element = overwrite = st.tuples(st.integers(-7, 7), st.integers(-2, 2))
+    elif tag.kind == "int":
+        element = st.integers(1, tag.bound - 1) | st.integers(1 - tag.bound, -1)
+        overwrite = st.integers(-tag.bound, tag.bound)
+    else:
+        element = overwrite = st.integers(-7, 7)
+    m = g.edge_count
+    values = draw(st.lists(element, min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        tree, co = spanning_forest(g)
+        values = [reference_flow.zero(tag)] * m
+        for c in co:
+            val = draw(element)
+            values[c] = val
+            for t, sign in fundamental_circuit_signs(g, tree, c):
+                step = val if sign == 1 else reference_flow.neg(tag, val)
+                values[t] = reference_flow.add(tag, values[t], step)
+        for e in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+            values[e] = draw(overwrite)
+    return g, tag, values
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PreconditionError, InternalDefectError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases(), st.integers(-3, 3), st.integers(-3, 3))
+def test_kernels_match_generic_reference(case, c1, c2):
+    g, tag, values = case
+    if tag.kind == "int" and any(abs(v) >= tag.bound for v in values):
+        with pytest.raises(PreconditionError, match="violates bound"):
+            Flow(g, tag, tuple(values))
+        return
+    flow = Flow(g, tag, tuple(values))
+    assert flow.values == tuple(reference_flow.normalize(tag, v) for v in values)
+    assert verify_flow(g, flow) == reference_flow.verify_flow(g, flow)
+    if tag.kind == "int":
+        assert rich_report(g, flow) == reference_flow.rich_report(g, flow)
+    # Every ordered pair of distinct edges at every endpoint of either edge:
+    # anchors off the pair and both anchors of a parallel pair included.
+    for e in g.edges:
+        for f in g.edges:
+            if e.id == f.id:
+                continue
+            for w in set(e.ends) | set(f.ends):
+                pair = AdjacentPair(e.id, f.id, w)
+                got = outcome(pair_relation, flow, pair)
+                if isinstance(got, PairRelation):
+                    got = (got.confluent, got.contrafluent)
+                assert got == outcome(reference_flow.pair_relation, flow, pair)
+    other = Flow(g, tag, flow.values[::-1])
+    terms = ((c1, flow), (c2, other))
+    expected = [reference_flow.normalize(tag, v) for v in reference_flow.linear_combine_values(terms)]
+    assert list(linear_combine(terms).values) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(loop_free_multigraphs(max_edges=8), st.sampled_from(KINDS[:4] + (GroupTag.integers(3),)))
+def test_cotree_search_matches_generic_reference(g, tag):
+    flow = cotree_flow_search(g, tag)
+    expected = reference_flow.cotree_flow_values(g, tag)
+    assert (flow is None and expected is None) or flow.values == expected
+
+
+# ---------------------------------------------------------------------------
 # Reorientation invariance
 
 
@@ -265,7 +354,7 @@ def flip_edge(g: Multigraph, f: Flow, eid: int) -> tuple[Multigraph, Flow]:
     pairs = [(e.head, e.tail) if e.id == eid else e.ends for e in g.edges]
     g2 = Multigraph(g.vertex_count, pairs)
     vals = list(f.values)
-    vals[eid] = f.group.neg(vals[eid])
+    vals[eid] = reference_flow.neg(f.group, vals[eid])
     return g2, Flow(g2, f.group, tuple(vals))
 
 
@@ -284,7 +373,7 @@ def test_reorientation_invariance():
             circ = find_circuit_through(g, rng.randrange(g.edge_count))
             a = (rng.randrange(19), rng.randrange(2))
             s = send_through_circuit(g, circ, a, tag)
-            acc = [tag.add(x, y) for x, y in zip(acc, s.values)]
+            acc = [reference_flow.add(tag, x, y) for x, y in zip(acc, s.values)]
         f = Flow(g, tag, tuple(acc))
         eid = rng.randrange(g.edge_count)
         g2, f2 = flip_edge(g, f, eid)
@@ -343,7 +432,7 @@ def random_modular_flow(g, tag, rng, sends=5):
             circ = circ.reversed()
         a = rng.randrange(1, tag.modulus)
         s = send_through_circuit(g, circ, a, tag)
-        acc = [tag.add(x, y) for x, y in zip(acc, s.values)]
+        acc = [reference_flow.add(tag, x, y) for x, y in zip(acc, s.values)]
     return Flow(g, tag, tuple(acc))
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from richflow import (
@@ -21,9 +23,11 @@ from richflow import (
     validate_circuit_chain,
     verify_flow,
     verify_mod_flow_bullets,
+    write_flow_json,
 )
 from richflow.multigraph import subgraph
 
+import reference_flow
 from conftest import ADMISSIBLE_NAMES, load
 
 
@@ -89,7 +93,7 @@ def check_bullets(g, result, e_star, orientation, target):
     verify_mod_flow_bullets(g, flow, result.chains)
     star = g.edge(e_star)
     stored = flow.values[e_star]
-    fixed = stored if orientation == star.ends else flow.group.neg(stored)
+    fixed = stored if orientation == star.ends else reference_flow.neg(flow.group, stored)
     k = flow.group.k
     assert fixed == (target[0] % k, target[1] % 2)
 
@@ -188,8 +192,8 @@ def test_rich_mod_flow_glued_two_k4():
     split = split_on_two_cut(g)
     ea, eb = split.cut
     tag = res.flow.group
-    va = res.flow.values[ea] if g.edge(ea).ends == (split.u1, split.v1) else tag.neg(res.flow.values[ea])
-    vb = res.flow.values[eb] if g.edge(eb).ends == (split.v2, split.u2) else tag.neg(res.flow.values[eb])
+    va = res.flow.values[ea] if g.edge(ea).ends == (split.u1, split.v1) else reference_flow.neg(tag, res.flow.values[ea])
+    vb = res.flow.values[eb] if g.edge(eb).ends == (split.v2, split.u2) else reference_flow.neg(tag, res.flow.values[eb])
     assert va == vb != (0, 0)
 
 
@@ -230,6 +234,14 @@ def test_synthesize_doubled_triangle():
     assert cert.bound == 264 * 4 - 445
     assert cert.max_abs <= 610
     assert is_rich(g, cert.flow)
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE_NAMES)
+def test_certificate_bytes_match_golden_file(name):
+    # Certificates are deterministic. A change that alters one must mean to,
+    # and must rewrite tests/golden/<name>.flow.json with it.
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.flow.json"
+    assert write_flow_json(synthesize_rich_flow(load(name)).flow) == golden.read_text()
 
 
 def test_synthesize_rejects_inadmissible():
