@@ -14,7 +14,9 @@ import os
 import sys
 import time
 import traceback
+from collections.abc import Iterator
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import (
     AdmissibilityError,
@@ -219,12 +221,99 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _claimed(graphs: list, counter) -> Iterator[tuple]:
+    """The graphs that no process sharing `counter` has claimed yet, in order."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(graphs):
+            return
+        yield graphs[index]
+
+
+def _child_rows(graphs: list, counter, write_fd: int) -> NoReturn:
+    """A forked child's whole life: claim and compute rows, then send them, or
+    the exception that stopped them, as one pickle down `write_fd`. It leaves by
+    os._exit, so it never flushes the parent's stdio or runs its exit hooks."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            result = ("rows", [_batch_row(*item) for item in _claimed(graphs, counter)])
+        except BaseException as exc:  # re-raised in the parent
+            try:
+                pickle.loads(pickle.dumps(exc))
+                result = ("error", exc)
+            except Exception:
+                result = ("defect", f"batch worker raised {exc!r}")
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _rows_forked(graphs: list, workers: int) -> list[dict[str, str]]:
+    """The rows of `graphs`, computed by this process and `workers` - 1 forked
+    children. Children inherit the parsed graphs, so nothing is pickled on the
+    way in; each process claims the next unclaimed graph from a shared counter,
+    most edges first, until none is left."""
+    # Imported here, so that the other commands and the library do not load them.
+    import multiprocessing
+    import pickle
+    import signal
+
+    # Most edges first: a row's cost grows with m, so the last rows to be
+    # claimed are small ones.
+    graphs = sorted(graphs, key=lambda item: item[1].edge_count, reverse=True)
+    counter = multiprocessing.get_context("fork").Value("i", 0)
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    results, statuses = [], {}
+    try:
+        for _ in range(workers - 1):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child_rows(graphs, counter, write_fd)
+            os.close(write_fd)
+            children[pid] = read_fd
+        rows = [_batch_row(*item) for item in _claimed(graphs, counter)]
+        for pid, read_fd in children.items():
+            with open(read_fd, "rb", closefd=False) as pipe:
+                results.append((pid, pipe.read()))
+    finally:
+        # On an error, a deadline or an interrupt no row keeps running, and on
+        # every exit each child is reaped. A child that has sent its rows is
+        # exiting anyway.
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    for pid, data in results:
+        try:
+            kind, payload = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            code = os.waitstatus_to_exitcode(statuses[pid])
+            raise InternalDefectError(
+                f"batch worker {pid} ended without a result (exit status {code})"
+            ) from None
+        if kind == "error":
+            raise payload
+        if kind == "defect":
+            raise InternalDefectError(payload)
+        rows += payload
+    return rows
+
+
 def _cmd_batch(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise GraphInputError(f"not a directory: {directory}")
     paths = sorted(directory.glob("*.graph"))
-    # Files are parsed here, so parse errors never reach a worker.
+    # Files are parsed here, so parse errors never reach a child process.
     rows, graphs = [], []
     for path in paths:
         start = time.perf_counter()
@@ -239,32 +328,19 @@ def _cmd_batch(args) -> int:
         else:
             graphs.append((path.name, g, time.perf_counter() - start))
     workers = min(args.jobs, len(graphs), _usable_cpus())
-    if workers <= 1:
-        rows += [_batch_row(*item) for item in graphs]
+    # Processes, not threads: rows are pure Python and hold the interpreter
+    # lock, and a thread pool ran --jobs 2 at 0.81x the rows/s of --jobs 1 on
+    # 2 CPUs. This process computes rows too, beside workers - 1 forked
+    # children; all of them claim rows one at a time, most edges first, and
+    # every child is killed if still running and reaped on any exit. Not
+    # spawned: spawned workers import everything afresh. Not a
+    # ProcessPoolExecutor: it cost about a third of a 24-row directory at
+    # --jobs 2 while this process sat idle. This command starts no threads
+    # before it forks. Without os.fork the rows run here, one by one.
+    if workers > 1 and hasattr(os, "fork"):
+        rows += _rows_forked(graphs, workers)
     else:
-        # Processes, not threads: rows are pure Python and hold the interpreter
-        # lock, and a thread pool ran --jobs 2 at 0.81x the rows/s of --jobs 1
-        # on 2 CPUs. Forked where possible: spawned workers import everything
-        # afresh, which made --jobs 2 slower than --jobs 1 on 24-graph
-        # directories. This command starts no threads before it forks. The pool
-        # is imported here so that the other commands and the library do not
-        # load it.
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        # Most edges first: a row's cost grows with m, so the last rows to
-        # finish are small ones.
-        graphs.sort(key=lambda item: item[1].edge_count, reverse=True)
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        try:
-            futures = [pool.submit(_batch_row, *item) for item in graphs]
-            rows += [future.result() for future in futures]
-        finally:
-            # On an error or an interrupt, queued rows must not keep running.
-            pool.shutdown(cancel_futures=True)
+        rows += [_batch_row(*item) for item in graphs]
     rows.sort(key=lambda r: r["graph_path"])
     with open(args.report, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=BATCH_COLUMNS, lineterminator="\n")

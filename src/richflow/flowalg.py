@@ -99,7 +99,8 @@ def _negated(group: GroupTag, v):
 
 @dataclass(frozen=True)
 class Flow:
-    """Per-edge group values relative to reference orientations."""
+    """Per-edge group values relative to reference orientations: ints, or pairs
+    of ints for Z_k x Z_2; anything else raises PreconditionError."""
 
     graph: Multigraph
     group: GroupTag
@@ -109,17 +110,24 @@ class Flow:
         if len(self.values) != self.graph.edge_count:
             raise PreconditionError("one value per edge required")
         tag = self.group
-        if tag.kind == "int":
-            norm = tuple(map(int, self.values))
-            if max(map(abs, norm), default=0) >= tag.bound:
-                v = next(v for v in norm if abs(v) >= tag.bound)
-                raise PreconditionError(f"integer flow value {v} violates bound {tag.bound}")
-        elif tag.kind == "zkxz2":
+        if tag.kind == "zkxz2":
+            for v in self.values:
+                if not (type(v) in (tuple, list) and len(v) == 2 and type(v[0]) is type(v[1]) is int):
+                    raise PreconditionError(f"zkxz2 flow value {v!r} is not a pair of ints")
             k = tag.k
             norm = tuple((a % k, b % 2) for a, b in self.values)
         else:
-            mod = tag.modulus
-            norm = tuple(v % mod for v in self.values)
+            for v in self.values:
+                if type(v) is not int:  # no float truncated, no boolean taken for 0 or 1
+                    raise PreconditionError(f"flow value {v!r} is not an int")
+            if tag.kind == "int":
+                norm = tuple(self.values)
+                if max(map(abs, norm), default=0) >= tag.bound:
+                    v = next(v for v in norm if abs(v) >= tag.bound)
+                    raise PreconditionError(f"integer flow value {v} violates bound {tag.bound}")
+            else:
+                mod = tag.modulus
+                norm = tuple(v % mod for v in self.values)
         object.__setattr__(self, "values", norm)
 
     def value(self, e: int):
@@ -511,8 +519,9 @@ def _require_ints(name: str, values) -> None:
 def read_flow_json(text: str, g: Multigraph) -> Flow:
     """Parse a certificate against its graph, normalizing reversed edge rows.
 
-    Every number must be a JSON integer, and a Z_k x Z_2 value a list of two
-    of them; anything else raises GraphInputError.
+    Every number must be a JSON integer, a Z_k x Z_2 value a list of two of
+    them, and the k of a z2 or z6 certificate its modulus; anything else
+    raises GraphInputError.
     """
     try:
         payload = json.loads(text)
@@ -530,6 +539,9 @@ def read_flow_json(text: str, g: Multigraph) -> Flow:
         tag = GroupTag(kind, k=payload["k"])
     elif kind in ("z2", "z6"):
         tag = GroupTag(kind)
+        _require_ints("k", (payload.get("k"),))
+        if payload["k"] != tag.modulus:
+            raise GraphInputError(f"certificate k of a {kind} flow must be {tag.modulus}")
     else:
         raise GraphInputError(f"unknown certificate group {kind!r}")
     rows = payload.get("edges")

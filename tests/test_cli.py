@@ -3,10 +3,12 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
-from concurrent.futures import Future, process
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,14 @@ from richflow.flowalg import read_flow_json, verify_flow
 from richflow.multigraph import format_multigraph
 
 from conftest import ADMISSIBLE_NAMES, CORPUS, doubled_cycle
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def graph(name: str) -> str:
@@ -130,6 +140,11 @@ def test_verify_accepts_every_golden_certificate(capsys):
 PAIR_CERTIFICATE = {"format": 1, "group": "zkxz2", "k": 11, "edges": [
     {"id": e, "tail": 0, "head": 1, "value": v} for e, v in enumerate(([3, 1], [7, 1], [1, 0]))
 ]}
+# A Z_6 flow of t3, all edges 0 -> 1: 1 + 2 + 3 = 0 mod 6.
+Z6_CERTIFICATE = {"format": 1, "group": "z6", "k": 6, "edges": [
+    {"id": e, "tail": 0, "head": 1, "value": v} for e, v in enumerate((1, 2, 3))
+]}
+BASES = {"pairs": PAIR_CERTIFICATE, "z6": Z6_CERTIFICATE}
 DROP = object()
 # name -> (base certificate, path to the edited field, new value or DROP).
 # The "t3" base is t3's golden certificate, whose edge 2 carries 12 on 0 -> 1.
@@ -151,6 +166,9 @@ CERTIFICATE_EDITS = {
     "fractional pair entry": ("pairs", ("edges", 0, "value"), [3, 1.0]),
     "boolean pair entry": ("pairs", ("edges", 0, "value"), [3, True]),
     "string k": ("pairs", ("k",), "11"),
+    "z6 k not its modulus": ("z6", ("k",), 7),
+    "missing z6 k": ("z6", ("k",), DROP),
+    "z6 k as z2's modulus": ("z6", ("k",), 2),
 }
 
 
@@ -160,7 +178,7 @@ def test_verify_rejects_malformed_certificate_fields(tmp_path, capsys, edit):
     if base == "t3":
         cert = json.loads((GOLDEN / "t3.flow.json").read_text())
     else:
-        cert = json.loads(json.dumps(PAIR_CERTIFICATE))
+        cert = json.loads(json.dumps(BASES[base]))
     path = tmp_path / "t3.flow.json"
     path.write_text(json.dumps(cert))
     assert run(["verify", graph("t3"), str(path)]) == 0
@@ -254,11 +272,12 @@ def test_batch_jobs_rows_identical(tmp_path):
     assert broken["status"].startswith("parse_error: edge count mismatch")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_batch_corpus_matches_golden_report(monkeypatch, tmp_path, jobs):
     # Only the node limits bind, so every column but elapsed_ms is fixed; a
     # change to the oracles or the synthesis that moves one must update this.
     monkeypatch.setenv("RICHFLOW_TIME_LIMIT_S", "1000000")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     report = tmp_path / "report.csv"
     assert run(["batch", str(CORPUS), "--report", str(report), "--jobs", jobs]) == 0
     rows = list(csv.DictReader(report.read_text().splitlines()))
@@ -269,28 +288,43 @@ def test_batch_corpus_matches_golden_report(monkeypatch, tmp_path, jobs):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Replaces the process pool with one that runs each row at submit, in this
-    process; returns its log of worker counts asked for and of shutdowns."""
+def forked_workers(monkeypatch):
+    """Replaces the fork-join with the serial rows; returns its log of the
+    worker counts asked for."""
     log: list = []
 
-    class InlinePool:
-        def __init__(self, max_workers, mp_context=None):
-            log.append(("workers", max_workers))
+    def serial(graphs, workers):
+        log.append(workers)
+        return [cli._batch_row(*item) for item in graphs]
 
-        def submit(self, fn, *args):
-            future = Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            log.append(("shutdown", cancel_futures))
-
-    monkeypatch.setattr(process, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_rows_forked", serial)
     return log
+
+
+def split_rows(monkeypatch, tmp_path, child, parent=lambda: None):
+    """Makes batch rows run in this process and one forked child: the child
+    calls child() on the first row it claims; this process's first row waits
+    until the child has claimed one, then calls parent()."""
+    parent_pid = os.getpid()
+    claimed = tmp_path / "claimed"
+    real_row = cli._batch_row
+    first = True
+
+    def row(*item):
+        nonlocal first
+        if os.getpid() != parent_pid:
+            claimed.touch()
+            child()
+        elif first:
+            first = False
+            give_up = time.monotonic() + 30
+            while not claimed.exists() and time.monotonic() < give_up:
+                time.sleep(0.01)
+            parent()
+        return real_row(*item)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_batch_row", row)
 
 
 def test_batch_worker_defect_exits_three(monkeypatch, tmp_path, capsys):
@@ -304,33 +338,85 @@ def test_batch_worker_defect_exits_three(monkeypatch, tmp_path, capsys):
     assert "internal defect: synthetic" in capsys.readouterr().err
 
 
-def test_batch_error_shuts_pool_down_with_cancel(monkeypatch, tmp_path, inline_pool):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+class LocalError(Exception):
+    pass
 
-    def boom(_):
-        raise InternalDefectError("synthetic")
 
-    monkeypatch.setattr(cli, "synthesize_rich_flow", boom)
+def unpicklable_error():
+    class Unpicklable(Exception):  # pickled by a name nothing can import
+        pass
+
+    raise Unpicklable("child-only")
+
+
+def picklable_error():
+    raise LocalError("child-only")
+
+
+@pytest.mark.parametrize("raise_error, expected", [
+    (picklable_error, "internal error: LocalError: child-only"),
+    (unpicklable_error, "internal defect: batch worker raised "),
+], ids=["picklable", "unpicklable"])
+def test_batch_child_exception_exits_three(monkeypatch, tmp_path, capsys, raise_error, expected):
+    split_rows(monkeypatch, tmp_path, child=raise_error)
     assert run(["batch", str(CORPUS), "--report", str(tmp_path / "r.csv"), "--jobs", "2"]) == 3
-    assert inline_pool == [("workers", 2), ("shutdown", True)]
+    err = capsys.readouterr().err
+    assert expected in err and "child-only" in err
 
 
-def test_batch_empty_directory_writes_header_only(tmp_path, inline_pool):
+def test_batch_child_exit_without_result_exits_three(monkeypatch, tmp_path, capsys):
+    split_rows(monkeypatch, tmp_path, child=lambda: os._exit(9))
+    assert run(["batch", str(CORPUS), "--report", str(tmp_path / "r.csv"), "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"internal defect: batch worker \d+ ended without a result \(exit status 9\)", err)
+
+
+class Deadline(BaseException):
+    """Like the benchmark's alarm: not an Exception, so richflow cannot catch it."""
+
+
+def test_batch_deadline_in_parent_leaves_no_child(monkeypatch, tmp_path):
+    def alarm(signum, frame):
+        raise Deadline()
+
+    def parent():
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        time.sleep(60)
+
+    split_rows(monkeypatch, tmp_path, child=lambda: time.sleep(60), parent=parent)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    start = time.monotonic()
+    try:
+        with pytest.raises(Deadline):
+            run(["batch", str(CORPUS), "--report", str(tmp_path / "r.csv"), "--jobs", "2"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_empty_directory_writes_header_only(tmp_path, forked_workers):
     directory = tmp_path / "empty"
     directory.mkdir()
     report = tmp_path / "r.csv"
     assert run(["batch", str(directory), "--report", str(report), "--jobs", "2"]) == 0
     assert report.read_text() == ",".join(cli.BATCH_COLUMNS) + "\n"
-    assert inline_pool == []
+    assert forked_workers == []
 
 
-def test_batch_worker_count_is_capped(monkeypatch, tmp_path, inline_pool):
+def test_batch_worker_count_is_capped(monkeypatch, tmp_path, forked_workers):
     files = len(list(CORPUS.glob("*.graph")))
     cpus = len(os.sched_getaffinity(0))
     report = tmp_path / "r.csv"
     assert run(["batch", str(CORPUS), "--report", str(report), "--jobs", "10000"]) == 0
-    assert inline_pool == ([("workers", min(files, cpus)), ("shutdown", True)] if cpus > 1 else [])
-    inline_pool.clear()
+    assert forked_workers == ([min(files, cpus)] if cpus > 1 else [])
+    forked_workers.clear()
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 10**6)
     assert run(["batch", str(CORPUS), "--report", str(report), "--jobs", "10000"]) == 0
-    assert inline_pool == [("workers", files), ("shutdown", True)]
+    assert forked_workers == [files]
+    forked_workers.clear()
+    monkeypatch.delattr(os, "fork")  # a platform without fork runs the rows serially
+    assert run(["batch", str(CORPUS), "--report", str(report), "--jobs", "10000"]) == 0
+    assert forked_workers == []

@@ -454,6 +454,25 @@ def test_convert_properties_on_random_flows():
 
 
 # ---------------------------------------------------------------------------
+# Flow values
+
+
+@pytest.mark.parametrize("tag, values", [
+    (GroupTag.integers(4), (1.5, 2.7, -3.9)),
+    (GroupTag.integers(4), (1, True, -3)),
+    (GroupTag.zk(5), (1, 2.0, 2)),
+    (GroupTag.z2(), (1, 1, "0")),
+    (GroupTag.z6(), (1, 2, 3.0)),
+    (GroupTag.zkxz2(11), ((3, 1), (7, 1.0), (1, 0))),
+    (GroupTag.zkxz2(11), ((3, 1), (7,), (1, 0))),
+    (GroupTag.zkxz2(11), ((3, 1), 7, (1, 0))),
+], ids=["int float", "int boolean", "zk", "z2", "z6", "zkxz2 float", "zkxz2 short", "zkxz2 scalar"])
+def test_flow_rejects_values_that_are_not_ints(t3, tag, values):
+    with pytest.raises(PreconditionError, match="int"):
+        Flow(t3, tag, values)
+
+
+# ---------------------------------------------------------------------------
 # Certificate files
 
 
