@@ -7,28 +7,35 @@ recurses over small 2-edge-cut sides when the graph is not 3-edge-connected.
 A confluence-free Z_6 flow and modular-to-integer lifting then combine the
 pieces into a certified rich flow with all absolute values below 264*Delta-445.
 
-Every "clearly" step of the construction is re-checked mechanically: tower
-prefixes for 2-edge-connectivity, every intermediate flow for its invariants,
-and the final flow for richness.
+Every "clearly" step of the construction is re-checked mechanically. The
+tower and the backward pass check each step locally, on what the step adds or
+changes, and the invariants of every stage follow by induction over the
+steps; every glued stage flow and the final flow get the full checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .errors import AdmissibilityError, InternalDefectError, PreconditionError
+
+# perfbench/trace.py wraps the names marked "traced" on this module, so each
+# stays importable here even where this module no longer calls it.
 from .flowalg import (
+    AdjacentPair,
     Flow,
     GroupTag,
-    adjacent_pairs,
+    adjacent_pairs,  # noqa: F401  (traced)
     chain_edges,
     linear_combine,
-    modular_to_integer,
+    modular_to_integer,  # noqa: F401  (traced)
     pair_relation,
     project_flow,
-    rich_report,
+    rich_report,  # noqa: F401  (traced)
     strongly_intersecting,
-    verify_flow,
+    verify_flow,  # noqa: F401  (traced)
     RichnessChecks,
 )
 from .multigraph import (
@@ -39,11 +46,11 @@ from .multigraph import (
     circuit_through_edge,
     connected_components,
     edge_connectivity_at_least,
-    enumerate_two_edge_cuts,  # noqa: F401  (perfbench/trace.py wraps it under this module)
+    enumerate_two_edge_cuts,  # noqa: F401  (traced)
     find_attachable_block,
-    find_circuit_chain,
+    find_circuit_chain,  # noqa: F401  (traced)
     find_circuit_through,
-    is_rich_flow_admissible,
+    is_rich_flow_admissible,  # noqa: F401  (traced)
     subgraph,
     induced_subgraph,
     validate_circuit,
@@ -108,10 +115,41 @@ def _map_chain(ch: CircuitChain, vmap, emap) -> CircuitChain:
     return CircuitChain(tuple(_map_circuit(c, vmap, emap) for c in ch.circuits))
 
 
-def _assert_stage_two_connected(g: Multigraph, vertices, edge_ids, label: str) -> None:
-    sub, _, _ = subgraph(g, vertices, edge_ids)
-    if not edge_connectivity_at_least(sub, 2):
-        raise InternalDefectError(f"tower stage is not 2-edge-connected after {label}")
+def _step_edges(step) -> frozenset[int]:
+    """The edges a tower step adds to the stage."""
+    if isinstance(step, AddChord):
+        return frozenset((step.edge,))
+    if isinstance(step, AddVertex):
+        return frozenset((step.e1, step.e2))
+    return step.chain.edge_set | {step.e1, step.e2}
+
+
+def _is_ear(g: Multigraph, h_vertices, h_edges, step) -> bool:
+    """Whether the step is an ear of the stage H (h_vertices, h_edges).
+
+    If it is and H is 2-edge-connected, so is H plus the step: it stays
+    connected, and each new edge lies on a closed trail through the step and
+    a path of H.
+    """
+    if isinstance(step, AddChord):
+        edge = g.edge(step.edge)
+        return step.edge not in h_edges and edge.tail in h_vertices and edge.head in h_vertices
+    if isinstance(step, AddVertex):
+        v = step.vertex
+        return v not in h_vertices and step.e1 != step.e2 and all(
+            g.edge(e).touches(v) and g.edge(e).other_end(v) in h_vertices
+            for e in (step.e1, step.e2)
+        )
+    on_chain = step.chain.vertex_set
+    return (
+        validate_circuit_chain(g, step.chain)
+        and on_chain.isdisjoint(h_vertices)
+        and step.e1 != step.e2
+        and all(
+            a in h_vertices and b in on_chain and set(g.edge(e).ends) == {a, b}
+            for e, a, b in ((step.e1, step.a1, step.b1), (step.e2, step.a2, step.b2))
+        )
+    )
 
 
 def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
@@ -120,6 +158,15 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
     Step priority: chord, then outside vertex with two attachments, then a
     leaf or isolated block joined through a circuit chain. For b = 0 the
     special edge enters only as the final chord.
+
+    The tower is an ear decomposition, so only the base stage is checked for
+    2-edge-connectivity as a whole. Each step is then checked as an ear of the
+    stage before it, in time proportional to the step: a chord is a new edge
+    with both ends in H; an added vertex lies outside H and brings two
+    distinct edges into H; a block chain is a valid circuit chain
+    vertex-disjoint from H whose e1 and e2 join a1, a2 in H to b1, b2 on the
+    chain. H plus an ear is 2-edge-connected when H is, so every stage is, by
+    induction from the base.
     """
     if b not in (0, 1):
         raise PreconditionError("b must be 0 or 1")
@@ -139,23 +186,21 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
             raise InternalDefectError("base chain does not connect the special edge's ends")
     h_edges: set[int] = set(base.edge_set)
     h_vertices: set[int] = set(base.vertex_set)
-    _assert_stage_two_connected(g, h_vertices, h_edges, "base")
+    stage, _, _ = subgraph(g, h_vertices, h_edges)
+    if not edge_connectivity_at_least(stage, 2):
+        raise InternalDefectError("tower stage is not 2-edge-connected after base")
     steps: list = []
     snapshots: list[frozenset[int]] = [frozenset(h_edges)]
     while len(h_edges) < g.edge_count:
-        chord = None
+        step = None
         for e in g.edges:
             if e.id in h_edges:
                 continue
             if e.tail in h_vertices and e.head in h_vertices:
                 if e.id != e_star or len(h_edges) == g.edge_count - 1:
-                    chord = e.id
+                    step = AddChord(e.id)
                     break
-        if chord is not None:
-            steps.append(AddChord(chord))
-            h_edges.add(chord)
-        else:
-            attach = None
+        if step is None:
             for v in range(g.vertex_count):
                 if v in h_vertices:
                     continue
@@ -163,82 +208,63 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
                     eid for eid in g.incident(v) if g.edge(eid).other_end(v) in h_vertices
                 ]
                 if len(into) >= 2:
-                    attach = (v, into[0], into[1])
+                    step = AddVertex(v, into[0], into[1])
                     break
-            if attach is not None:
-                v, e1, e2 = attach
-                steps.append(AddVertex(v, e1, e2))
-                h_vertices.add(v)
-                h_edges.update((e1, e2))
-            else:
-                blk, e1, e2, b1, b2 = find_attachable_block(g, h_vertices)
-                sub, vmap, emap = induced_subgraph(g, blk)
-                idx = {orig: i for i, orig in enumerate(vmap)}
-                local = find_circuit_chain(sub, idx[b1], idx[b2])
-                chain = _map_chain(local, vmap, emap)
-                if b1 not in chain.internal_vertices(0):
-                    chain = chain.reversed()
-                a1 = g.edge(e1).other_end(b1)
-                a2 = g.edge(e2).other_end(b2)
-                steps.append(AddBlockChain(chain, e1, e2, a1, a2, b1, b2))
-                h_vertices |= chain.vertex_set
-                h_edges |= chain.edge_set | {e1, e2}
+        if step is None:
+            blk, e1, e2, b1, b2 = find_attachable_block(g, h_vertices)
+            sub, vmap, emap = induced_subgraph(g, blk)
+            idx = {orig: i for i, orig in enumerate(vmap)}
+            local = find_circuit_chain(sub, idx[b1], idx[b2])
+            chain = _map_chain(local, vmap, emap)
+            if b1 not in chain.internal_vertices(0):
+                chain = chain.reversed()
+            a1 = g.edge(e1).other_end(b1)
+            a2 = g.edge(e2).other_end(b2)
+            step = AddBlockChain(chain, e1, e2, a1, a2, b1, b2)
+        if not _is_ear(g, h_vertices, h_edges, step):
+            raise InternalDefectError(
+                f"tower stage is not 2-edge-connected after {step!r}: not an ear of the stage"
+            )
+        steps.append(step)
+        added = _step_edges(step)
+        h_edges |= added
+        h_vertices |= _vertices_of_edges(g, added)
         snapshots.append(frozenset(h_edges))
-        _assert_stage_two_connected(g, h_vertices, h_edges, repr(steps[-1]))
     return Tower(base, b, e_star, tuple(steps), tuple(snapshots))
 
 
 # ---------------------------------------------------------------------------
-# Flow conditions checker (shared by the backward pass and the final bullets)
+# Flow conditions: the full check, and the backward pass's check per step
 
 
-def _check_flow_conditions(
-    g: Multigraph,
-    flow: Flow,
-    h_edges: frozenset[int],
-    chains,
-    *,
-    prev_flow: Flow | None,
-    prev_h_edges: frozenset[int] | None,
-    pairs,
-    stage: str,
-) -> None:
+def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> None:
+    """Nowhere-zero, chains consistent and disjoint, confluency discipline,
+    each checked over the whole graph."""
     rep = verify_flow(g, flow)
     if not rep.conserved:
-        raise InternalDefectError(f"[{stage}] flow not conserved at {rep.violating_vertices}")
-    if prev_flow is not None:
-        for e in range(g.edge_count):
-            if e not in prev_h_edges and flow.values[e] != prev_flow.values[e]:
-                raise InternalDefectError(f"[{stage}] frozen edge {e} changed value")
-    for e in rep.zero_edges:
-        if e not in h_edges:
-            raise InternalDefectError(f"[{stage}] edge {e} outside the stage is zero")
-    ce = chain_edges(flow)
+        raise InternalDefectError(f"[bullets] flow not conserved at {rep.violating_vertices}")
+    if rep.zero_edges:
+        raise InternalDefectError(f"[bullets] edge {rep.zero_edges[0]} is zero")
     union: set[int] = set()
-    h_vertices = _vertices_of_edges(g, h_edges)
     seen_vertices: set[int] = set()
-    for ch in chains:
-        if not validate_circuit_chain(g, ch):
-            raise InternalDefectError(f"[{stage}] recorded chain is invalid")
-        if ch.vertex_set & h_vertices:
-            raise InternalDefectError(f"[{stage}] chain touches the current stage subgraph")
-        if ch.vertex_set & seen_vertices:
-            raise InternalDefectError(f"[{stage}] chains are not vertex-disjoint")
-        seen_vertices |= ch.vertex_set
-        union |= ch.edge_set
-    if ce != union:
-        raise InternalDefectError(
-            f"[{stage}] chain edges {sorted(ce)} do not match recorded chains {sorted(union)}"
-        )
     location: dict[int, tuple[int, int]] = {}
     for ci, ch in enumerate(chains):
+        if not validate_circuit_chain(g, ch):
+            raise InternalDefectError("[bullets] recorded chain is invalid")
+        if ch.vertex_set & seen_vertices:
+            raise InternalDefectError("[bullets] chains are not vertex-disjoint")
+        seen_vertices |= ch.vertex_set
+        union |= ch.edge_set
         for qi, circ in enumerate(ch.circuits):
             for e in circ.edges:
                 location[e] = (ci, qi)
+    ce = chain_edges(flow)
+    if ce != union:
+        raise InternalDefectError(
+            f"[bullets] chain edges {sorted(ce)} do not match recorded chains {sorted(union)}"
+        )
     confluent = []
-    for p in pairs:
-        if p.e in h_edges or p.f in h_edges:
-            continue
+    for p in adjacent_pairs(g):
         rel = pair_relation(flow, p)
         if rel.confluent:
             confluent.append(p)
@@ -246,29 +272,147 @@ def _check_flow_conditions(
             le, lf = location.get(p.e), location.get(p.f)
             if le is None or le != lf:
                 raise InternalDefectError(
-                    f"[{stage}] contrafluent pair ({p.e},{p.f}) is not chain-consecutive"
+                    f"[bullets] contrafluent pair ({p.e},{p.f}) is not chain-consecutive"
                 )
     for i in range(len(confluent)):
         for j in range(i + 1, len(confluent)):
             if strongly_intersecting(g, confluent[i], confluent[j]):
                 raise InternalDefectError(
-                    f"[{stage}] confluent pairs ({confluent[i].e},{confluent[i].f}) and "
+                    f"[bullets] confluent pairs ({confluent[i].e},{confluent[i].f}) and "
                     f"({confluent[j].e},{confluent[j].f}) strongly intersect"
                 )
 
 
-def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> None:
-    """Nowhere-zero, chains consistent and disjoint, confluency discipline."""
-    _check_flow_conditions(
-        g,
-        flow,
-        frozenset(),
-        chains,
-        prev_flow=None,
-        prev_h_edges=None,
-        pairs=adjacent_pairs(g),
-        stage="bullets",
-    )
+def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
+    """The confluent or contrafluent pairs of a (Z_k x Z_2) flow's values
+    among the adjacent pairs with an edge in `edges` and neither edge in
+    h_edges, each once, as (pair, confluent, contrafluent).
+
+    At a shared vertex w, with both edges oriented into w, a pair of equal
+    parity is confluent when the values cancel and contrafluent when they
+    agree (see `pair_relation`); so per vertex the edges are indexed by
+    parity and value into w, and each edge of `edges` looks up its partners.
+    """
+    seen: set[tuple[int, int]] = set()
+    for w in sorted({v for e in edges for v in g.edge(e).ends}):
+        into: dict[int, tuple[int, int]] = {}
+        by_key: dict[tuple[int, int], list[int]] = {}
+        for f in g.incident(w):
+            if f not in h_edges:
+                a, y = values[f]
+                into[f] = key = (y, a if g.edge(f).head == w else (-a) % k)
+                by_key.setdefault(key, []).append(f)
+        for e in into.keys() & edges:
+            y, x = into[e]
+            for f in {*by_key.get((y, x), ()), *by_key.get((y, (-x) % k), ())}:
+                pair = (min(e, f), max(e, f))
+                if f != e and pair not in seen:
+                    seen.add(pair)
+                    xf = into[f][1]
+                    yield AdjacentPair(*pair, w), (x + xf) % k == 0, x == xf
+
+
+class _StageChecks:
+    """The backward pass's invariants, checked on what each step changes.
+
+    Stage j is the flow once tower steps j.. are assigned, over the stage
+    H = snapshots[j] (the base step leaves H empty). Its invariants: the
+    flow is conserved; no edge outside H is zero; the recorded chains are
+    valid circuit chains, vertex-disjoint from H and from each other, whose
+    edges are exactly the edges of parity 1; of the adjacent pairs with both
+    edges outside H, every contrafluent one lies in one circuit of one chain
+    and no two confluent ones strongly intersect. They hold for the all-zero
+    flow on the whole graph, where the pass starts.
+
+    `step` proves them for stage j from stage j + 1. The edges whose value
+    changed, found by comparing values, must lie in h_next (the stage the
+    step leaves), so every other edge and every pair of them is as it was.
+    The change must be conserved at the ends of the changed edges, the only
+    vertices whose sums can move, so the flow stays conserved. The edges the
+    step adds, h_next minus H, must be nonzero. A new chain must be valid
+    and disjoint from H and from the earlier chains. The changed edges and
+    the new chain's edges must have parity 1 exactly when they are chain
+    edges. The pairs outside H with a changed or added edge must meet the
+    pair conditions, new confluent pairs tested against the kept ones and
+    each other; a changed edge outside H lies in h_next, so it is an added
+    edge. The work is proportional to the step, apart from building the
+    stage's `Flow` and comparing its values with the last stage's.
+    """
+
+    def __init__(self, g: Multigraph, tag: GroupTag) -> None:
+        self.g = g
+        self.tag = tag
+        self.values = ((0, 0),) * g.edge_count
+        self.chain_count = 0
+        self.chain_vertices: set[int] = set()
+        self.location: dict[int, tuple[int, int]] = {}  # chain edge -> (chain, circuit)
+        self.confluent: dict[int, list[AdjacentPair]] = {}  # edge -> confluent pairs outside H
+
+    def step(self, vals, h_edges, h_next, added, chain, stage: str) -> Flow:
+        g, k = self.g, self.tag.k
+        flow = Flow(g, self.tag, tuple(vals))
+        values = flow.values
+        changed = list(compress(range(g.edge_count), map(ne, self.values, values)))
+        net: dict[int, tuple[int, int]] = {}
+        for e in changed:
+            if e not in h_next:
+                raise InternalDefectError(f"[{stage}] frozen edge {e} changed value")
+            (a, y), (a0, y0) = values[e], self.values[e]
+            edge = g.edge(e)
+            for v, da in ((edge.tail, a - a0), (edge.head, a0 - a)):
+                na, ny = net.get(v, (0, 0))
+                net[v] = (na + da, ny + y - y0)
+        bad = tuple(sorted(v for v, (na, ny) in net.items() if na % k or ny % 2))
+        if bad:
+            raise InternalDefectError(f"[{stage}] flow not conserved at {bad}")
+        for e in added:
+            if values[e] == (0, 0):
+                raise InternalDefectError(f"[{stage}] edge {e} outside the stage is zero")
+        if chain is not None:
+            self._add_chain(chain, h_edges, stage)
+        for e in {*changed, *(chain.edge_set if chain is not None else ())}:
+            if (values[e][1] == 1) != (e in self.location):
+                raise InternalDefectError(
+                    f"[{stage}] edge {e} has parity {values[e][1]} against the recorded chains"
+                )
+        self._check_pairs(values, h_edges, added, stage)
+        self.values = values
+        return flow
+
+    def _add_chain(self, chain: CircuitChain, h_edges, stage: str) -> None:
+        g = self.g
+        if not validate_circuit_chain(g, chain):
+            raise InternalDefectError(f"[{stage}] recorded chain is invalid")
+        if any(f in h_edges for v in chain.vertex_set for f in g.incident(v)):
+            raise InternalDefectError(f"[{stage}] chain touches the current stage subgraph")
+        if not chain.vertex_set.isdisjoint(self.chain_vertices):
+            raise InternalDefectError(f"[{stage}] chains are not vertex-disjoint")
+        self.chain_vertices |= chain.vertex_set
+        for qi, circ in enumerate(chain.circuits):
+            for e in circ.edges:
+                self.location[e] = (self.chain_count, qi)
+        self.chain_count += 1
+
+    def _check_pairs(self, values, h_edges, added, stage: str) -> None:
+        g = self.g
+        new_confluent = []
+        for p, confluent, contrafluent in _related_pairs(g, values, self.tag.k, added, h_edges):
+            if confluent:
+                new_confluent.append(p)
+            if contrafluent:
+                le, lf = self.location.get(p.e), self.location.get(p.f)
+                if le is None or le != lf:
+                    raise InternalDefectError(
+                        f"[{stage}] contrafluent pair ({p.e},{p.f}) is not chain-consecutive"
+                    )
+        for p in new_confluent:
+            for q in (*self.confluent.get(p.e, ()), *self.confluent.get(p.f, ())):
+                if strongly_intersecting(g, p, q):
+                    raise InternalDefectError(
+                        f"[{stage}] confluent pairs ({p.e},{p.f}) and ({q.e},{q.f}) strongly intersect"
+                    )
+            for x in (p.e, p.f):
+                self.confluent.setdefault(x, []).append(p)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +573,12 @@ def building_phi(
     The special edge ends up carrying `target` under `orientation` (reference
     orientation by default). `delta` must be at least the maximum degree; the
     2-cut recursion passes the top-level value down so all pieces share one
-    group. All conditions are re-checked after every stage.
+    group.
+
+    Each stage, the base step's included, is checked on what its step
+    changed, and every condition then holds for every stage by induction
+    from the all-zero flow (see `_StageChecks`). The full checks of every
+    condition run on the result in `verify_mod_flow_bullets`.
     """
     star = g.edge(e_star)
     if orientation is None:
@@ -446,17 +595,16 @@ def building_phi(
     if (a, b) == (0, 0):
         raise PreconditionError("target value must be nonzero")
     tower = build_tower(g, e_star, b)
-    pairs = adjacent_pairs(g)
-    m = g.edge_count
-    vals: list[tuple[int, int]] = [(0, 0)] * m
+    vals: list[tuple[int, int]] = [(0, 0)] * g.edge_count
     chains: list[CircuitChain] = []
     diags: list[StepDiagnostics] = []
-    prev_vals = tuple(vals)
+    checks = _StageChecks(g, tag)
     snapshots = tower.edge_snapshots
     for j in reversed(range(len(tower.steps))):
         step = tower.steps[j]
         h_edges = snapshots[j]
         h_next = snapshots[j + 1]
+        block_chain = step.chain if isinstance(step, AddBlockChain) else None
         if isinstance(step, AddChord):
             e = step.edge
             edge = g.edge(e)
@@ -481,9 +629,7 @@ def building_phi(
                         f"chord forbidden set {len(forb)} exceeds cap {cap}"
                     )
                 c = _smallest_allowed(forb, k)
-            circ = circuit_through_edge(
-                g, e, allowed_edges=h_edges | {e}, direction=direction
-            )
+            circ = circuit_through_edge(g, e, allowed_edges=h_edges, direction=direction)
             if circ is None:
                 raise InternalDefectError("no circuit through the chord inside the stage")
             _send_on(g, vals, circ, c, 0, k)
@@ -495,7 +641,6 @@ def building_phi(
                 a2 = g.edge(e2).other_end(step.vertex)
                 inner_v, inner_e = [step.vertex], []
                 label = f"vertex:{step.vertex}"
-                block_chain = None
             else:
                 e1, e2, a1, a2 = step.e1, step.e2, step.a1, step.a2
                 inner = _bfs_path(g, step.b1, step.b2, step.chain.edge_set)
@@ -503,7 +648,6 @@ def building_phi(
                     raise InternalDefectError("attached chain lost connectivity")
                 inner_v, inner_e = inner
                 label = f"block_chain:{len(step.chain)}"
-                block_chain = step.chain
             circ = _attach_circuit(g, e1, e2, a1, a2, inner_v, inner_e, h_edges)
             s1 = circ.traversal_sign(g, 0)
             pos2 = circ.edges.index(e2)
@@ -528,19 +672,8 @@ def building_phi(
                 chain_choices = _assign_chain_values(g, vals, block_chain, k)
                 chains.append(block_chain)
             diags.append(StepDiagnostics(label, len(forb), cap, c, chain_choices))
-        flow_i = Flow(g, tag, tuple(vals))
-        _check_flow_conditions(
-            g,
-            flow_i,
-            h_edges,
-            chains,
-            prev_flow=Flow(g, tag, prev_vals),
-            prev_h_edges=h_next,
-            pairs=pairs,
-            stage=f"stage:{j}",
-        )
-        prev_vals = tuple(vals)
-    # Final pass over the base.
+        checks.step(vals, h_edges, h_next, _step_edges(step), block_chain, f"stage:{j}")
+    # The base step, from snapshots[0] to the empty stage.
     if b == 1:
         circ = tower.base.circuits[0]
         pos = circ.edges.index(e_star)
@@ -551,23 +684,14 @@ def building_phi(
         current = stored if orientation == star.ends else (-stored) % k
         c = (a - current) % k
         _send_on(g, vals, circ, c, 1, k)
-        chains.append(CircuitChain((circ,)))
+        base_chain = CircuitChain((circ,))
         diags.append(StepDiagnostics("base:circuit", 0, 0, c))
     else:
         chain_choices = _assign_chain_values(g, vals, tower.base, k)
-        chains.append(tower.base)
+        base_chain = tower.base
         diags.append(StepDiagnostics("base:chain", 0, 0, chain_choices[0][0], chain_choices))
-    flow0 = Flow(g, tag, tuple(vals))
-    _check_flow_conditions(
-        g,
-        flow0,
-        frozenset(),
-        chains,
-        prev_flow=Flow(g, tag, prev_vals),
-        prev_h_edges=snapshots[0],
-        pairs=pairs,
-        stage="final",
-    )
+    chains.append(base_chain)
+    flow0 = checks.step(vals, frozenset(), snapshots[0], snapshots[0], base_chain, "stage:base")
     stored = flow0.values[e_star]
     fixed_value = stored if orientation == star.ends else ((-stored[0]) % k, stored[1])
     if fixed_value != (a, b):

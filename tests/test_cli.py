@@ -196,6 +196,18 @@ def test_verify_rejects_malformed_certificate_fields(tmp_path, capsys, edit):
     assert captured.out == "" and "internal error" not in captured.err
 
 
+def test_verify_reports_a_value_beyond_the_bound(tmp_path, capsys):
+    # t3's golden certificate carries -332 on edge 0, so bound 300 is too small.
+    cert = json.loads((GOLDEN / "t3.flow.json").read_text())
+    cert["bound"] = 300
+    path = tmp_path / "t3.flow.json"
+    path.write_text(json.dumps(cert))
+    assert run(["verify", graph("t3"), str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "conserved: PASS\nnowhere_zero: PASS\nbound_ok: FAIL\nadjacent_abs_distinct: PASS\n"
+    )
+
+
 def test_synth_inadmissible_exit(tmp_path, capsys):
     assert run(["synth", graph("c4"), "-o", str(tmp_path / "x.json")]) == 1
 

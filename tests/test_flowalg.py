@@ -311,15 +311,13 @@ def outcome(fn, *args):
 @given(kernel_cases(), st.integers(-3, 3), st.integers(-3, 3))
 def test_kernels_match_generic_reference(case, c1, c2):
     g, tag, values = case
-    if tag.kind == "int" and any(abs(v) >= tag.bound for v in values):
-        with pytest.raises(PreconditionError, match="violates bound"):
-            Flow(g, tag, tuple(values))
-        return
+    # Values beyond an integer bound are accepted; rich_report's bound_ok decides.
     flow = Flow(g, tag, tuple(values))
     assert flow.values == tuple(reference_flow.normalize(tag, v) for v in values)
     assert verify_flow(g, flow) == reference_flow.verify_flow(g, flow)
     if tag.kind == "int":
         assert rich_report(g, flow) == reference_flow.rich_report(g, flow)
+        assert rich_report(g, flow).bound_ok == all(abs(v) < tag.bound for v in values)
     # Every ordered pair of distinct edges at every endpoint of either edge:
     # anchors off the pair and both anchors of a parallel pair included.
     for e in g.edges:
