@@ -12,6 +12,11 @@ machinery used by the synthesis tower. Each cut question has one owner:
 - `is_rich_flow_admissible` is the one caller of `enumerate_two_edge_cuts`,
   and its verdict carries the 2-edge-cuts that `edge_connectivity_at_least`
   (t = 3) and the synthesis split read.
+
+`enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by a BFS
+spanning tree T without changing its output: a pair of two non-tree edges
+leaves T whole, so it is no cut and is never tested; and a pass that has
+made n - 1 merges has spanned the rest of the graph, so it stops there.
 """
 
 from __future__ import annotations
@@ -289,14 +294,50 @@ class _UnionFind:
         return True
 
 
+def _bfs_tree_edges(g: Multigraph) -> list[bool]:
+    """Per edge id, whether it lies in the BFS spanning tree from vertex 0.
+
+    Errors when some vertex is unreached, so g must be connected; the graph
+    with no vertices has an empty tree.
+    """
+    n = g.vertex_count
+    in_tree = [False] * g.edge_count
+    if n == 0:
+        return in_tree
+    edges = g.edges
+    seen = [False] * n
+    seen[0] = True
+    reached = 1
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for eid in g.incident(v):
+            e = edges[eid]
+            w = e.head if e.tail == v else e.tail
+            if not seen[w]:
+                seen[w] = True
+                in_tree[eid] = True
+                reached += 1
+                queue.append(w)
+    if reached < n:
+        raise PreconditionError("two-edge-cut enumeration requires a connected graph")
+    return in_tree
+
+
 def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
     """All unordered pairs {e, f} of non-bridge edges whose joint removal disconnects g.
 
-    Brute force over edge pairs with union-find connectivity; input must be
-    connected.
+    Each pair is (e, f) with e < f, listed in ascending order. A union-find
+    pass over g - {e, f} tests each pair, with two exact prunes from a BFS
+    spanning tree T of g:
+    - a pair with both edges outside T is skipped: g - {e, f} still contains
+      T, so it is connected;
+    - a pass stops at n - 1 merges: the merged edges then span g - {e, f},
+      so it is connected.
+    Input must be connected; the same BFS checks that.
     """
-    if not is_connected(g):
-        raise PreconditionError("two-edge-cut enumeration requires a connected graph")
+    in_tree = _bfs_tree_edges(g)
+    n = g.vertex_count
     m = g.edge_count
     bridge_set = bridges(g)
     cuts: list[tuple[int, int]] = []
@@ -304,16 +345,18 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
         if i in bridge_set:
             continue
         for j in range(i + 1, m):
-            if j in bridge_set:
+            if j in bridge_set or not (in_tree[i] or in_tree[j]):
                 continue
-            uf = _UnionFind(g.vertex_count)
+            uf = _UnionFind(n)
             merges = 0
             for e in g.edges:
                 if e.id == i or e.id == j:
                     continue
                 if uf.union(e.tail, e.head):
                     merges += 1
-            if g.vertex_count - merges > 1:
+                    if merges == n - 1:
+                        break
+            if n - merges > 1:
                 cuts.append((i, j))
     return cuts
 

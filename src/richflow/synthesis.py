@@ -274,13 +274,16 @@ def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> None:
                 raise InternalDefectError(
                     f"[bullets] contrafluent pair ({p.e},{p.f}) is not chain-consecutive"
                 )
-    for i in range(len(confluent)):
-        for j in range(i + 1, len(confluent)):
-            if strongly_intersecting(g, confluent[i], confluent[j]):
+    # Strongly intersecting pairs share an edge, so only those are tested.
+    by_edge: dict[int, list[AdjacentPair]] = {}
+    for p in confluent:
+        for q in (*by_edge.get(p.e, ()), *by_edge.get(p.f, ())):
+            if strongly_intersecting(g, p, q):
                 raise InternalDefectError(
-                    f"[bullets] confluent pairs ({confluent[i].e},{confluent[i].f}) and "
-                    f"({confluent[j].e},{confluent[j].f}) strongly intersect"
+                    f"[bullets] confluent pairs ({q.e},{q.f}) and ({p.e},{p.f}) strongly intersect"
                 )
+        for x in (p.e, p.f):
+            by_edge.setdefault(x, []).append(p)
 
 
 def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
@@ -980,11 +983,8 @@ def synthesize_rich_flow(g: Multigraph) -> RichFlowCertificate:
     bound = 264 * delta - 445
     mod = rich_mod_flow(g)
     pairs = adjacent_pairs(g)
+    # `rich_mod_flow` has verified these against strong intersection.
     confluent = [p for p in pairs if pair_relation(mod.flow, p).confluent]
-    for i in range(len(confluent)):
-        for j in range(i + 1, len(confluent)):
-            if strongly_intersecting(g, confluent[i], confluent[j]):
-                raise InternalDefectError("stage flow has strongly intersecting confluent pairs")
     phi3_mod = flow_avoiding_confluence(g, PairSet(tuple(confluent)))
     phi1 = modular_to_integer(g, project_flow(mod.flow, 0))
     phi2 = modular_to_integer(g, project_flow(mod.flow, 1))

@@ -120,3 +120,14 @@ def relabel(g: Multigraph, vperm: list[int], eperm: list[int]) -> Multigraph:
 def doubled_cycle(n: int) -> Multigraph:
     """C_n with every edge doubled: n + 1 co-tree edges, one circuit per pair."""
     return Multigraph(n, [(i, (i + 1) % n) for i in range(n) for _ in range(2)])
+
+
+def random_cubic(rng, n: int) -> Multigraph:
+    """A uniformly paired random simple cubic graph on n (even) vertices; it
+    may be disconnected or have bridges."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = list(zip(points[0::2], points[1::2]))
+        if all(u != v for u, v in pairs) and len({frozenset(p) for p in pairs}) == len(pairs):
+            return Multigraph(n, pairs)

@@ -21,9 +21,10 @@ from richflow import (
     parse_multigraph,
     validate_circuit_chain,
 )
+from richflow import multigraph
 from richflow.multigraph import Circuit, CircuitChain, _biconnected_edge_groups
 
-from conftest import ALL_NAMES, load, oracle_components, oracle_cuts, relabel
+from conftest import ALL_NAMES, load, oracle_components, oracle_cuts, random_cubic, relabel
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,49 @@ def test_cut_analysis_matches_subset_deletion_oracle():
         assert set(enumerate_two_edge_cuts(g)) == expect_cuts, name
 
 
+def test_two_cut_enumeration_edge_cases():
+    assert enumerate_two_edge_cuts(Multigraph(0, [])) == []
+    assert enumerate_two_edge_cuts(Multigraph(1, [])) == []
+    assert enumerate_two_edge_cuts(Multigraph(2, [(0, 1), (0, 1)])) == [(0, 1)]
+    assert enumerate_two_edge_cuts(Multigraph(2, [(0, 1), (1, 0), (0, 1)])) == []
+    # Vertex 0 isolated, the rest a triangle: the tree from 0 reaches nothing.
+    with pytest.raises(PreconditionError):
+        enumerate_two_edge_cuts(Multigraph(4, [(1, 2), (2, 3), (1, 3)]))
+
+
+def _connected_multigraph(rng, n: int, m: int) -> Multigraph:
+    while True:
+        g = Multigraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
+        if oracle_components(n, [e.ends for e in g.edges]) == 1:
+            return g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_cubic(random.Random(24), 24), _connected_multigraph(random.Random(14), 5, 14)],
+    ids=["cubic-n24", "n5-m14"],
+)
+def test_two_cut_enumeration_tests_only_pairs_with_a_tree_edge(monkeypatch, g):
+    built = []
+
+    class CountingUnionFind(multigraph._UnionFind):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(multigraph, "_UnionFind", CountingUnionFind)
+    enumerate_two_edge_cuts(g)
+    # Every spanning tree holds every bridge, so whichever tree is taken, its
+    # n - 1 - b other edges are the non-bridge tree edges; the pairs with at
+    # least one of them are all pairs minus those of two non-tree edges.
+    b = len(bridges(g))
+    non_bridge = g.edge_count - b
+    off_tree = non_bridge - (g.vertex_count - 1 - b)
+    expected = non_bridge * (non_bridge - 1) // 2 - off_tree * (off_tree - 1) // 2
+    assert len(built) == expected
+    assert off_tree > 1  # the prune skipped some pairs
+
+
 def test_edge_connectivity_thresholds(k4):
     assert edge_connectivity_at_least(k4, 3)
     assert not edge_connectivity_at_least(load("c4"), 3)
@@ -150,6 +194,37 @@ def test_cut_answers_match_subset_deletion_oracle(g):
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
                 assert validate_circuit_chain(g, find_circuit_chain(g, u, v), (u, v))
+
+
+@st.composite
+def dense_multigraphs(draw) -> Multigraph:
+    """Loop-free multigraphs with n <= 8 and m up to 3n: parallel edges,
+    bridges and disconnected graphs included."""
+    n = draw(st.integers(2, 8))
+    steps = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=3 * n)
+    )
+    return Multigraph(n, [(u, (u + d) % n) for u, d in steps])
+
+
+@st.composite
+def small_cubic_graphs(draw) -> Multigraph:
+    n = draw(st.sampled_from([4, 6, 8, 10, 12]))
+    return random_cubic(draw(st.randoms(use_true_random=False)), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dense_multigraphs(), small_cubic_graphs()))
+def test_two_cut_list_equals_brute_force_oracle(g):
+    expect_bridges, expect_cuts = oracle_cuts(g)
+    expected = sorted(expect_cuts)
+    if oracle_components(g.vertex_count, [e.ends for e in g.edges]) != 1:
+        with pytest.raises(PreconditionError):
+            enumerate_two_edge_cuts(g)
+        assert is_rich_flow_admissible(g).two_cuts == ()
+        return
+    assert enumerate_two_edge_cuts(g) == expected
+    assert is_rich_flow_admissible(g).two_cuts == (() if expect_bridges else tuple(expected))
 
 
 # ---------------------------------------------------------------------------

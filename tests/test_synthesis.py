@@ -267,6 +267,21 @@ def test_stage_flow_confluent_pairs_never_strongly_intersect():
                 assert not strongly_intersecting(g, confluent[i], confluent[j])
 
 
+def test_strongly_intersecting_confluent_pairs_fail_the_bullet_check(monkeypatch, k4):
+    # Past the per-stage checks, the bullet check is the one test of the whole
+    # stage flow for strongly intersecting confluent pairs. No corpus stage
+    # flow has a confluent pair, so every adjacent pair is made to read
+    # confluent there; on k4 two pairs at one vertex then strongly intersect.
+    from richflow import InternalDefectError, synthesis
+    from richflow.flowalg import PairRelation
+
+    monkeypatch.setattr(
+        synthesis, "pair_relation", lambda flow, p: PairRelation(confluent=True, contrafluent=False)
+    )
+    with pytest.raises(InternalDefectError, match=r"^\[bullets\] confluent pairs .* strongly intersect"):
+        synthesize_rich_flow(k4)
+
+
 def test_synthesis_on_random_admissible_multigraphs():
     import random
 
