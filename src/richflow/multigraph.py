@@ -307,7 +307,6 @@ def _bfs_tree_edges(g: Multigraph) -> list[bool]:
     edges = g.edges
     seen = [False] * n
     seen[0] = True
-    reached = 1
     queue = deque([0])
     while queue:
         v = queue.popleft()
@@ -317,9 +316,8 @@ def _bfs_tree_edges(g: Multigraph) -> list[bool]:
             if not seen[w]:
                 seen[w] = True
                 in_tree[eid] = True
-                reached += 1
                 queue.append(w)
-    if reached < n:
+    if not all(seen):
         raise PreconditionError("two-edge-cut enumeration requires a connected graph")
     return in_tree
 
