@@ -1,5 +1,9 @@
 """Rich nowhere-zero flows on multigraphs: constructive synthesis with full
-verification, plus independent exact brute-force oracles."""
+verification, plus independent exact brute-force oracles.
+
+The package exports README's library entry points and the types and errors
+they take or return; everything else is imported from its submodule.
+"""
 
 from .errors import (
     AdmissibilityError,
@@ -8,72 +12,16 @@ from .errors import (
     InternalDefectError,
     PreconditionError,
 )
-from .multigraph import (
-    AdmissibilityVerdict,
-    Circuit,
-    CircuitChain,
-    Edge,
-    Multigraph,
-    bridges,
-    edge_connectivity_at_least,
-    enumerate_two_edge_cuts,
-    find_attachable_block,
-    find_circuit_chain,
-    find_circuit_through,
-    format_multigraph,
-    is_connected,
-    is_rich_flow_admissible,
-    parse_multigraph,
-    validate_circuit,
-    validate_circuit_chain,
-)
-from .flowalg import (
-    AdjacentPair,
-    Flow,
-    FlowReport,
-    GroupTag,
-    PairRelation,
-    RichnessChecks,
-    adjacent_pairs,
-    chain_edges,
-    is_rich,
-    linear_combine,
-    make_adjacent_pair,
-    modular_to_integer,
-    pair_relation,
-    product_flows,
-    project_flow,
-    read_flow_json,
-    rich_report,
-    send_through_circuit,
-    strongly_intersecting,
-    verify_flow,
-    write_flow_json,
-    zero_flow,
-)
-from .seymour import (
-    PairSet,
-    SplitMap,
-    build_pair_splitting,
-    flow_avoiding_confluence,
-    nowhere_zero_z6,
-    validate_pair_set,
-)
+from .multigraph import AdmissibilityVerdict, Multigraph, is_rich_flow_admissible, parse_multigraph
+from .flowalg import AdjacentPair, Flow, GroupTag
+from .seymour import PairSet, flow_avoiding_confluence, nowhere_zero_z6
 from .synthesis import (
-    AddBlockChain,
-    AddChord,
-    AddVertex,
     BuildingPhiResult,
     RichFlowCertificate,
     RichModFlowResult,
-    Tower,
-    TwoCutSplit,
-    build_tower,
     building_phi,
     rich_mod_flow,
-    split_on_two_cut,
     synthesize_rich_flow,
-    verify_mod_flow_bullets,
 )
 from .oracle import (
     ExactResult,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -58,6 +59,9 @@ def _time_limit() -> float:
         value = float(raw)
     except ValueError:
         raise GraphInputError(f"RICHFLOW_TIME_LIMIT_S is not a number: {raw!r}")
+    if not math.isfinite(value):
+        # A NaN or infinite limit would make every oracle deadline unreachable.
+        raise GraphInputError(f"RICHFLOW_TIME_LIMIT_S must be finite, got {raw!r}")
     if value <= 0:
         raise GraphInputError("RICHFLOW_TIME_LIMIT_S must be positive")
     return value

@@ -2,8 +2,8 @@
 
 A flow stores one group element per edge, relative to the edge's reference
 orientation (tail -> head). Reorienting an edge is the no-op of negating its
-stored value, so sums, products and the confluency predicates are all defined
-directly on stored values and orientation signs.
+stored value, so sums, projections and the confluency predicates are all
+defined directly on stored values and orientation signs.
 
 Supported value groups: Z_k for odd k >= 3, Z_2, Z_6, Z_k x Z_2, and bounded
 integers (values strictly inside (-bound, bound), which `rich_report` checks).
@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphInputError, InternalDefectError, PreconditionError
-from .multigraph import Circuit, Multigraph, validate_circuit
+from .multigraph import Multigraph
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,6 @@ class GroupTag:
         if self.kind == "z6":
             return 6
         return None
-
-    def nonzero_elements(self):
-        """Deterministically ordered nonzero elements of a modular group."""
-        if self.kind == "zkxz2":
-            return [(a, b) for a in range(self.k) for b in range(2) if (a, b) != (0, 0)]
-        if self.kind == "int":
-            raise PreconditionError("integer value domain is not finite")
-        return list(range(1, self.modulus))
 
 
 def cyclic_values(group: GroupTag, values) -> tuple[list[int] | tuple, int | None]:
@@ -131,28 +123,6 @@ class Flow:
                 norm = tuple(v % mod for v in self.values)
         object.__setattr__(self, "values", norm)
 
-    def value(self, e: int):
-        return self.values[e]
-
-
-def zero_flow(g: Multigraph, group: GroupTag) -> Flow:
-    return Flow(g, group, ((0, 0) if group.kind == "zkxz2" else 0,) * g.edge_count)
-
-
-def send_through_circuit(g: Multigraph, circuit: Circuit, a, group: GroupTag) -> Flow:
-    """The flow that carries `a` around the directed circuit and 0 elsewhere.
-
-    The circuit's listed order is its traversal direction; an edge traversed
-    against its reference orientation stores the negated value.
-    """
-    if not validate_circuit(g, circuit):
-        raise PreconditionError("not a valid circuit of this graph")
-    vals = list(zero_flow(g, group).values)
-    for pos, eid in enumerate(circuit.edges):
-        sign = circuit.traversal_sign(g, pos)
-        vals[eid] = a if sign == 1 else _negated(group, a)
-    return Flow(g, group, tuple(vals))
-
 
 def linear_combine(terms, bound: int | None = None) -> Flow:
     """Edgewise sum of coefficient-scaled flows over one graph and group.
@@ -188,17 +158,6 @@ def linear_combine(terms, bound: int | None = None) -> Flow:
     return Flow(g, out_tag, tuple(vals))
 
 
-def product_flows(f1: Flow, f2: Flow) -> Flow:
-    """Edgewise pairing of a Z_k flow with a Z_2 flow into a (Z_k x Z_2) flow."""
-    if f1.graph != f2.graph:
-        raise PreconditionError("product requires flows on the same graph")
-    if f1.group.kind != "zk" or f2.group.kind != "z2":
-        raise PreconditionError("product is defined for a zk flow times a z2 flow")
-    tag = GroupTag.zkxz2(f1.group.k)
-    vals = tuple((a, b) for a, b in zip(f1.values, f2.values))
-    return Flow(f1.graph, tag, vals)
-
-
 def project_flow(f: Flow, coordinate: int) -> Flow:
     """First (Z_k) or second (Z_2) coordinate of a (Z_k x Z_2) flow."""
     if f.group.kind != "zkxz2":
@@ -225,17 +184,6 @@ class AdjacentPair:
     @property
     def edge_pair(self) -> frozenset[int]:
         return frozenset((self.e, self.f))
-
-
-def make_adjacent_pair(g: Multigraph, e: int, f: int) -> AdjacentPair:
-    """Pair e, f with the lowest shared vertex as anchor."""
-    if e == f:
-        raise PreconditionError("a pair needs two distinct edges")
-    shared = g.shared_vertices(e, f)
-    if not shared:
-        raise PreconditionError(f"edges {e} and {f} are not adjacent")
-    a, b = min(e, f), max(e, f)
-    return AdjacentPair(a, b, shared[0])
 
 
 def adjacent_pairs(g: Multigraph) -> list[AdjacentPair]:

@@ -7,14 +7,16 @@ edges are allowed and distinguished by edge id; loops are rejected everywhere.
 This module also provides connectivity and cut analysis, the
 rich-flow-admissibility verdict, circuits, circuit chains, and the block
 machinery used by the synthesis tower. Each cut question has one owner:
+- one BFS spanning forest, `spanning_forest`, answers `is_connected` and
+  serves both the tree prune below and the co-tree basis of `cotree`;
 - one lowpoint DFS, `_biconnected_edge_groups`, finds blocks; bridges are
   its single-edge blocks, and circuit chains walk its blocks;
 - `is_rich_flow_admissible` is the one caller of `enumerate_two_edge_cuts`,
   and its verdict carries the 2-edge-cuts that `edge_connectivity_at_least`
   (t = 3) and the synthesis split read.
 
-`enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by a BFS
-spanning tree T without changing its output: a pair of two non-tree edges
+`enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by that
+BFS spanning tree T without changing its output: a pair of two non-tree edges
 leaves T whole, so it is no cut and is never tested; and a pass that has
 made n - 1 merges has spanned the rest of the graph, so it stops there.
 """
@@ -199,8 +201,33 @@ def connected_components(g: Multigraph, *, without: frozenset[int] = frozenset()
     return comps
 
 
-def is_connected(g: Multigraph, *, without: frozenset[int] = frozenset()) -> bool:
-    return len(connected_components(g, without=without)) <= 1
+def spanning_forest(g: Multigraph) -> tuple[frozenset[int], list[int]]:
+    """(tree edge ids, co-tree edge ids ascending) of the BFS forest grown
+    from each unreached vertex in id order, lowest edge id first. It has
+    n - c edges for c components: n - 1 when g is connected."""
+    edges = g.edges
+    seen = [False] * g.vertex_count
+    tree: set[int] = set()
+    for root in range(g.vertex_count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for eid in g.incident(v):
+                e = edges[eid]
+                w = e.head if e.tail == v else e.tail
+                if not seen[w]:
+                    seen[w] = True
+                    tree.add(eid)
+                    queue.append(w)
+    co = [e for e in range(g.edge_count) if e not in tree]
+    return frozenset(tree), co
+
+
+def is_connected(g: Multigraph) -> bool:
+    return len(spanning_forest(g)[0]) >= g.vertex_count - 1
 
 
 def _biconnected_edge_groups(g: Multigraph, edge_ids=None) -> list[frozenset[int]]:
@@ -294,34 +321,6 @@ class _UnionFind:
         return True
 
 
-def _bfs_tree_edges(g: Multigraph) -> list[bool]:
-    """Per edge id, whether it lies in the BFS spanning tree from vertex 0.
-
-    Errors when some vertex is unreached, so g must be connected; the graph
-    with no vertices has an empty tree.
-    """
-    n = g.vertex_count
-    in_tree = [False] * g.edge_count
-    if n == 0:
-        return in_tree
-    edges = g.edges
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for eid in g.incident(v):
-            e = edges[eid]
-            w = e.head if e.tail == v else e.tail
-            if not seen[w]:
-                seen[w] = True
-                in_tree[eid] = True
-                queue.append(w)
-    if not all(seen):
-        raise PreconditionError("two-edge-cut enumeration requires a connected graph")
-    return in_tree
-
-
 def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
     """All unordered pairs {e, f} of non-bridge edges whose joint removal disconnects g.
 
@@ -332,10 +331,12 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
       T, so it is connected;
     - a pass stops at n - 1 merges: the merged edges then span g - {e, f},
       so it is connected.
-    Input must be connected; the same BFS checks that.
+    Input must be connected; T's size checks that.
     """
-    in_tree = _bfs_tree_edges(g)
+    tree, _ = spanning_forest(g)
     n = g.vertex_count
+    if len(tree) < n - 1:
+        raise PreconditionError("two-edge-cut enumeration requires a connected graph")
     m = g.edge_count
     bridge_set = bridges(g)
     cuts: list[tuple[int, int]] = []
@@ -343,7 +344,7 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
         if i in bridge_set:
             continue
         for j in range(i + 1, m):
-            if j in bridge_set or not (in_tree[i] or in_tree[j]):
+            if j in bridge_set or not (i in tree or j in tree):
                 continue
             uf = _UnionFind(n)
             merges = 0
@@ -621,16 +622,6 @@ class CircuitChain:
         for c in self.circuits:
             out |= c.vertex_set
         return frozenset(out)
-
-    def shared_vertices(self) -> tuple[int, ...]:
-        """The single shared vertex between each consecutive circuit pair."""
-        out = []
-        for a, b in zip(self.circuits, self.circuits[1:]):
-            common = a.vertex_set & b.vertex_set
-            if len(common) != 1:
-                raise ValueError("consecutive circuits do not share exactly one vertex")
-            out.append(next(iter(common)))
-        return tuple(out)
 
     def internal_vertices(self, index: int) -> frozenset[int]:
         """Vertices of circuit `index` lying in no other circuit of the chain."""

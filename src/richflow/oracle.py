@@ -264,19 +264,14 @@ def brute_force_flow(
     group: GroupTag,
     budget: SearchBudget | None = None,
 ) -> Flow | None:
-    """Some conserved nowhere-zero flow over the group by co-tree enumeration.
+    """Some conserved nowhere-zero flow over Z_k, Z_2 or Z_6 by co-tree
+    enumeration; other groups raise PreconditionError.
 
     None only when exhaustive search proves non-existence; budget exhaustion
     raises instead of making a false claim. Rich flows come from
     ``exact_rich_flow_number``.
     """
-    budget = budget or SearchBudget()
-    flow = cotree.cotree_flow_search(
-        g,
-        group,
-        node_limit=budget.node_limit,
-        deadline=time.monotonic() + budget.time_limit,
-    )
+    flow = cotree.cotree_flow_search(g, group, tick=_Budget(budget or SearchBudget()).tick)
     if flow is not None:
         rep = verify_flow(g, flow)
         if not (rep.conserved and rep.nowhere_zero):

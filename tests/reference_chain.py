@@ -5,7 +5,8 @@ from two edge-disjoint paths of minimum total size, against it.
 
 from __future__ import annotations
 
-from richflow import Multigraph, validate_circuit_chain
+from richflow import Multigraph
+from richflow.multigraph import validate_circuit_chain
 from richflow.errors import InternalDefectError
 from richflow.multigraph import Circuit, CircuitChain
 

@@ -5,13 +5,17 @@ before its kernels moved to plain integers.
 
 Tests compare `verify_flow`, `rich_report`, `pair_relation`, `Flow`
 normalisation, `linear_combine` and `cotree_flow_search` against these.
+The flow builders `zero_flow`, `send_through_circuit` and
+`make_adjacent_pair` serve tests only, so they live here too.
 """
 
 from __future__ import annotations
 
-from richflow import AdjacentPair, Flow, FlowReport, GroupTag, Multigraph, RichnessChecks
-from richflow.cotree import fundamental_circuit_signs, spanning_forest
+from richflow import AdjacentPair, Flow, GroupTag, Multigraph
+from richflow.cotree import fundamental_circuit_signs
 from richflow.errors import InternalDefectError, PreconditionError
+from richflow.flowalg import FlowReport, RichnessChecks
+from richflow.multigraph import Circuit, spanning_forest, validate_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,38 @@ def value_into(flow: Flow, e: int, v: int):
     if edge.tail == v:
         return neg(flow.group, flow.values[e])
     raise PreconditionError(f"vertex {v} is not an endpoint of edge {e}")
+
+
+# ---------------------------------------------------------------------------
+# Flow builders
+
+
+def zero_flow(g: Multigraph, group: GroupTag) -> Flow:
+    return Flow(g, group, (zero(group),) * g.edge_count)
+
+
+def send_through_circuit(g: Multigraph, circuit: Circuit, a, group: GroupTag) -> Flow:
+    """The flow that carries `a` around the directed circuit and 0 elsewhere.
+
+    The circuit's listed order is its traversal direction; an edge traversed
+    against its reference orientation stores the negated value.
+    """
+    if not validate_circuit(g, circuit):
+        raise PreconditionError("not a valid circuit of this graph")
+    vals = list(zero_flow(g, group).values)
+    for pos, eid in enumerate(circuit.edges):
+        vals[eid] = a if circuit.traversal_sign(g, pos) == 1 else neg(group, a)
+    return Flow(g, group, tuple(vals))
+
+
+def make_adjacent_pair(g: Multigraph, e: int, f: int) -> AdjacentPair:
+    """Pair e, f with the lowest shared vertex as anchor."""
+    if e == f:
+        raise PreconditionError("a pair needs two distinct edges")
+    shared = g.shared_vertices(e, f)
+    if not shared:
+        raise PreconditionError(f"edges {e} and {f} are not adjacent")
+    return AdjacentPair(min(e, f), max(e, f), shared[0])
 
 
 def linear_combine_values(terms) -> list:
@@ -154,8 +190,8 @@ def pair_relation(flow: Flow, pair: AdjacentPair) -> tuple[bool, bool]:
 
 
 def cotree_flow_values(g: Multigraph, group: GroupTag) -> tuple | None:
-    """The values of the first conserved nowhere-zero flow in co-tree search
-    order, or None when there is none."""
+    """The values of the first conserved nowhere-zero flow over a cyclic
+    group in co-tree search order, or None when there is none."""
     m = g.edge_count
     if m == 0:
         return ()
@@ -167,12 +203,7 @@ def cotree_flow_values(g: Multigraph, group: GroupTag) -> tuple | None:
             remaining[t] += 1
     if any(count == 0 for count in remaining.values()):
         return None
-    if group.kind == "int":
-        domain = []
-        for a in range(1, group.bound):
-            domain.extend((a, -a))
-    else:
-        domain = group.nonzero_elements()
+    domain = range(1, group.modulus)
     tree_val = {t: zero(group) for t in tree}
     finalized: list = [None] * m
     next_try = [0] * len(co)
@@ -208,9 +239,6 @@ def cotree_flow_values(g: Multigraph, group: GroupTag) -> tuple | None:
             if remaining[t] == 0:
                 tv = tree_val[t]
                 if is_zero(group, tv):
-                    ok = False
-                    break
-                if group.kind == "int" and abs(tv) >= group.bound:
                     ok = False
                     break
                 finalized[t] = tv

@@ -10,7 +10,8 @@ every stage flow that `building_phi` produces.
 
 from __future__ import annotations
 
-from richflow import Flow, GroupTag, Multigraph, adjacent_pairs, verify_flow
+from richflow import Flow, GroupTag, Multigraph
+from richflow.flowalg import adjacent_pairs, verify_flow
 from richflow.errors import InternalDefectError, PreconditionError
 from richflow.flowalg import chain_edges, pair_relation, strongly_intersecting
 from richflow.multigraph import (

@@ -13,31 +13,27 @@ import time
 from richflow import (
     GroupTag,
     SearchBudget,
-    bridges,
-    build_pair_splitting,
     building_phi,
     chromatic_index,
-    edge_connectivity_at_least,
-    enumerate_two_edge_cuts,
     exact_rich_flow_number,
     flow_avoiding_confluence,
-    is_rich,
     is_rich_flow_admissible,
-    modular_to_integer,
-    pair_relation,
     rich_mod_flow,
-    send_through_circuit,
-    split_on_two_cut,
     synthesize_rich_flow,
-    verify_flow,
-    verify_mod_flow_bullets,
-    zero_flow,
 )
 from richflow.cli import run
-from richflow.multigraph import find_circuit_through
-from richflow.flowalg import Flow
+from richflow.flowalg import Flow, is_rich, modular_to_integer, pair_relation, verify_flow
+from richflow.multigraph import (
+    bridges,
+    edge_connectivity_at_least,
+    enumerate_two_edge_cuts,
+    find_circuit_through,
+)
+from richflow.seymour import build_pair_splitting
+from richflow.synthesis import split_on_two_cut, verify_mod_flow_bullets
 
 import reference_flow
+from reference_flow import send_through_circuit, zero_flow
 from conftest import ADMISSIBLE_NAMES, ALL_NAMES, CORPUS, load, oracle_cuts
 from test_seymour import random_pair_set
 

@@ -1,16 +1,12 @@
 from __future__ import annotations
 
+import inspect
 import pickle
 
-from richflow import (
-    Multigraph,
-    find_circuit_chain,
-    is_rich_flow_admissible,
-    rich_mod_flow,
-    synthesize_rich_flow,
-    validate_circuit_chain,
-)
+import richflow
+from richflow import Multigraph, is_rich_flow_admissible, rich_mod_flow, synthesize_rich_flow
 from richflow import errors
+from richflow.multigraph import find_circuit_chain, validate_circuit_chain
 from richflow.cli import run
 
 from conftest import ADMISSIBLE_NAMES, CORPUS, load
@@ -24,6 +20,22 @@ def test_single_vertex_graph_is_degenerate_but_safe():
     assert cert.max_abs == 0
     res = rich_mod_flow(g)
     assert res.chains == ()
+
+
+def test_readme_entry_points_are_the_package_functions():
+    """README's "Library entry points" block runs as written, and names
+    every function the package exports; the rest are types and errors."""
+    readme = (CORPUS.parent / "README.md").read_text()
+    block = readme.split("## Library entry points", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    documented = {name for name in names if not name.startswith("__")}
+    exported = {name for name, value in vars(richflow).items() if inspect.isfunction(value)}
+    assert documented == exported
+    for name, value in vars(richflow).items():
+        if not name.startswith("_") and not inspect.ismodule(value):
+            assert name in documented or isinstance(value, type), name
 
 
 def test_two_parallel_edges_rejected():
@@ -46,10 +58,11 @@ def test_chain_backtracking_fallback_agrees(bowtie):
 
 
 def test_time_limit_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("RICHFLOW_TIME_LIMIT_S", "banana")
-    assert run(["exact", str(CORPUS / "t3.graph"), "--kmax", "4"]) == 2
-    monkeypatch.setenv("RICHFLOW_TIME_LIMIT_S", "-3")
-    assert run(["exact", str(CORPUS / "t3.graph"), "--kmax", "4"]) == 2
+    # A NaN or infinite limit would leave every oracle deadline unreachable.
+    for raw in ("banana", "-3", "nan", "inf", "-inf"):
+        monkeypatch.setenv("RICHFLOW_TIME_LIMIT_S", raw)
+        assert run(["exact", str(CORPUS / "t3.graph"), "--kmax", "4"]) == 2, raw
+    assert "must be finite" in capsys.readouterr().err
     monkeypatch.setenv("RICHFLOW_TIME_LIMIT_S", "30")
     assert run(["exact", str(CORPUS / "t3.graph"), "--kmax", "4"]) == 0
 

@@ -12,28 +12,28 @@ from richflow import (
     GroupTag,
     InternalDefectError,
     Multigraph,
-    PairRelation,
     PreconditionError,
+)
+from richflow.flowalg import (
+    PairRelation,
     adjacent_pairs,
     chain_edges,
-    find_circuit_through,
     is_rich,
     linear_combine,
-    make_adjacent_pair,
     modular_to_integer,
     pair_relation,
-    product_flows,
     project_flow,
     read_flow_json,
     rich_report,
-    send_through_circuit,
     strongly_intersecting,
     verify_flow,
     write_flow_json,
-    zero_flow,
 )
-from richflow.cotree import cotree_flow_search, fundamental_circuit_signs, spanning_forest
+from richflow.cotree import cotree_flow_search, fundamental_circuit_signs
+from richflow.multigraph import find_circuit_through, spanning_forest
+
 import reference_flow
+from reference_flow import make_adjacent_pair, send_through_circuit, zero_flow
 from conftest import load, prism
 
 
@@ -100,18 +100,13 @@ def test_combine_group_mismatch(t3):
         linear_combine(((1, f1), (1, f2)))
 
 
-def test_product_and_projections(k4):
+def test_projections(k4):
     circ = find_circuit_through(k4, 0)
     f1 = send_through_circuit(k4, circ, 2, GroupTag.zk(11))
     f2 = send_through_circuit(k4, circ, 1, GroupTag.z2())
-    prod = product_flows(f1, f2)
-    for e in range(k4.edge_count):
-        if e in circ.edge_set:
-            assert prod.values[e][1] == 1
-        else:
-            assert prod.values[e] == (0, 0)
-    assert project_flow(prod, 0).values == f1.values
-    assert project_flow(prod, 1).values == f2.values
+    pairs = Flow(k4, GroupTag.zkxz2(11), tuple(zip(f1.values, f2.values)))
+    assert project_flow(pairs, 0).values == f1.values
+    assert project_flow(pairs, 1).values == f2.values
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +332,17 @@ def test_kernels_match_generic_reference(case, c1, c2):
 
 
 @settings(max_examples=150, deadline=None)
-@given(loop_free_multigraphs(max_edges=8), st.sampled_from(KINDS[:4] + (GroupTag.integers(3),)))
+@given(loop_free_multigraphs(max_edges=8), st.sampled_from(KINDS[:3]))
 def test_cotree_search_matches_generic_reference(g, tag):
     flow = cotree_flow_search(g, tag)
     expected = reference_flow.cotree_flow_values(g, tag)
     assert (flow is None and expected is None) or flow.values == expected
+
+
+@pytest.mark.parametrize("tag", [GroupTag.integers(5), GroupTag.zkxz2(3)], ids=["int", "zkxz2"])
+def test_cotree_search_takes_only_cyclic_groups(k4, tag):
+    with pytest.raises(PreconditionError, match="Z_k, Z_2 or Z_6"):
+        cotree_flow_search(k4, tag)
 
 
 # ---------------------------------------------------------------------------

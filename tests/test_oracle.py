@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,11 +18,10 @@ from richflow import (
     brute_force_flow,
     chromatic_index,
     exact_rich_flow_number,
-    is_rich,
     is_rich_flow_admissible,
     nowhere_zero_z6,
-    verify_flow,
 )
+from richflow.flowalg import is_rich, verify_flow
 from richflow.oracle import _Budget, _rich_flow_search, _signed_sums
 
 from conftest import load, prism, relabel
@@ -85,19 +85,23 @@ def test_brute_force_rich_theta(t3):
     assert is_rich(t3, f)
 
 
-def test_brute_force_budget_raises(t3):
-    with pytest.raises(BudgetExhaustedError):
-        brute_force_flow(
-            load("petersen"),
-            GroupTag.integers(3),
-            budget=SearchBudget(node_limit=2),
-        )
+def test_brute_force_budget_raises():
+    with pytest.raises(BudgetExhaustedError, match="node limit"):
+        brute_force_flow(load("petersen"), GroupTag.z6(), budget=SearchBudget(node_limit=2))
 
 
-def test_brute_force_zkxz2(k4):
-    f = brute_force_flow(k4, GroupTag.zkxz2(11))
-    rep = verify_flow(k4, f)
-    assert rep.conserved and rep.nowhere_zero
+def test_brute_force_deadline_raises(monkeypatch):
+    # A cycle of triple edges with a K4 at vertex 0: K4 has no nowhere-zero
+    # Z_3 flow, so the search exhausts the cycle's flows (over 2,000 nodes)
+    # before proving that none exists.
+    pairs = [(i, (i + 1) % 4) for i in range(4) for _ in range(3)]
+    pairs += [(0, 4), (0, 5), (0, 6), (4, 5), (5, 6), (4, 6)]
+    g = Multigraph(7, pairs)
+    assert brute_force_flow(g, GroupTag.zk(3)) is None
+    clock = iter([0.0])  # the budget starts at 0; every later reading is past its limit
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock, 1e9))
+    with pytest.raises(BudgetExhaustedError, match="time limit"):
+        brute_force_flow(g, GroupTag.zk(3), budget=SearchBudget(time_limit=1.0))
 
 
 def test_chromatic_index_values():

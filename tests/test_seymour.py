@@ -8,19 +8,15 @@ from richflow import (
     Multigraph,
     PairSet,
     PreconditionError,
-    adjacent_pairs,
-    bridges,
-    build_pair_splitting,
     flow_avoiding_confluence,
-    make_adjacent_pair,
     nowhere_zero_z6,
-    pair_relation,
-    strongly_intersecting,
-    validate_pair_set,
-    verify_flow,
 )
+from richflow.flowalg import adjacent_pairs, pair_relation, strongly_intersecting, verify_flow
+from richflow.multigraph import bridges
+from richflow.seymour import build_pair_splitting, validate_pair_set
 
 from conftest import ADMISSIBLE_NAMES, doubled_cycle, load
+from reference_flow import make_adjacent_pair
 
 
 def random_pair_set(g, rng, max_pairs=4) -> PairSet:

@@ -1,34 +1,37 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from richflow import (
-    AddChord,
     AdmissibilityError,
     GroupTag,
+    Multigraph,
     PreconditionError,
-    adjacent_pairs,
-    build_tower,
     building_phi,
-    chain_edges,
-    edge_connectivity_at_least,
-    is_rich,
     is_rich_flow_admissible,
-    pair_relation,
     rich_mod_flow,
-    split_on_two_cut,
     synthesize_rich_flow,
-    validate_circuit_chain,
+)
+from richflow.flowalg import (
+    adjacent_pairs,
+    chain_edges,
+    is_rich,
+    pair_relation,
+    strongly_intersecting,
     verify_flow,
-    verify_mod_flow_bullets,
     write_flow_json,
 )
-from richflow.multigraph import subgraph
+from richflow.multigraph import edge_connectivity_at_least, subgraph, validate_circuit_chain
+from richflow.synthesis import AddChord, build_tower, split_on_two_cut, verify_mod_flow_bullets
 
 import reference_flow
 from conftest import ADMISSIBLE_NAMES, load
+from test_tower_checks import draw_block
 
 
 THREE_EDGE_CONNECTED = [
@@ -256,8 +259,6 @@ def test_group_modulus_is_odd():
 
 
 def test_stage_flow_confluent_pairs_never_strongly_intersect():
-    from richflow import strongly_intersecting
-
     for name in ("dt", "c4_doubled", "w5", "two_k4"):
         g = load(name)
         res = rich_mod_flow(g)
@@ -311,3 +312,73 @@ def test_synthesis_on_random_admissible_multigraphs():
         assert is_rich(g, cert.flow)
         assert cert.max_abs <= 264 * cert.delta - 446
     assert admissible == 60
+
+
+# ---------------------------------------------------------------------------
+# Certificates against perfbench/checker.py, which shares no code with richflow
+
+
+def _load_checker():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_checker", root / "perfbench" / "checker.py")
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    return checker
+
+
+CHECKER = _load_checker()
+
+
+def shuffled_admissible(draw, n: int, pairs) -> Multigraph:
+    """g on n vertices with the pairs in a drawn order and orientation;
+    draws above 14 edges or not admissible are rejected."""
+    pairs = draw(st.permutations(pairs))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Multigraph(n, [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)])
+    if g.edge_count > 14 or not is_rich_flow_admissible(g).admissible:
+        reject()
+    return g
+
+
+@st.composite
+def small_admissible_multigraphs(draw) -> Multigraph:
+    """Connected admissible multigraphs, parallel edges included, n <= 8, m <= 14."""
+    n = draw(st.integers(2, 8))
+    return shuffled_admissible(draw, n, draw_block(draw, n))
+
+
+@st.composite
+def blocks_joined_by_a_two_edge_cut(draw) -> Multigraph:
+    """Two blocks joined by two edges with no common end, n <= 8, m <= 14."""
+    n1 = draw(st.integers(2, 6))
+    n2 = draw(st.integers(2, 8 - n1))
+    pairs = draw_block(draw, n1) + [(n1 + u, n1 + v) for u, v in draw_block(draw, n2)]
+    a1, a2 = draw(st.permutations(range(n1)))[:2]
+    b1, b2 = (n1 + v for v in draw(st.permutations(range(n2)))[:2])
+    return shuffled_admissible(draw, n1 + n2, pairs + [(a1, b1), (a2, b2)])
+
+
+def checker_errors(g: Multigraph) -> list[str]:
+    cert = synthesize_rich_flow(g)
+    edges = [e.ends for e in g.edges]
+    return CHECKER.certificate_errors(g.vertex_count, edges, write_flow_json(cert.flow))
+
+
+CHECKER_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+@CHECKER_SETTINGS
+@given(small_admissible_multigraphs())
+def test_certificate_passes_independent_checker(g):
+    assert checker_errors(g) == []
+
+
+@CHECKER_SETTINGS
+@given(blocks_joined_by_a_two_edge_cut())
+def test_certificate_across_a_two_edge_cut_passes_independent_checker(g):
+    assert is_rich_flow_admissible(g).two_cuts  # so synthesis splits
+    assert checker_errors(g) == []

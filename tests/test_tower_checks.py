@@ -15,23 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from richflow import (
-    Circuit,
-    CircuitChain,
-    Flow,
-    GroupTag,
-    InternalDefectError,
-    Multigraph,
-    adjacent_pairs,
-    edge_connectivity_at_least,
-    is_rich_flow_admissible,
-    pair_relation,
-    zero_flow,
-)
-from richflow.multigraph import circuit_through_edge
+from richflow import Flow, GroupTag, InternalDefectError, Multigraph, is_rich_flow_admissible
 from richflow import synthesis
+from richflow.flowalg import adjacent_pairs, pair_relation
+from richflow.multigraph import Circuit, CircuitChain, circuit_through_edge, edge_connectivity_at_least
 
 import reference_tower
+from reference_flow import zero_flow
 from conftest import ADMISSIBLE_NAMES, load
 
 
