@@ -9,10 +9,11 @@ Supported value groups: Z_k for odd k >= 3, Z_2, Z_6, Z_k x Z_2, and bounded
 integers (values strictly inside (-bound, bound), which `rich_report` checks).
 
 `GroupTag` names the value group at the boundary: on a `Flow` and in
-certificate files. The loops that check and combine flows do not dispatch on
-it per value; they work on plain integers, reduced by one modulus per flow
-(none for integer flows). Z_k x Z_2 is cyclic of order 2k for odd k, so
-(a, b) is handled as the x in 0..2k-1 with x = a mod k and x = b mod 2.
+certificate files. The loops that check flows do not dispatch on it per
+value; they work on plain integers, reduced by one modulus per flow (none for
+integer flows). Z_k x Z_2 is cyclic of order 2k for odd k, so (a, b) is
+handled as the x in 0..2k-1 with x = a mod k and x = b mod 2. Only integer
+flows are combined, by `linear_combine`.
 """
 
 from __future__ import annotations
@@ -124,38 +125,21 @@ class Flow:
         object.__setattr__(self, "values", norm)
 
 
-def linear_combine(terms, bound: int | None = None) -> Flow:
-    """Edgewise sum of coefficient-scaled flows over one graph and group.
-
-    All flows must share the graph and the exact group tag. For integer flows
-    the result bound defaults to the smallest bound covering the values.
-    """
+def linear_combine(terms, bound: int) -> Flow:
+    """Edgewise sum of coefficient-scaled integer flows over one graph, as an
+    integer flow with the given bound."""
     terms = list(terms)
     if not terms:
         raise PreconditionError("need at least one term")
     g = terms[0][1].graph
-    tag = terms[0][1].group
     for _, f in terms:
         if f.graph != g:
             raise PreconditionError("flows over different graphs cannot be combined")
-        if tag.kind == "int":
-            if f.group.kind != "int":
-                raise PreconditionError("cannot mix integer and modular flows")
-        elif f.group != tag:
-            raise PreconditionError("flows over different groups cannot be combined")
-    coefs = [c for c, _ in terms]
-    columns = zip(*(cyclic_values(f.group, f.values)[0] for _, f in terms))
-    vals = [sum(c * x for c, x in zip(coefs, col)) for col in columns]
-    if tag.kind == "zkxz2":
-        vals = [(x, x) for x in vals]  # Flow reduces it to (x mod k, x mod 2)
-    if tag.kind == "int":
-        need = max((abs(v) for v in vals), default=0) + 1
-        out_tag = GroupTag.integers(bound if bound is not None else max(need, 2))
-    else:
-        if bound is not None:
-            raise PreconditionError("bound only applies to integer flows")
-        out_tag = tag
-    return Flow(g, out_tag, tuple(vals))
+        if f.group.kind != "int":
+            raise PreconditionError("only integer flows can be combined")
+    columns = zip(*(f.values for _, f in terms))
+    vals = tuple(sum(c * x for (c, _), x in zip(terms, col)) for col in columns)
+    return Flow(g, GroupTag.integers(bound), vals)
 
 
 def project_flow(f: Flow, coordinate: int) -> Flow:

@@ -8,6 +8,7 @@ shares no code path with the constructive synthesis it is used to check.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -24,8 +25,13 @@ class SearchBudget:
     time_limit: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.k_max < 2 or self.node_limit <= 0 or self.time_limit <= 0:
+        if self.k_max < 2 or self.node_limit <= 0:
             raise PreconditionError("budget fields must be positive (k_max >= 2)")
+        # A NaN or infinite limit would leave every search deadline unreachable.
+        if not (math.isfinite(self.time_limit) and self.time_limit > 0):
+            raise PreconditionError(
+                f"time limit must be finite and positive, got {self.time_limit!r}"
+            )
 
 
 @dataclass(frozen=True)

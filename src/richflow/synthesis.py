@@ -2,8 +2,10 @@
 
 The pipeline grows a tower of 2-edge-connected subgraphs above a base circuit
 or circuit chain, assigns (Z_k x Z_2) circuit values backwards through the
-tower while steering every adjacent pair away from forbidden confluency, and
-recurses over small 2-edge-cut sides when the graph is not 3-edge-connected.
+tower while steering every adjacent pair away from forbidden confluency. A
+graph that is not 3-edge-connected is handled by one loop: it peels a smallest
+2-edge-cut side off at a time, each read from the admissibility verdict of the
+graph that remains, and then glues the sides' flows back innermost first.
 A confluence-free Z_6 flow and modular-to-integer lifting then combine the
 pieces into a certified rich flow with all absolute values below 264*Delta-445.
 
@@ -21,21 +23,19 @@ from operator import ne
 
 from .errors import AdmissibilityError, InternalDefectError, PreconditionError
 
-# perfbench/trace.py wraps the names marked "traced" on this module, so each
-# stays importable here even where this module no longer calls it.
 from .flowalg import (
     AdjacentPair,
     Flow,
     GroupTag,
-    adjacent_pairs,  # noqa: F401  (traced)
+    adjacent_pairs,
     chain_edges,
     linear_combine,
-    modular_to_integer,  # noqa: F401  (traced)
+    modular_to_integer,
     pair_relation,
     project_flow,
-    rich_report,  # noqa: F401  (traced)
+    rich_report,
     strongly_intersecting,
-    verify_flow,  # noqa: F401  (traced)
+    verify_flow,
     RichnessChecks,
 )
 from .multigraph import (
@@ -46,11 +46,12 @@ from .multigraph import (
     circuit_through_edge,
     connected_components,
     edge_connectivity_at_least,
+    # Not called here: perfbench/trace.py wraps it on this module too.
     enumerate_two_edge_cuts,  # noqa: F401  (traced)
     find_attachable_block,
-    find_circuit_chain,  # noqa: F401  (traced)
+    find_circuit_chain,
     find_circuit_through,
-    is_rich_flow_admissible,  # noqa: F401  (traced)
+    is_rich_flow_admissible,
     subgraph,
     induced_subgraph,
     validate_circuit,
@@ -574,9 +575,9 @@ def building_phi(
     strongly intersect, and whose contrafluent pairs are chain-consecutive.
 
     The special edge ends up carrying `target` under `orientation` (reference
-    orientation by default). `delta` must be at least the maximum degree; the
-    2-cut recursion passes the top-level value down so all pieces share one
-    group.
+    orientation by default). `delta` must be at least the maximum degree;
+    `rich_mod_flow` passes the whole graph's value to every 2-cut side so
+    all pieces share one group.
 
     Each stage, the base step's included, is checked on what its step
     changed, and every condition then holds for every stage by induction
@@ -705,7 +706,7 @@ def building_phi(
 
 
 # ---------------------------------------------------------------------------
-# 2-edge-cut recursion
+# 2-edge-cut splitting
 
 
 @dataclass(frozen=True)
@@ -741,20 +742,17 @@ def _build_side(g: Multigraph, vertex_set, inner_edges, x: int, y: int) -> Subgr
     )
 
 
-def split_on_two_cut(g: Multigraph) -> TwoCutSplit | None:
-    """Split along the 2-edge-cut with the smallest far side, adding one
-    virtual edge per side; None when the graph is 3-edge-connected.
+def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
+    """Split an admissible g along the one of its 2-edge-cuts `two_cuts` (the
+    admissibility verdict's, not empty) with the smallest far side, adding one
+    virtual edge per side.
 
-    The smaller side plus its virtual edge is 3-edge-connected and the larger
-    side plus its virtual edge stays admissible; both facts are asserted.
+    The far side plus its virtual edge is 3-edge-connected, which is asserted
+    here; the near side plus its virtual edge stays admissible, which
+    `rich_mod_flow` asserts with the verdict it next splits by.
     """
-    verdict = is_rich_flow_admissible(g)
-    if not verdict.admissible:
-        raise AdmissibilityError(verdict)
-    if not verdict.two_cuts:
-        return None
     best = None
-    for ea, eb in verdict.two_cuts:
+    for ea, eb in two_cuts:
         comps = connected_components(g, without=frozenset((ea, eb)))
         if len(comps) != 2:
             raise InternalDefectError("a 2-edge-cut of a bridgeless graph split 3 ways")
@@ -784,8 +782,6 @@ def split_on_two_cut(g: Multigraph) -> TwoCutSplit | None:
     v2 = edge_b.other_end(u2)
     side1 = _build_side(g, near_set, near_inner, u1, u2)
     side2 = _build_side(g, far_set, far_inner, v1, v2)
-    if not is_rich_flow_admissible(side1.graph).admissible:
-        raise InternalDefectError("near side with virtual edge is not admissible")
     if not edge_connectivity_at_least(side2.graph, 3):
         raise InternalDefectError("minimal far side with virtual edge is not 3-edge-connected")
     return TwoCutSplit((ea, eb), u1, u2, v1, v2, side1, side2)
@@ -837,8 +833,9 @@ def _oriented_path(verts, eids, start, end):
     raise InternalDefectError("spliced path has unexpected endpoints")
 
 
-def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: BuildingPhiResult, k: int) -> RichModFlowResult:
-    tag = GroupTag.zkxz2(k)
+def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: BuildingPhiResult) -> RichModFlowResult:
+    tag = left.flow.group
+    k = tag.k
     s1, s2 = split.side1, split.side2
     vals: list = [None] * g.edge_count
     for new_id, orig in enumerate(s1.edges_orig):
@@ -907,10 +904,14 @@ def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: Bui
 def rich_mod_flow(g: Multigraph) -> RichModFlowResult:
     """The (Z_k x Z_2) stage flow of an admissible graph, k = 8*Delta - 13.
 
-    3-edge-connected graphs go straight to the backward tower assignment;
-    otherwise the graph splits along a smallest 2-edge-cut side, the near
-    side recurses, and the far side receives the virtual edge's value and
-    orientation. The glued flow is re-verified against all bullet properties.
+    The admissibility verdict is computed once per graph the loop meets.
+    While the current graph has 2-edge-cuts, it splits along the one with the
+    smallest far side and goes on with the near side, whose verdict both
+    asserts that it stays admissible and lists its cuts. The 3-edge-connected
+    core left gets the backward tower assignment; then, innermost split
+    first, each far side receives its virtual edge's value and orientation,
+    and its flow is glued to the flow so far. Every glued flow is re-verified
+    against all bullet properties.
     """
     verdict = is_rich_flow_admissible(g)
     if not verdict.admissible:
@@ -919,30 +920,29 @@ def rich_mod_flow(g: Multigraph) -> RichModFlowResult:
         # Vacuously admissible edgeless graph; every property holds trivially.
         return RichModFlowResult(Flow(g, GroupTag.zkxz2(11), ()), (), ())
     delta = g.max_degree()
-    return _rich_mod_flow(g, delta)
-
-
-def _rich_mod_flow(g: Multigraph, delta: int) -> RichModFlowResult:
-    k = 8 * delta - 13
-    split = split_on_two_cut(g)
-    if split is None:
-        bp = building_phi(g, 0, (1, 0), delta)
-        result = RichModFlowResult(bp.flow, bp.chains, (_tower_trace(bp),))
-    else:
-        left = _rich_mod_flow(split.side1.graph, delta)
-        t = left.flow.values[split.side1.added_edge]
+    splits: list[tuple[Multigraph, TwoCutSplit]] = []
+    core = g
+    while verdict.two_cuts:
+        split = split_on_two_cut(core, verdict.two_cuts)
+        splits.append((core, split))
+        core = split.side1.graph
+        verdict = is_rich_flow_admissible(core)
+        if not verdict.admissible:
+            raise InternalDefectError("near side with virtual edge is not admissible")
+    bp = building_phi(core, 0, (1, 0), delta)
+    result = RichModFlowResult(bp.flow, bp.chains, (_tower_trace(bp),))
+    verify_mod_flow_bullets(core, result.flow, result.chains)
+    for host, split in reversed(splits):
+        t = result.flow.values[split.side1.added_edge]
         if t == (0, 0):
             raise InternalDefectError("virtual edge carries zero in the near-side flow")
-        far_edge = split.side2.graph.edge(split.side2.added_edge)
+        far = split.side2
+        far_edge = far.graph.edge(far.added_edge)
         bp = building_phi(
-            split.side2.graph,
-            split.side2.added_edge,
-            t,
-            delta,
-            orientation=(far_edge.head, far_edge.tail),
+            far.graph, far.added_edge, t, delta, orientation=(far_edge.head, far_edge.tail)
         )
-        result = _glue(g, split, left, bp, k)
-    verify_mod_flow_bullets(g, result.flow, result.chains)
+        result = _glue(host, split, result, bp)
+        verify_mod_flow_bullets(host, result.flow, result.chains)
     return result
 
 
@@ -971,9 +971,7 @@ def synthesize_rich_flow(g: Multigraph) -> RichFlowCertificate:
     one integer flow; richness, conservation, the nowhere-zero property and
     the value bound are all checked before the certificate is issued.
     """
-    verdict = is_rich_flow_admissible(g)
-    if not verdict.admissible:
-        raise AdmissibilityError(verdict)
+    mod = rich_mod_flow(g)  # raises AdmissibilityError for an inadmissible g
     if g.edge_count == 0:
         empty = Flow(g, GroupTag.integers(2), ())
         checks = rich_report(g, empty)
@@ -981,7 +979,6 @@ def synthesize_rich_flow(g: Multigraph) -> RichFlowCertificate:
     delta = g.max_degree()
     k = 8 * delta - 13
     bound = 264 * delta - 445
-    mod = rich_mod_flow(g)
     pairs = adjacent_pairs(g)
     # `rich_mod_flow` has verified these against strong intersection.
     confluent = [p for p in pairs if pair_relation(mod.flow, p).confluent]

@@ -138,10 +138,10 @@ def test_criterion_05_mod_flow_suite():
         result = rich_mod_flow(g)
         verify_mod_flow_bullets(g, result.flow, result.chains)
         count += 1
-    # The chained composite exercises the 2-cut recursion at depth >= 2.
+    # The chained composite exercises the 2-cut split at depth >= 2.
     g = load("three_k4")
-    first = split_on_two_cut(g)
-    assert first is not None and split_on_two_cut(first.side1.graph) is not None
+    first = split_on_two_cut(g, is_rich_flow_admissible(g).two_cuts)
+    assert is_rich_flow_admissible(first.side1.graph).two_cuts
     print(f"ACCEPTANCE 5 PASS: stage flows on {count} graphs incl. depth-2 recursion")
 
 

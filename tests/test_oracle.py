@@ -104,6 +104,13 @@ def test_brute_force_deadline_raises(monkeypatch):
         brute_force_flow(g, GroupTag.zk(3), budget=SearchBudget(time_limit=1.0))
 
 
+@pytest.mark.parametrize("limit", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_search_budget_requires_a_finite_positive_time_limit(limit):
+    # A NaN or infinite limit would give a deadline that never fires.
+    with pytest.raises(PreconditionError, match="must be finite and positive"):
+        SearchBudget(time_limit=limit)
+
+
 def test_chromatic_index_values():
     assert chromatic_index(load("t3")).value == 3
     assert chromatic_index(load("dt")).value == 6

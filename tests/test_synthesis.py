@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from richflow.flowalg import (
     verify_flow,
     write_flow_json,
 )
+from richflow import multigraph, synthesis
 from richflow.multigraph import edge_connectivity_at_least, subgraph, validate_circuit_chain
 from richflow.synthesis import AddChord, build_tower, split_on_two_cut, verify_mod_flow_bullets
 
@@ -151,8 +154,7 @@ def test_building_phi_forbidden_sets_respect_caps():
 
 def test_split_two_k4():
     g = load("two_k4")
-    split = split_on_two_cut(g)
-    assert split is not None
+    split = split_on_two_cut(g, is_rich_flow_admissible(g).two_cuts)
     assert split.cut == (12, 13)
     for side in (split.side1, split.side2):
         assert side.graph.vertex_count == 4
@@ -161,21 +163,14 @@ def test_split_two_k4():
     assert edge_connectivity_at_least(split.side2.graph, 3)
 
 
-def test_split_none_for_three_connected(k4):
-    assert split_on_two_cut(k4) is None
-
-
-def test_split_rejects_inadmissible():
-    with pytest.raises(AdmissibilityError):
-        split_on_two_cut(load("c4"))
-
-
 def test_split_recursion_depth_two():
     g = load("three_k4")
-    first = split_on_two_cut(g)
-    assert first is not None
-    second = split_on_two_cut(first.side1.graph)
-    assert second is not None  # the near side still has a 2-edge-cut
+    first = split_on_two_cut(g, is_rich_flow_admissible(g).two_cuts)
+    near = first.side1.graph
+    cuts = is_rich_flow_admissible(near).two_cuts
+    assert cuts  # the near side still has a 2-edge-cut
+    second = split_on_two_cut(near, cuts)
+    assert edge_connectivity_at_least(second.side2.graph, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +187,27 @@ def test_rich_mod_flow_glued_two_k4():
     res = rich_mod_flow(g)
     verify_mod_flow_bullets(g, res.flow, res.chains)
     # Cut edges carry one value along the directed crossing path.
-    split = split_on_two_cut(g)
+    split = split_on_two_cut(g, is_rich_flow_admissible(g).two_cuts)
     ea, eb = split.cut
     tag = res.flow.group
     va = res.flow.values[ea] if g.edge(ea).ends == (split.u1, split.v1) else reference_flow.neg(tag, res.flow.values[ea])
     vb = res.flow.values[eb] if g.edge(eb).ends == (split.v2, split.u2) else reference_flow.neg(tag, res.flow.values[eb])
     assert va == vb != (0, 0)
+
+
+def test_rich_mod_flow_does_not_split_three_connected(monkeypatch, k4):
+    def no_split(*args):
+        raise AssertionError("a 3-edge-connected graph was split")
+
+    monkeypatch.setattr(synthesis, "split_on_two_cut", no_split)
+    res = rich_mod_flow(k4)
+    verify_mod_flow_bullets(k4, res.flow, res.chains)
+
+
+def test_rich_mod_flow_rejects_inadmissible():
+    with pytest.raises(AdmissibilityError) as err:
+        rich_mod_flow(load("c4"))
+    assert err.value.verdict.cut_pair == (0, 1)
 
 
 def test_rich_mod_flow_direct_on_doubled_triangle():
@@ -245,6 +255,51 @@ def test_certificate_bytes_match_golden_file(name):
     # and must rewrite tests/golden/<name>.flow.json with it.
     golden = Path(__file__).resolve().parent / "golden" / f"{name}.flow.json"
     assert write_flow_json(synthesize_rich_flow(load(name)).flow) == golden.read_text()
+
+
+def k4_copies(count: int) -> list[tuple[int, int]]:
+    """The edges of `count` disjoint K4s, copy i on vertices 4i..4i+3."""
+    return [(4 * i + u, 4 * i + v) for i in range(count) for u, v in combinations(range(4), 2)]
+
+
+def k4_ring(count: int) -> Multigraph:
+    """K4 copies in a ring, copy i joined to the next by one edge 4i -> 4(i+1)+1:
+    every two ring edges form a 2-edge-cut, so synthesis splits count - 1 times."""
+    ring = [(4 * i, 4 * ((i + 1) % count) + 1) for i in range(count)]
+    return Multigraph(4 * count, k4_copies(count) + ring)
+
+
+def k4_chain(count: int) -> Multigraph:
+    """K4 copies in a path, consecutive copies joined by the two disjoint edges
+    4i+2 -> 4i+4 and 4i+3 -> 4i+5: synthesis splits count - 1 times."""
+    links = [(4 * i + 2 + j, 4 * i + 4 + j) for i in range(count - 1) for j in (0, 1)]
+    return Multigraph(4 * count, k4_copies(count) + links)
+
+
+# name -> graph whose synthesis splits more often than any corpus graph's.
+DEEP_SPLITS = {"k4_ring5": lambda: k4_ring(5), "k4_chain4": lambda: k4_chain(4)}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SPLITS))
+def test_deep_split_certificate_and_traces_match_golden_files(name):
+    # Pins the split order, the glue and the trace order over 3 and 4 splits.
+    golden = Path(__file__).resolve().parent / "golden"
+    cert = synthesize_rich_flow(DEEP_SPLITS[name]())
+    assert write_flow_json(cert.flow) == (golden / f"{name}.flow.json").read_text()
+    traces = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in cert.traces)
+    assert traces == (golden / f"{name}.traces.jsonl").read_text()
+
+
+@pytest.mark.parametrize("name, most", [("k4", 3), ("petersen", 3), ("two_k4", 6), ("three_k4", 9)])
+def test_synthesis_enumerates_two_edge_cuts_at_most(monkeypatch, name, most):
+    # One verdict per graph the split loop meets and one per far side's
+    # 3-edge-connectivity assert, plus the guards of build_tower (one per
+    # tower) and build_pair_splitting (one).
+    calls = []
+    real = multigraph.enumerate_two_edge_cuts
+    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
+    synthesize_rich_flow(load(name))
+    assert len(calls) <= most
 
 
 def test_synthesize_rejects_inadmissible():
