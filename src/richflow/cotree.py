@@ -30,7 +30,7 @@ def fundamental_circuit_signs(
     e = g.edge(co_edge)
     verts, eids = _bfs_path(g, e.head, e.tail, tree)
     return [
-        (t, 1 if g.edge(t).ends == (a, b) else -1) for a, b, t in zip(verts, verts[1:], eids)
+        (t, 1 if g.edges[t].ends == (a, b) else -1) for a, b, t in zip(verts, verts[1:], eids)
     ]
 
 

@@ -7,18 +7,18 @@ edges are allowed and distinguished by edge id; loops are rejected everywhere.
 This module also provides connectivity and cut analysis, the
 rich-flow-admissibility verdict, circuits, circuit chains, and the block
 machinery used by the synthesis tower. Each cut question has one owner:
-- one BFS spanning forest, `spanning_forest`, answers `is_connected` and
-  serves both the tree prune below and the co-tree basis of `cotree`;
-- one lowpoint DFS, `_biconnected_edge_groups`, finds blocks; bridges are
-  its single-edge blocks, and circuit chains walk its blocks;
+- one lowpoint DFS, `_biconnected_edge_groups`, finds blocks and a spanning
+  tree; `_dfs_facts` reads connectivity, the bridges (single-edge blocks) and
+  the tree off one call, and circuit chains walk its blocks;
+- one BFS spanning forest, `spanning_forest`, is the co-tree basis of `cotree`;
 - `is_rich_flow_admissible` is the one caller of `enumerate_two_edge_cuts`,
   and its verdict carries the 2-edge-cuts that `edge_connectivity_at_least`
   (t = 3) and the synthesis split read.
 
-`enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by that
-BFS spanning tree T without changing its output: a pair of two non-tree edges
-leaves T whole, so it is no cut and is never tested; and a pass that has
-made n - 1 merges has spanned the rest of the graph, so it stops there.
+`enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by the DFS
+tree T of `_dfs_facts` (any spanning tree gives the same list): a pair of two
+non-tree edges leaves T whole, so it is no cut and is never tested; and a pass
+that has made n - 1 merges has spanned the rest of the graph, so it stops there.
 """
 
 from __future__ import annotations
@@ -59,16 +59,15 @@ class Multigraph:
         if vertex_count < 0:
             raise GraphInputError("vertex count must be nonnegative")
         edges = []
+        incidence: list[list[int]] = [[] for _ in range(vertex_count)]
         for i, (u, v) in enumerate(edge_pairs):
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphInputError(f"edge {i}: vertex id out of range: {u} {v}")
             if u == v:
                 raise GraphInputError(f"edge {i}: loops are not allowed ({u} = {v})")
             edges.append(Edge(i, u, v))
-        incidence: list[list[int]] = [[] for _ in range(vertex_count)]
-        for e in edges:
-            incidence[e.tail].append(e.id)
-            incidence[e.head].append(e.id)
+            incidence[u].append(i)
+            incidence[v].append(i)
         self._n = vertex_count
         self._edges = tuple(edges)
         self._incidence = tuple(tuple(ids) for ids in incidence)
@@ -192,7 +191,7 @@ def connected_components(g: Multigraph, *, without: frozenset[int] = frozenset()
             for eid in g.incident(v):
                 if eid in without:
                     continue
-                w = g.edge(eid).other_end(v)
+                w = g.edges[eid].other_end(v)
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -226,21 +225,17 @@ def spanning_forest(g: Multigraph) -> tuple[frozenset[int], list[int]]:
     return frozenset(tree), co
 
 
-def is_connected(g: Multigraph) -> bool:
-    return len(spanning_forest(g)[0]) >= g.vertex_count - 1
-
-
-def _biconnected_edge_groups(g: Multigraph, edge_ids=None) -> list[frozenset[int]]:
+def _biconnected_edge_groups(g: Multigraph, edge_ids=None, tree=None) -> list[frozenset[int]]:
     """Blocks (biconnected components) of the subgraph spanned by edge_ids,
-    or of all of g when edge_ids is None."""
+    or of all of g when edge_ids is None; tree, if a list, gets the tree edges."""
     n = g.vertex_count
     edges = g.edges
     if edge_ids is None:
-        adj = [g.incident(v) for v in range(n)]
+        adj = g._incidence
     else:
         adj = [[] for _ in range(n)]
         for eid in sorted(set(edge_ids)):
-            e = g.edge(eid)
+            e = edges[eid]
             adj[e.tail].append(eid)
             adj[e.head].append(eid)
     disc = [-1] * n
@@ -259,10 +254,8 @@ def _biconnected_edge_groups(g: Multigraph, edge_ids=None) -> list[frozenset[int
         while stack:
             v, parent_edge, idx = stack.pop()
             inc = adj[v]
-            advanced = False
-            while idx < len(inc):
-                eid = inc[idx]
-                idx += 1
+            for i in range(idx, len(inc)):
+                eid = inc[i]
                 if eid == parent_edge:
                     continue
                 e = edges[eid]
@@ -271,17 +264,22 @@ def _biconnected_edge_groups(g: Multigraph, edge_ids=None) -> list[frozenset[int
                     disc[w] = low[w] = timer
                     timer += 1
                     stack_edges.append(eid)
-                    stack.append((v, parent_edge, idx))
+                    if tree is not None:
+                        tree.append(eid)
+                    stack.append((v, parent_edge, i + 1))
                     stack.append((w, eid, 0))
-                    advanced = True
                     break
                 if disc[w] < disc[v]:
                     stack_edges.append(eid)
-                    low[v] = min(low[v], disc[w])
-            if not advanced and stack:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                if not stack:
+                    continue
                 # v finished; its parent frame is on top. Close the block below it.
                 pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
                 if low[v] >= disc[pv]:
                     group = []
                     while True:
@@ -293,11 +291,19 @@ def _biconnected_edge_groups(g: Multigraph, edge_ids=None) -> list[frozenset[int
     return groups
 
 
+def _dfs_facts(g: Multigraph) -> tuple[bool, frozenset[int], frozenset[int]]:
+    """(connected, bridges, DFS spanning forest) of g; the forest has n - c
+    edges for c components, and the bridges are the single-edge blocks."""
+    tree: list[int] = []
+    groups = _biconnected_edge_groups(g, tree=tree)
+    bridge_set = frozenset(eid for grp in groups if len(grp) == 1 for eid in grp)
+    return len(tree) >= g.vertex_count - 1, bridge_set, frozenset(tree)
+
+
 def bridges(g: Multigraph) -> frozenset[int]:
     """Edge ids whose removal increases the number of components: the
     single-edge blocks of g (a parallel edge shares its block with its twin)."""
-    groups = _biconnected_edge_groups(g)
-    return frozenset(eid for grp in groups if len(grp) == 1 for eid in grp)
+    return _dfs_facts(g)[1]
 
 
 class _UnionFind:
@@ -325,20 +331,19 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
     """All unordered pairs {e, f} of non-bridge edges whose joint removal disconnects g.
 
     Each pair is (e, f) with e < f, listed in ascending order. A union-find
-    pass over g - {e, f} tests each pair, with two exact prunes from a BFS
-    spanning tree T of g:
+    pass over g - {e, f} tests each pair, with two exact prunes from the DFS
+    spanning tree T of g (any spanning tree gives the same list):
     - a pair with both edges outside T is skipped: g - {e, f} still contains
       T, so it is connected;
     - a pass stops at n - 1 merges: the merged edges then span g - {e, f},
       so it is connected.
-    Input must be connected; T's size checks that.
+    Input must be connected.
     """
-    tree, _ = spanning_forest(g)
-    n = g.vertex_count
-    if len(tree) < n - 1:
+    connected, bridge_set, tree = _dfs_facts(g)
+    if not connected:
         raise PreconditionError("two-edge-cut enumeration requires a connected graph")
+    n = g.vertex_count
     m = g.edge_count
-    bridge_set = bridges(g)
     cuts: list[tuple[int, int]] = []
     for i in range(m):
         if i in bridge_set:
@@ -371,7 +376,8 @@ def edge_connectivity_at_least(g: Multigraph, t: int) -> bool:
     if t == 3:
         verdict = is_rich_flow_admissible(g)
         return verdict.admissible and not verdict.two_cuts
-    return is_connected(g) and (t == 1 or not bridges(g))
+    connected, bridge_set, _ = _dfs_facts(g)
+    return connected and (t == 1 or not bridge_set)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +418,9 @@ def is_rich_flow_admissible(g: Multigraph) -> AdmissibilityVerdict:
     This is the one place that enumerates 2-edge-cuts; callers read them from
     the verdict.
     """
-    if not is_connected(g):
+    connected, br, _ = _dfs_facts(g)
+    if not connected:
         return AdmissibilityVerdict(False, kind="disconnected")
-    br = bridges(g)
     if br:
         return AdmissibilityVerdict(False, kind="bridge", bridge=min(br))
     cuts = tuple(enumerate_two_edge_cuts(g))
@@ -463,10 +469,10 @@ class Circuit:
         eid = self.edges[position]
         a = self.vertices[position]
         b = self.vertices[(position + 1) % len(self.vertices)]
-        edge = g.edge(eid)
-        if edge.ends == (a, b):
+        edge = g.edges[eid]
+        if edge.tail == a and edge.head == b:
             return 1
-        if edge.ends == (b, a):
+        if edge.tail == b and edge.head == a:
             return -1
         raise ValueError(f"edge {eid} does not join {a} and {b}")
 
@@ -482,7 +488,8 @@ def validate_circuit(g: Multigraph, c: Circuit) -> bool:
         if not (0 <= eid < g.edge_count):
             return False
         a, b = c.vertices[i], c.vertices[(i + 1) % k]
-        if set(g.edge(eid).ends) != {a, b}:
+        e = g.edges[eid]
+        if not ((e.tail == a and e.head == b) or (e.tail == b and e.head == a)):
             return False
     return True
 
@@ -531,6 +538,7 @@ def _bfs_path(
     """
     if src == dst:
         return ([src], [])
+    edges = g.edges
     parent: dict[int, tuple[int, int]] = {}
     seen = {src}
     queue = deque([src])
@@ -539,7 +547,8 @@ def _bfs_path(
         for eid in g.incident(v):
             if eid not in allowed:
                 continue
-            w = g.edge(eid).other_end(v)
+            e = edges[eid]
+            w = e.head if e.tail == v else e.tail
             if w in seen:
                 continue
             seen.add(w)
@@ -717,7 +726,7 @@ def _min_two_flow(g: Multigraph, s: int, t: int) -> dict[int, int] | None:
                 usage.pop(eid, None)
             else:
                 usage[eid] = new
-            edge = g.edge(eid)
+            edge = g.edges[eid]
             v = edge.tail if d == 1 else edge.head
             steps += 1
             if steps > g.edge_count + 1:
@@ -736,7 +745,7 @@ def _chain_via_block_path(g: Multigraph, union_edges, u: int, v: int) -> Circuit
     not a circuit; the caller validates the chain.
     """
     groups = _biconnected_edge_groups(g, union_edges)
-    vertex_sets = [frozenset(w for eid in grp for w in g.edge(eid).ends) for grp in groups]
+    vertex_sets = [frozenset(w for eid in grp for w in g.edges[eid].ends) for grp in groups]
     blocks_at: dict[int, list[int]] = {}
     for i, vs in enumerate(vertex_sets):
         for w in vs:
@@ -817,7 +826,7 @@ def find_attachable_block(
     if not outside:
         raise PreconditionError("already spanning: no vertices outside the current subgraph")
     for v in outside:
-        to_inside = sum(1 for eid in g.incident(v) if g.edge(eid).other_end(v) in inside)
+        to_inside = sum(1 for eid in g.incident(v) if g.edges[eid].other_end(v) in inside)
         if to_inside >= 2:
             raise PreconditionError(
                 f"vertex-attachment step applies: vertex {v} has {to_inside} edges inside"

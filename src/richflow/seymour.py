@@ -21,12 +21,7 @@ from .flowalg import (
     strongly_intersecting,
     verify_flow,
 )
-from .multigraph import (
-    Multigraph,
-    bridges,
-    is_connected,
-    is_rich_flow_admissible,
-)
+from .multigraph import Multigraph, _dfs_facts, is_rich_flow_admissible
 
 
 @dataclass(frozen=True)
@@ -41,9 +36,10 @@ class PairSet:
 
 def validate_pair_set(g: Multigraph, pair_set: PairSet) -> None:
     """Enforce the splitting preconditions; raises PreconditionError."""
+    ps = pair_set.pairs
     seen: set[frozenset[int]] = set()
-    edge_count: dict[int, int] = {}
-    for p in pair_set.pairs:
+    holders: dict[int, list[int]] = {}  # edge -> indices of the pairs holding it
+    for j, p in enumerate(ps):
         if p.e == p.f:
             raise PreconditionError("pair with a repeated edge")
         if p.shared_vertex not in g.shared_vertices(p.e, p.f):
@@ -52,15 +48,16 @@ def validate_pair_set(g: Multigraph, pair_set: PairSet) -> None:
             raise PreconditionError(f"duplicate pair ({p.e},{p.f})")
         seen.add(p.edge_pair)
         for eid in (p.e, p.f):
-            edge_count[eid] = edge_count.get(eid, 0) + 1
-            if edge_count[eid] >= 3:
+            holders.setdefault(eid, []).append(j)
+            if len(holders[eid]) >= 3:
                 raise PreconditionError(f"edge {eid} appears in three or more pairs")
-    ps = pair_set.pairs
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            if strongly_intersecting(g, ps[i], ps[j]):
+    # Strongly intersecting pairs share an edge, so each pair meets only the
+    # other holders of its edges, in the order of a scan over all pairs (i, j).
+    for i, p in enumerate(ps):
+        for j in sorted(j for eid in (p.e, p.f) for j in holders[eid] if j > i):
+            if strongly_intersecting(g, p, ps[j]):
                 raise PreconditionError(
-                    f"pairs ({ps[i].e},{ps[i].f}) and ({ps[j].e},{ps[j].f}) strongly intersect"
+                    f"pairs ({p.e},{p.f}) and ({ps[j].e},{ps[j].f}) strongly intersect"
                 )
 
 
@@ -108,22 +105,23 @@ def build_pair_splitting(g: Multigraph, pair_set: PairSet) -> SplitMap:
     # Contraction check: mapping every b(p) back to a(p) must restore the host.
     back = {b_of[i]: pairs[i].shared_vertex for i in range(len(pairs))}
     for e in g.edges:
-        he = h.edge(e.id)
+        he = h.edges[e.id]
         restored = (back.get(he.tail, he.tail), back.get(he.head, he.head))
         if restored != e.ends:
             raise InternalDefectError(f"contraction does not restore edge {e.id}")
-    if bridges(h):
+    connected, h_bridges, _ = _dfs_facts(h)
+    if h_bridges:
         raise InternalDefectError("split graph has a bridge despite an admissible host")
-    if not is_connected(h):
+    if not connected:
         raise InternalDefectError("split graph is disconnected")
     return SplitMap(h, tuple(b_of[i] for i in range(len(pairs))), tuple(range(g.edge_count, h.edge_count)))
 
 
 def nowhere_zero_z6(g: Multigraph) -> Flow:
     """A conserved, nowhere-zero Z_6 flow of a connected bridgeless graph."""
-    if not is_connected(g):
+    connected, br, _ = _dfs_facts(g)
+    if not connected:
         raise PreconditionError("nowhere-zero flow search requires a connected graph")
-    br = bridges(g)
     if br:
         raise PreconditionError(f"graph has a bridge (edge {min(br)}); no nowhere-zero flow exists")
     flow = cotree_flow_search(g, GroupTag.z6())

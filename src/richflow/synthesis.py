@@ -17,7 +17,7 @@ steps; every glued stage flow and the final flow get the full checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import ne
 
@@ -27,11 +27,10 @@ from .flowalg import (
     AdjacentPair,
     Flow,
     GroupTag,
-    adjacent_pairs,
+    adjacent_pairs,  # noqa: F401  (traced: perfbench/trace.py wraps it here too)
     chain_edges,
     linear_combine,
     modular_to_integer,
-    pair_relation,
     project_flow,
     rich_report,
     strongly_intersecting,
@@ -101,7 +100,7 @@ class Tower:
 def _vertices_of_edges(g: Multigraph, edge_ids) -> frozenset[int]:
     out: set[int] = set()
     for eid in edge_ids:
-        out |= set(g.edge(eid).ends)
+        out |= set(g.edges[eid].ends)
     return frozenset(out)
 
 
@@ -133,12 +132,12 @@ def _is_ear(g: Multigraph, h_vertices, h_edges, step) -> bool:
     a path of H.
     """
     if isinstance(step, AddChord):
-        edge = g.edge(step.edge)
+        edge = g.edges[step.edge]
         return step.edge not in h_edges and edge.tail in h_vertices and edge.head in h_vertices
     if isinstance(step, AddVertex):
         v = step.vertex
         return v not in h_vertices and step.e1 != step.e2 and all(
-            g.edge(e).touches(v) and g.edge(e).other_end(v) in h_vertices
+            g.edges[e].touches(v) and g.edges[e].other_end(v) in h_vertices
             for e in (step.e1, step.e2)
         )
     on_chain = step.chain.vertex_set
@@ -147,7 +146,7 @@ def _is_ear(g: Multigraph, h_vertices, h_edges, step) -> bool:
         and on_chain.isdisjoint(h_vertices)
         and step.e1 != step.e2
         and all(
-            a in h_vertices and b in on_chain and set(g.edge(e).ends) == {a, b}
+            a in h_vertices and b in on_chain and set(g.edges[e].ends) == {a, b}
             for e, a, b in ((step.e1, step.a1, step.b1), (step.e2, step.a2, step.b2))
         )
     )
@@ -206,7 +205,7 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
                 if v in h_vertices:
                     continue
                 into = [
-                    eid for eid in g.incident(v) if g.edge(eid).other_end(v) in h_vertices
+                    eid for eid in g.incident(v) if g.edges[eid].other_end(v) in h_vertices
                 ]
                 if len(into) >= 2:
                     step = AddVertex(v, into[0], into[1])
@@ -238,9 +237,11 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
 # Flow conditions: the full check, and the backward pass's check per step
 
 
-def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> None:
+def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> tuple[AdjacentPair, ...]:
     """Nowhere-zero, chains consistent and disjoint, confluency discipline,
-    each checked over the whole graph."""
+    each checked over the whole graph, the pairs by `_related_pairs` over every
+    edge. Returns the confluent pairs in `adjacent_pairs` order, anchored at
+    their lowest shared vertex."""
     rep = verify_flow(g, flow)
     if not rep.conserved:
         raise InternalDefectError(f"[bullets] flow not conserved at {rep.violating_vertices}")
@@ -265,16 +266,17 @@ def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> None:
             f"[bullets] chain edges {sorted(ce)} do not match recorded chains {sorted(union)}"
         )
     confluent = []
-    for p in adjacent_pairs(g):
-        rel = pair_relation(flow, p)
-        if rel.confluent:
+    every_edge = frozenset(range(g.edge_count))
+    for p, is_confluent, contrafluent in _related_pairs(g, flow.values, flow.group.k, every_edge, ()):
+        if is_confluent:
             confluent.append(p)
-        if rel.contrafluent:
+        if contrafluent:
             le, lf = location.get(p.e), location.get(p.f)
             if le is None or le != lf:
                 raise InternalDefectError(
                     f"[bullets] contrafluent pair ({p.e},{p.f}) is not chain-consecutive"
                 )
+    confluent.sort(key=lambda p: (p.e, p.f))
     # Strongly intersecting pairs share an edge, so only those are tested.
     by_edge: dict[int, list[AdjacentPair]] = {}
     for p in confluent:
@@ -285,6 +287,7 @@ def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> None:
                 )
         for x in (p.e, p.f):
             by_edge.setdefault(x, []).append(p)
+    return tuple(confluent)
 
 
 def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
@@ -294,26 +297,25 @@ def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
 
     At a shared vertex w, with both edges oriented into w, a pair of equal
     parity is confluent when the values cancel and contrafluent when they
-    agree (see `pair_relation`); so per vertex the edges are indexed by
-    parity and value into w, and each edge of `edges` looks up its partners.
+    agree (see `pair_relation`); so per vertex, lowest first, each edge of
+    `edges` is compared with the others by parity and value into w.
     """
     seen: set[tuple[int, int]] = set()
-    for w in sorted({v for e in edges for v in g.edge(e).ends}):
-        into: dict[int, tuple[int, int]] = {}
-        by_key: dict[tuple[int, int], list[int]] = {}
+    g_edges = g.edges
+    for w in sorted({v for e in edges for v in g_edges[e].ends}):
+        into = []
         for f in g.incident(w):
             if f not in h_edges:
                 a, y = values[f]
-                into[f] = key = (y, a if g.edge(f).head == w else (-a) % k)
-                by_key.setdefault(key, []).append(f)
-        for e in into.keys() & edges:
-            y, x = into[e]
-            for f in {*by_key.get((y, x), ()), *by_key.get((y, (-x) % k), ())}:
-                pair = (min(e, f), max(e, f))
-                if f != e and pair not in seen:
-                    seen.add(pair)
-                    xf = into[f][1]
-                    yield AdjacentPair(*pair, w), (x + xf) % k == 0, x == xf
+                into.append((f, y, a if g_edges[f].head == w else (-a) % k))
+        for e, y, x in into:
+            if e in edges:
+                for f, yf, xf in into:
+                    if yf == y and f != e and ((x + xf) % k == 0 or x == xf):
+                        pair = (e, f) if e < f else (f, e)
+                        if pair not in seen:
+                            seen.add(pair)
+                            yield AdjacentPair(*pair, w), (x + xf) % k == 0, x == xf
 
 
 class _StageChecks:
@@ -362,7 +364,7 @@ class _StageChecks:
             if e not in h_next:
                 raise InternalDefectError(f"[{stage}] frozen edge {e} changed value")
             (a, y), (a0, y0) = values[e], self.values[e]
-            edge = g.edge(e)
+            edge = g.edges[e]
             for v, da in ((edge.tail, a - a0), (edge.head, a0 - a)):
                 na, ny = net.get(v, (0, 0))
                 net[v] = (na + da, ny + y - y0)
@@ -456,7 +458,7 @@ def _smallest_allowed(forbidden, k: int) -> int:
 
 def _adjacent_outside(g: Multigraph, e: int, inside_edges) -> list[int]:
     out: set[int] = set()
-    for v in g.edge(e).ends:
+    for v in g.edges[e].ends:
         for f in g.incident(v):
             if f != e and f not in inside_edges:
                 out.add(f)
@@ -465,13 +467,14 @@ def _adjacent_outside(g: Multigraph, e: int, inside_edges) -> list[int]:
 
 def _pair_forbidden(g, vals, k, e_mov, s_mov, f_static, forbidden) -> None:
     """Values of c making the moving/static pair confluent or contrafluent."""
-    w = min(g.shared_vertices(e_mov, f_static))
     x, ye = vals[e_mov]
     xf, yf = vals[f_static]
     if ye != yf:
         return
-    se = 1 if g.edge(e_mov).head == w else -1
-    sf = 1 if g.edge(f_static).head == w else -1
+    em, ef = g.edges[e_mov], g.edges[f_static]
+    w = em.tail if ef.touches(em.tail) else em.head  # a shared vertex; se * sf is the same at either
+    se = 1 if em.head == w else -1
+    sf = 1 if ef.head == w else -1
     forbidden.add((s_mov * (-se * sf * xf - x)) % k)  # confluent
     forbidden.add((s_mov * (se * sf * xf - x)) % k)  # contrafluent
 
@@ -611,7 +614,7 @@ def building_phi(
         block_chain = step.chain if isinstance(step, AddBlockChain) else None
         if isinstance(step, AddChord):
             e = step.edge
-            edge = g.edge(e)
+            edge = g.edges[e]
             if e == e_star:
                 if any(v != (0, 0) for v in vals):
                     raise InternalDefectError("special chord is not the outermost stage")
@@ -641,8 +644,8 @@ def building_phi(
         else:
             if isinstance(step, AddVertex):
                 e1, e2 = step.e1, step.e2
-                a1 = g.edge(e1).other_end(step.vertex)
-                a2 = g.edge(e2).other_end(step.vertex)
+                a1 = g.edges[e1].other_end(step.vertex)
+                a2 = g.edges[e2].other_end(step.vertex)
                 inner_v, inner_e = [step.vertex], []
                 label = f"vertex:{step.vertex}"
             else:
@@ -792,6 +795,7 @@ class RichModFlowResult:
     flow: Flow
     chains: tuple[CircuitChain, ...]
     traces: tuple[dict, ...]
+    confluent: tuple[AdjacentPair, ...] = ()  # set by `rich_mod_flow`
 
 
 def _tower_trace(bp: BuildingPhiResult) -> dict:
@@ -911,7 +915,8 @@ def rich_mod_flow(g: Multigraph) -> RichModFlowResult:
     core left gets the backward tower assignment; then, innermost split
     first, each far side receives its virtual edge's value and orientation,
     and its flow is glued to the flow so far. Every glued flow is re-verified
-    against all bullet properties.
+    against all bullet properties; the result carries the confluent pairs
+    that the last check found.
     """
     verdict = is_rich_flow_admissible(g)
     if not verdict.admissible:
@@ -931,7 +936,7 @@ def rich_mod_flow(g: Multigraph) -> RichModFlowResult:
             raise InternalDefectError("near side with virtual edge is not admissible")
     bp = building_phi(core, 0, (1, 0), delta)
     result = RichModFlowResult(bp.flow, bp.chains, (_tower_trace(bp),))
-    verify_mod_flow_bullets(core, result.flow, result.chains)
+    confluent = verify_mod_flow_bullets(core, result.flow, result.chains)
     for host, split in reversed(splits):
         t = result.flow.values[split.side1.added_edge]
         if t == (0, 0):
@@ -942,8 +947,8 @@ def rich_mod_flow(g: Multigraph) -> RichModFlowResult:
             far.graph, far.added_edge, t, delta, orientation=(far_edge.head, far_edge.tail)
         )
         result = _glue(host, split, result, bp)
-        verify_mod_flow_bullets(host, result.flow, result.chains)
-    return result
+        confluent = verify_mod_flow_bullets(host, result.flow, result.chains)
+    return replace(result, confluent=confluent)
 
 
 # ---------------------------------------------------------------------------
@@ -979,10 +984,8 @@ def synthesize_rich_flow(g: Multigraph) -> RichFlowCertificate:
     delta = g.max_degree()
     k = 8 * delta - 13
     bound = 264 * delta - 445
-    pairs = adjacent_pairs(g)
     # `rich_mod_flow` has verified these against strong intersection.
-    confluent = [p for p in pairs if pair_relation(mod.flow, p).confluent]
-    phi3_mod = flow_avoiding_confluence(g, PairSet(tuple(confluent)))
+    phi3_mod = flow_avoiding_confluence(g, PairSet(mod.confluent))
     phi1 = modular_to_integer(g, project_flow(mod.flow, 0))
     phi2 = modular_to_integer(g, project_flow(mod.flow, 1))
     phi3 = modular_to_integer(g, phi3_mod)

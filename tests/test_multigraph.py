@@ -194,6 +194,25 @@ def test_cut_answers_match_subset_deletion_oracle(g):
     assert edge_connectivity_at_least(g, 1) == connected
     assert edge_connectivity_at_least(g, 2) == two_connected
     assert edge_connectivity_at_least(g, 3) == (two_connected and not expect_cuts)
+    # The verdict's witnesses: the lowest bridge, and the first 2-edge-cut in
+    # list order whose edges share a vertex, with their lowest shared vertex.
+    shared = [
+        (e, f, min(set(g.edges[e].ends) & set(g.edges[f].ends)))
+        for e, f in sorted(expect_cuts)
+        if set(g.edges[e].ends) & set(g.edges[f].ends)
+    ]
+    if not connected:
+        kind = "disconnected"
+    elif expect_bridges:
+        kind = "bridge"
+    else:
+        kind = "shared_two_cut" if two_connected and shared else None
+    assert (verdict.admissible, verdict.kind) == (kind is None, kind)
+    assert verdict.bridge == (min(expect_bridges) if kind == "bridge" else None)
+    if kind == "shared_two_cut":
+        assert (verdict.cut_pair, verdict.shared_vertex) == (shared[0][:2], shared[0][2])
+    else:
+        assert (verdict.cut_pair, verdict.shared_vertex) == (None, None)
     if two_connected:
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):

@@ -302,6 +302,27 @@ def test_synthesis_enumerates_two_edge_cuts_at_most(monkeypatch, name, most):
     assert len(calls) <= most
 
 
+@pytest.mark.parametrize("name, most", [("k4", 12), ("petersen", 12), ("two_k4", 19)])
+def test_synthesis_runs_few_linear_passes(monkeypatch, name, most):
+    # A lowpoint DFS or a BFS spanning forest is one linear pass over a graph.
+    # Connectivity, bridges and the enumerator's spanning tree come from one
+    # DFS per question asked of a graph (22 passes on k4 and Petersen and 36
+    # on two_k4 when each answer ran its own), and the BFS forest only gives
+    # the co-tree basis.
+    from richflow import cotree
+
+    calls = []
+    for module, attr in (
+        (multigraph, "_biconnected_edge_groups"),
+        (multigraph, "spanning_forest"),
+        (cotree, "spanning_forest"),
+    ):
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, real=real, **kw: calls.append(a[0]) or real(*a, **kw))
+    synthesize_rich_flow(load(name))
+    assert len(calls) <= most
+
+
 def test_synthesize_rejects_inadmissible():
     with pytest.raises(AdmissibilityError) as err:
         synthesize_rich_flow(load("c4"))
@@ -323,19 +344,25 @@ def test_stage_flow_confluent_pairs_never_strongly_intersect():
                 assert not strongly_intersecting(g, confluent[i], confluent[j])
 
 
-def test_strongly_intersecting_confluent_pairs_fail_the_bullet_check(monkeypatch, k4):
+def test_strongly_intersecting_confluent_pairs_fail_the_bullet_check():
     # Past the per-stage checks, the bullet check is the one test of the whole
     # stage flow for strongly intersecting confluent pairs. No corpus stage
-    # flow has a confluent pair, so every adjacent pair is made to read
-    # confluent there; on k4 two pairs at one vertex then strongly intersect.
-    from richflow import InternalDefectError, synthesis
-    from richflow.flowalg import PairRelation
+    # flow has a confluent pair, so this flow is built by hand: it is
+    # conserved and nowhere zero, its chain edges are one recorded chain, and
+    # its one contrafluent pair lies in one chain circuit. Edge 0 cancels
+    # edges 3 and 4 at vertex 0, and the three edges meet there.
+    from richflow import InternalDefectError, Multigraph
+    from richflow.flowalg import Flow, GroupTag
+    from richflow.multigraph import Circuit, CircuitChain
 
-    monkeypatch.setattr(
-        synthesis, "pair_relation", lambda flow, p: PairRelation(confluent=True, contrafluent=False)
-    )
-    with pytest.raises(InternalDefectError, match=r"^\[bullets\] confluent pairs .* strongly intersect"):
-        synthesize_rich_flow(k4)
+    g = Multigraph(4, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 0), (1, 3), (2, 3)])
+    values = ((1, 1), (1, 1), (2, 1), (1, 1), (1, 1), (10, 0), (3, 0))
+    flow = Flow(g, GroupTag.zkxz2(11), values)
+    chain = CircuitChain((Circuit((0, 1, 2), (0, 2, 1)), Circuit((0, 3), (3, 4))))
+    with pytest.raises(
+        InternalDefectError, match=r"^\[bullets\] confluent pairs \(0,3\) and \(0,4\) strongly intersect$"
+    ):
+        verify_mod_flow_bullets(g, flow, [chain])
 
 
 def test_synthesis_on_random_admissible_multigraphs():
