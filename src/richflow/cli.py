@@ -117,10 +117,11 @@ def _cmd_exact(args) -> int:
     budget = SearchBudget(
         k_max=args.kmax, node_limit=args.node_limit, time_limit=_time_limit()
     )
-    result = exact_rich_flow_number(g, budget)
+    verdict = is_rich_flow_admissible(g)
+    result = exact_rich_flow_number(g, budget, verdict=verdict)
     if result.value is None and result.status == "exact":
         # The oracle's only exact empty answer: g is not admissible.
-        print(is_rich_flow_admissible(g).describe())
+        print(verdict.describe())
         print("R = none")
         return 1
     if result.value is None:
@@ -187,12 +188,12 @@ def _batch_row(name: str, g: Multigraph, parse_s: float = 0.0) -> dict[str, str]
         status.append("chi_exhausted")
     exact_value: int | None = None
     if verdict.admissible:
-        exact = exact_rich_flow_number(g, budget, chi_prime=chi.value)
+        exact = exact_rich_flow_number(g, budget, chi_prime=chi.value, verdict=verdict)
         exact_value = exact.value
         row["exact_R"] = "" if exact.value is None else str(exact.value)
         if exact.value is None:
             status.append("R_exhausted")
-        cert = synthesize_rich_flow(g)
+        cert = synthesize_rich_flow(g, verdict=verdict)
         row["synth_bound"] = str(cert.bound)
         row["synth_max_abs"] = str(cert.max_abs)
         if delta >= 5:

@@ -377,16 +377,13 @@ def modular_to_integer(g: Multigraph, flow: Flow) -> Flow:
     if flow.graph != g:
         raise PreconditionError("flow belongs to a different graph")
     k = flow.group.modulus
-    rep = verify_flow(g, flow)
-    if not rep.conserved:
-        raise PreconditionError("input flow is not conserved")
-    r = list(flow.values)
+    r = flow.values
+    # One net-outflow pass: conserved mod k means every sum is a multiple of
+    # k, and the multiples are the demands of the circulation.
     div = _net_outflow(g, r)
-    demands = []
-    for v in range(g.vertex_count):
-        if div[v] % k != 0:
-            raise InternalDefectError("divergence not divisible by the modulus")
-        demands.append(div[v] // k)
+    if any(d % k for d in div):
+        raise PreconditionError("input flow is not conserved")
+    demands = [d // k for d in div]
     # Node layout: 0..n-1 graph vertices, n = source, n+1 = sink.
     s, t = g.vertex_count, g.vertex_count + 1
     arcs: list[tuple[int, int, int]] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import cotree
 from .errors import BudgetExhaustedError, InternalDefectError, PreconditionError
 from .flowalg import Flow, GroupTag, is_rich, verify_flow
-from .multigraph import Multigraph, is_rich_flow_admissible
+from .multigraph import AdmissibilityVerdict, Multigraph, is_rich_flow_admissible
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,11 @@ def _rich_flow_search(g: Multigraph, k: int, budget: _Budget) -> list[int] | Non
 
 
 def exact_rich_flow_number(
-    g: Multigraph, budget: SearchBudget | None = None, *, chi_prime: int | None = None
+    g: Multigraph,
+    budget: SearchBudget | None = None,
+    *,
+    chi_prime: int | None = None,
+    verdict: AdmissibilityVerdict | None = None,
 ) -> ExactResult:
     """Least k admitting a rich k-flow, with a verified witness.
 
@@ -243,12 +247,18 @@ def exact_rich_flow_number(
     more nodes, and more graphs resolve within a node budget; ``batch``
     fills ``exact_R`` on more rows, and every value it filled before is
     unchanged.
+
+    Admissibility is read from ``verdict`` when the caller passes it, which
+    must be ``is_rich_flow_admissible(g)`` of this same g, and computed here
+    otherwise.
     """
     budget = budget or SearchBudget()
     delta = g.max_degree()
     if chi_prime is not None and chi_prime < delta:
         raise PreconditionError(f"chi_prime {chi_prime} is below the maximum degree {delta}")
-    if not is_rich_flow_admissible(g).admissible:
+    if verdict is None:
+        verdict = is_rich_flow_admissible(g)
+    if not verdict.admissible:
         return ExactResult(None, "exact", None)
     state = _Budget(budget)
     lowest = max(2, (delta if chi_prime is None else chi_prime) + 1)

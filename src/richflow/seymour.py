@@ -21,7 +21,7 @@ from .flowalg import (
     strongly_intersecting,
     verify_flow,
 )
-from .multigraph import Multigraph, _dfs_facts, is_rich_flow_admissible
+from .multigraph import AdmissibilityVerdict, Multigraph, _dfs_facts, is_rich_flow_admissible
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,19 @@ class SplitMap:
     # G edge i maps to H edge i by construction; kept implicit.
 
 
-def build_pair_splitting(g: Multigraph, pair_set: PairSet) -> SplitMap:
+def build_pair_splitting(
+    g: Multigraph, pair_set: PairSet, *, verdict: AdmissibilityVerdict | None = None
+) -> SplitMap:
     """Split each pair off its anchor vertex into a fresh degree-3 vertex.
 
     The two pair edges and a new anchor edge meet at b(p); contracting the
     anchor edges gives back exactly the host graph. The result is bridgeless
-    whenever the host is rich flow admissible.
+    whenever the host is rich flow admissible, which is checked on g's
+    admissibility verdict: computed here, or taken from `verdict`, which must
+    be `is_rich_flow_admissible(g)` of this same g.
     """
-    verdict = is_rich_flow_admissible(g)
+    if verdict is None:
+        verdict = is_rich_flow_admissible(g)
     if not verdict.admissible:
         raise PreconditionError(f"pair splitting requires an admissible graph: {verdict.describe()}")
     validate_pair_set(g, pair_set)
@@ -133,9 +138,16 @@ def nowhere_zero_z6(g: Multigraph) -> Flow:
     return flow
 
 
-def flow_avoiding_confluence(g: Multigraph, pair_set: PairSet) -> Flow:
-    """A nowhere-zero Z_6 flow on g in which no requested pair is confluent."""
-    split = build_pair_splitting(g, pair_set)
+def flow_avoiding_confluence(
+    g: Multigraph, pair_set: PairSet, *, verdict: AdmissibilityVerdict | None = None
+) -> Flow:
+    """A nowhere-zero Z_6 flow on g in which no requested pair is confluent.
+
+    g must be rich flow admissible; `verdict`, if given, must be
+    `is_rich_flow_admissible(g)` of this same g, and is handed to
+    `build_pair_splitting` instead of being computed again there.
+    """
+    split = build_pair_splitting(g, pair_set, verdict=verdict)
     h_flow = nowhere_zero_z6(split.graph_h)
     # G edge i is H edge i with matching orientation sides, so the restriction
     # of the H values is already the contracted flow.

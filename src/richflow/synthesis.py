@@ -38,6 +38,7 @@ from .flowalg import (
     RichnessChecks,
 )
 from .multigraph import (
+    AdmissibilityVerdict,
     Circuit,
     CircuitChain,
     Multigraph,
@@ -905,10 +906,12 @@ def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: Bui
     return RichModFlowResult(flow, tuple(chains), left.traces + (_tower_trace(right),))
 
 
-def rich_mod_flow(g: Multigraph) -> RichModFlowResult:
+def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None) -> RichModFlowResult:
     """The (Z_k x Z_2) stage flow of an admissible graph, k = 8*Delta - 13.
 
-    The admissibility verdict is computed once per graph the loop meets.
+    The admissibility verdict is computed once per graph the loop meets; for
+    g itself a caller may pass it as `verdict`, which must be
+    `is_rich_flow_admissible(g)` of this same g.
     While the current graph has 2-edge-cuts, it splits along the one with the
     smallest far side and goes on with the near side, whose verdict both
     asserts that it stays admissible and lists its cuts. The 3-edge-connected
@@ -918,7 +921,8 @@ def rich_mod_flow(g: Multigraph) -> RichModFlowResult:
     against all bullet properties; the result carries the confluent pairs
     that the last check found.
     """
-    verdict = is_rich_flow_admissible(g)
+    if verdict is None:
+        verdict = is_rich_flow_admissible(g)
     if not verdict.admissible:
         raise AdmissibilityError(verdict)
     if g.edge_count == 0:
@@ -968,15 +972,23 @@ class RichFlowCertificate:
         return self.flow.group.bound
 
 
-def synthesize_rich_flow(g: Multigraph) -> RichFlowCertificate:
+def synthesize_rich_flow(
+    g: Multigraph, *, verdict: AdmissibilityVerdict | None = None
+) -> RichFlowCertificate:
     """A verified rich integer flow with every |value| < 264*Delta - 445.
 
     Combines the (Z_k x Z_2) stage flow, a Z_6 flow avoiding all of its
     confluent pairs, and integer lifts of the three modular coordinates into
     one integer flow; richness, conservation, the nowhere-zero property and
     the value bound are all checked before the certificate is issued.
+
+    g's admissibility verdict is computed once, or taken from `verdict`, which
+    must be `is_rich_flow_admissible(g)` of this same g; both the stage flow
+    and the confluence step read it.
     """
-    mod = rich_mod_flow(g)  # raises AdmissibilityError for an inadmissible g
+    if verdict is None:
+        verdict = is_rich_flow_admissible(g)
+    mod = rich_mod_flow(g, verdict=verdict)  # raises AdmissibilityError for an inadmissible g
     if g.edge_count == 0:
         empty = Flow(g, GroupTag.integers(2), ())
         checks = rich_report(g, empty)
@@ -985,7 +997,7 @@ def synthesize_rich_flow(g: Multigraph) -> RichFlowCertificate:
     k = 8 * delta - 13
     bound = 264 * delta - 445
     # `rich_mod_flow` has verified these against strong intersection.
-    phi3_mod = flow_avoiding_confluence(g, PairSet(mod.confluent))
+    phi3_mod = flow_avoiding_confluence(g, PairSet(mod.confluent), verdict=verdict)
     phi1 = modular_to_integer(g, project_flow(mod.flow, 0))
     phi2 = modular_to_integer(g, project_flow(mod.flow, 1))
     phi3 = modular_to_integer(g, phi3_mod)

@@ -20,7 +20,7 @@ from richflow.errors import InternalDefectError
 from richflow.flowalg import read_flow_json, verify_flow
 from richflow.multigraph import format_multigraph
 
-from conftest import ADMISSIBLE_NAMES, CORPUS, doubled_cycle
+from conftest import ADMISSIBLE_NAMES, CORPUS, doubled_cycle, load
 
 
 @pytest.fixture(autouse=True)
@@ -99,8 +99,24 @@ def test_exact_checks_admissibility_once(monkeypatch, capsys, name, code, expect
     monkeypatch.setattr(oracle, "is_rich_flow_admissible", counted)
     assert run(["exact", graph(name), "--kmax", "8"]) == code
     assert capsys.readouterr().out == expected
-    # The oracle checks once; the CLI again only to word a refusal.
-    assert len(calls) == 1 + code
+    # The CLI checks once and hands its verdict to the oracle, which words
+    # a refusal from the same verdict.
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "name, count", [("k4", 2), ("petersen", 2), ("two_k4", 5), ("three_k4", 8), ("bridge", 0)]
+)
+def test_batch_row_enumerates_two_edge_cuts(monkeypatch, name, count):
+    # One verdict for the row, handed to the oracle and to synthesis, plus
+    # build_tower's guard per tower and split_on_two_cut's far-side assert
+    # per split; a graph with a bridge is refused before any enumeration.
+    calls = []
+    real = multigraph.enumerate_two_edge_cuts
+    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
+    row = cli._batch_row(name, load(name))
+    assert row["status"].split(";")[0] == ("not_admissible" if name == "bridge" else "ok")
+    assert len(calls) == count
 
 
 def test_synth_then_verify(tmp_path, capsys):
@@ -340,7 +356,7 @@ def split_rows(monkeypatch, tmp_path, child, parent=lambda: None):
 
 
 def test_batch_worker_defect_exits_three(monkeypatch, tmp_path, capsys):
-    def boom(_):
+    def boom(_, **_kwargs):
         raise InternalDefectError("synthetic")
 
     # Workers are forked, so they see the patched function.

@@ -232,8 +232,10 @@ def dense_multigraphs(draw) -> Multigraph:
 
 @st.composite
 def small_cubic_graphs(draw) -> Multigraph:
+    # A drawn seed, not a hypothesis-backed Random: random_cubic rejection
+    # samples, and each rejected shuffle would spend hypothesis entropy.
     n = draw(st.sampled_from([4, 6, 8, 10, 12]))
-    return random_cubic(draw(st.randoms(use_true_random=False)), n)
+    return random_cubic(random.Random(draw(st.integers(0, 2**32 - 1))), n)
 
 
 @settings(max_examples=200, deadline=None)

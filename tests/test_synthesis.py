@@ -14,7 +14,9 @@ from richflow import (
     GroupTag,
     Multigraph,
     PreconditionError,
+    SearchBudget,
     building_phi,
+    exact_rich_flow_number,
     is_rich_flow_admissible,
     rich_mod_flow,
     synthesize_rich_flow,
@@ -34,6 +36,7 @@ from richflow.synthesis import AddChord, build_tower, split_on_two_cut, verify_m
 
 import reference_flow
 from conftest import ADMISSIBLE_NAMES, load
+from test_multigraph import small_multigraphs
 from test_tower_checks import draw_block
 
 
@@ -290,11 +293,11 @@ def test_deep_split_certificate_and_traces_match_golden_files(name):
     assert traces == (golden / f"{name}.traces.jsonl").read_text()
 
 
-@pytest.mark.parametrize("name, most", [("k4", 3), ("petersen", 3), ("two_k4", 6), ("three_k4", 9)])
+@pytest.mark.parametrize("name, most", [("k4", 2), ("petersen", 2), ("two_k4", 5), ("three_k4", 8)])
 def test_synthesis_enumerates_two_edge_cuts_at_most(monkeypatch, name, most):
-    # One verdict per graph the split loop meets and one per far side's
-    # 3-edge-connectivity assert, plus the guards of build_tower (one per
-    # tower) and build_pair_splitting (one).
+    # One verdict per graph the split loop meets (the input's is also read by
+    # the confluence step) and one per far side's 3-edge-connectivity
+    # assert, plus build_tower's guard (one per tower).
     calls = []
     real = multigraph.enumerate_two_edge_cuts
     monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
@@ -464,3 +467,24 @@ def test_certificate_passes_independent_checker(g):
 def test_certificate_across_a_two_edge_cut_passes_independent_checker(g):
     assert is_rich_flow_admissible(g).two_cuts  # so synthesis splits
     assert checker_errors(g) == []
+
+
+def synthesis_outcome(g: Multigraph, **kwargs):
+    """The certificate bytes and traces of a synthesis, or the verdict it refused with."""
+    try:
+        cert = synthesize_rich_flow(g, **kwargs)
+    except AdmissibilityError as err:
+        return err.verdict
+    return write_flow_json(cert.flow), cert.traces
+
+
+@CHECKER_SETTINGS
+@given(st.one_of(small_admissible_multigraphs(), blocks_joined_by_a_two_edge_cut(), small_multigraphs()))
+def test_passed_verdict_changes_nothing(g):
+    verdict = is_rich_flow_admissible(g)
+    outcome = synthesis_outcome(g)
+    assert synthesis_outcome(g, verdict=verdict) == outcome
+    if not verdict.admissible:
+        assert outcome == verdict
+    budget = SearchBudget(k_max=8, node_limit=20_000)
+    assert exact_rich_flow_number(g, budget, verdict=verdict) == exact_rich_flow_number(g, budget)
