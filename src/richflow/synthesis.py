@@ -12,7 +12,10 @@ pieces into a certified rich flow with all absolute values below 264*Delta-445.
 Every "clearly" step of the construction is re-checked mechanically. The
 tower and the backward pass check each step locally, on what the step adds or
 changes, and the invariants of every stage follow by induction over the
-steps; every glued stage flow and the final flow get the full checks.
+steps. Every stage flow of `rich_mod_flow`, glued or not, gets the full
+check, which is the same per-step check (`_StageChecks`) run once from the
+all-zero flow over the whole graph; the combined integer flow gets the
+richness, conservation and bound checks.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from .flowalg import (
     Flow,
     GroupTag,
     adjacent_pairs,  # noqa: F401  (traced: perfbench/trace.py wraps it here too)
-    chain_edges,
     linear_combine,
     modular_to_integer,
     project_flow,
     rich_report,
     strongly_intersecting,
-    verify_flow,
+    verify_flow,  # noqa: F401  (traced)
     RichnessChecks,
 )
 from .multigraph import (
@@ -217,8 +219,6 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
             idx = {orig: i for i, orig in enumerate(vmap)}
             local = find_circuit_chain(sub, idx[b1], idx[b2])
             chain = _map_chain(local, vmap, emap)
-            if b1 not in chain.internal_vertices(0):
-                chain = chain.reversed()
             a1 = g.edge(e1).other_end(b1)
             a2 = g.edge(e2).other_end(b2)
             step = AddBlockChain(chain, e1, e2, a1, a2, b1, b2)
@@ -235,60 +235,21 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
 
 
 # ---------------------------------------------------------------------------
-# Flow conditions: the full check, and the backward pass's check per step
+# Flow conditions: the check per step, which is also the full check
 
 
 def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> tuple[AdjacentPair, ...]:
     """Nowhere-zero, chains consistent and disjoint, confluency discipline,
-    each checked over the whole graph, the pairs by `_related_pairs` over every
-    edge. Returns the confluent pairs in `adjacent_pairs` order, anchored at
-    their lowest shared vertex."""
-    rep = verify_flow(g, flow)
-    if not rep.conserved:
-        raise InternalDefectError(f"[bullets] flow not conserved at {rep.violating_vertices}")
-    if rep.zero_edges:
-        raise InternalDefectError(f"[bullets] edge {rep.zero_edges[0]} is zero")
-    union: set[int] = set()
-    seen_vertices: set[int] = set()
-    location: dict[int, tuple[int, int]] = {}
-    for ci, ch in enumerate(chains):
-        if not validate_circuit_chain(g, ch):
-            raise InternalDefectError("[bullets] recorded chain is invalid")
-        if ch.vertex_set & seen_vertices:
-            raise InternalDefectError("[bullets] chains are not vertex-disjoint")
-        seen_vertices |= ch.vertex_set
-        union |= ch.edge_set
-        for qi, circ in enumerate(ch.circuits):
-            for e in circ.edges:
-                location[e] = (ci, qi)
-    ce = chain_edges(flow)
-    if ce != union:
-        raise InternalDefectError(
-            f"[bullets] chain edges {sorted(ce)} do not match recorded chains {sorted(union)}"
-        )
-    confluent = []
+    each checked over the whole graph: one `_StageChecks` step from the
+    all-zero flow that adds every edge and all the chains at once, with the
+    stage label "bullets". Returns the confluent pairs sorted by (e, f),
+    anchored at their lowest shared vertex."""
     every_edge = frozenset(range(g.edge_count))
-    for p, is_confluent, contrafluent in _related_pairs(g, flow.values, flow.group.k, every_edge, ()):
-        if is_confluent:
-            confluent.append(p)
-        if contrafluent:
-            le, lf = location.get(p.e), location.get(p.f)
-            if le is None or le != lf:
-                raise InternalDefectError(
-                    f"[bullets] contrafluent pair ({p.e},{p.f}) is not chain-consecutive"
-                )
-    confluent.sort(key=lambda p: (p.e, p.f))
-    # Strongly intersecting pairs share an edge, so only those are tested.
-    by_edge: dict[int, list[AdjacentPair]] = {}
-    for p in confluent:
-        for q in (*by_edge.get(p.e, ()), *by_edge.get(p.f, ())):
-            if strongly_intersecting(g, p, q):
-                raise InternalDefectError(
-                    f"[bullets] confluent pairs ({q.e},{q.f}) and ({p.e},{p.f}) strongly intersect"
-                )
-        for x in (p.e, p.f):
-            by_edge.setdefault(x, []).append(p)
-    return tuple(confluent)
+    checks = _StageChecks(g, flow.group)
+    checks.step(flow.values, frozenset(), every_edge, every_edge, tuple(chains), "bullets")
+    # Each confluent pair is kept under both of its edges; take it once.
+    confluent = (p for e, pairs in checks.confluent.items() for p in pairs if p.e == e)
+    return tuple(sorted(confluent, key=lambda p: (p.e, p.f)))
 
 
 def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
@@ -320,7 +281,7 @@ def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
 
 
 class _StageChecks:
-    """The backward pass's invariants, checked on what each step changes.
+    """The invariants of the stage flows, checked on what each step changes.
 
     Stage j is the flow once tower steps j.. are assigned, over the stage
     H = snapshots[j] (the base step leaves H empty). Its invariants: the
@@ -336,14 +297,19 @@ class _StageChecks:
     step leaves), so every other edge and every pair of them is as it was.
     The change must be conserved at the ends of the changed edges, the only
     vertices whose sums can move, so the flow stays conserved. The edges the
-    step adds, h_next minus H, must be nonzero. A new chain must be valid
-    and disjoint from H and from the earlier chains. The changed edges and
-    the new chain's edges must have parity 1 exactly when they are chain
-    edges. The pairs outside H with a changed or added edge must meet the
-    pair conditions, new confluent pairs tested against the kept ones and
-    each other; a changed edge outside H lies in h_next, so it is an added
-    edge. The work is proportional to the step, apart from building the
-    stage's `Flow` and comparing its values with the last stage's.
+    step adds, h_next minus H, must be nonzero. The new chains must be valid
+    and disjoint from H, from the earlier chains and from each other. The
+    changed edges and the new chains' edges must have parity 1 exactly when
+    they are chain edges. The pairs outside H with a changed or added edge
+    must meet the pair conditions, new confluent pairs tested against the
+    kept ones and each other; a changed edge outside H lies in h_next, so it
+    is an added edge. The work is proportional to the step, apart from
+    building the stage's `Flow` and comparing its values with the last
+    stage's.
+
+    This is also the full check of a finished flow: one step from the
+    all-zero flow with H empty, every edge added and every chain new is
+    `verify_mod_flow_bullets`.
     """
 
     def __init__(self, g: Multigraph, tag: GroupTag) -> None:
@@ -355,7 +321,7 @@ class _StageChecks:
         self.location: dict[int, tuple[int, int]] = {}  # chain edge -> (chain, circuit)
         self.confluent: dict[int, list[AdjacentPair]] = {}  # edge -> confluent pairs outside H
 
-    def step(self, vals, h_edges, h_next, added, chain, stage: str) -> Flow:
+    def step(self, vals, h_edges, h_next, added, chains, stage: str) -> Flow:
         g, k = self.g, self.tag.k
         flow = Flow(g, self.tag, tuple(vals))
         values = flow.values
@@ -375,9 +341,9 @@ class _StageChecks:
         for e in added:
             if values[e] == (0, 0):
                 raise InternalDefectError(f"[{stage}] edge {e} outside the stage is zero")
-        if chain is not None:
+        for chain in chains:
             self._add_chain(chain, h_edges, stage)
-        for e in {*changed, *(chain.edge_set if chain is not None else ())}:
+        for e in {*changed, *(e for chain in chains for e in chain.edge_set)}:
             if (values[e][1] == 1) != (e in self.location):
                 raise InternalDefectError(
                     f"[{stage}] edge {e} has parity {values[e][1]} against the recorded chains"
@@ -530,40 +496,26 @@ def _attach_circuit(
 def _assign_chain_values(g, vals, chain: CircuitChain, k: int):
     """Send (c_j, 1) through each chain circuit; c_1 = 0, later values chosen
     so pairs straddling consecutive circuits are neither confluent nor
-    contrafluent (at most 8 forbidden values each)."""
+    contrafluent (at most 8 forbidden values each). Each circuit first gets
+    its parity, (0, 1), so that `_pair_forbidden` compares the parities the
+    pairs end with; then (c_j, 0)."""
     choices = []
-    prev = None
     for idx, circ in enumerate(chain.circuits):
-        if idx == 0:
-            c, fsize = 0, 0
-        else:
-            shared = prev.vertex_set & circ.vertex_set
-            t = next(iter(shared))
-            prev_at_t = [e for e in prev.edges if g.edge(e).touches(t)]
-            cur_at_t = [
-                (circ.edges[pos], circ.traversal_sign(g, pos))
-                for pos in range(len(circ.edges))
-                if g.edge(circ.edges[pos]).touches(t)
-            ]
-            forbidden: set[int] = set()
-            for ye in prev_at_t:
-                xy, yy = vals[ye]
-                sy = 1 if g.edge(ye).head == t else -1
-                for ze, sz_trav in cur_at_t:
-                    xz, yz = vals[ze]
-                    if yy != (yz + 1) % 2:
-                        continue
-                    sz = 1 if g.edge(ze).head == t else -1
-                    forbidden.add((sz_trav * (-sz * sy * xy - xz)) % k)
-                    forbidden.add((sz_trav * (sz * sy * xy - xz)) % k)
-            if len(forbidden) > 8 or len(forbidden) >= k:
-                raise InternalDefectError(
-                    f"chain value forbidden set has size {len(forbidden)}"
-                )
-            c, fsize = _smallest_allowed(forbidden, k), len(forbidden)
-        _send_on(g, vals, circ, c, 1, k)
-        choices.append((c, fsize))
-        prev = circ
+        _send_on(g, vals, circ, 0, 1, k)
+        forbidden: set[int] = set()
+        if idx:
+            prev = chain.circuits[idx - 1]
+            t = next(iter(prev.vertex_set & circ.vertex_set))
+            prev_at_t = [e for e in prev.edges if g.edges[e].touches(t)]
+            for pos, e in enumerate(circ.edges):
+                if g.edges[e].touches(t):
+                    for f in prev_at_t:
+                        _pair_forbidden(g, vals, k, e, circ.traversal_sign(g, pos), f, forbidden)
+        if len(forbidden) > 8 or len(forbidden) >= k:
+            raise InternalDefectError(f"chain value forbidden set has size {len(forbidden)}")
+        c = _smallest_allowed(forbidden, k)
+        _send_on(g, vals, circ, c, 0, k)
+        choices.append((c, len(forbidden)))
     return tuple(choices)
 
 
@@ -583,10 +535,15 @@ def building_phi(
     `rich_mod_flow` passes the whole graph's value to every 2-cut side so
     all pieces share one group.
 
-    Each stage, the base step's included, is checked on what its step
-    changed, and every condition then holds for every stage by induction
-    from the all-zero flow (see `_StageChecks`). The full checks of every
-    condition run on the result in `verify_mod_flow_bullets`.
+    Each step picks its value c by one rule: c avoids the values that would
+    leave a moving edge zero or make it confluent or contrafluent with an
+    adjacent edge outside the next stage, or make the two moving edges of an
+    attachment contrafluent, and there are at most `cap` of those. Each
+    stage, the base step's included, is then checked on what its step
+    changed, and every condition holds for every stage by induction from the
+    all-zero flow (see `_StageChecks`). `rich_mod_flow` checks the result in
+    full with `verify_mod_flow_bullets`, the same checks run once over the
+    whole graph.
     """
     star = g.edge(e_star)
     if orientation is None:
@@ -612,36 +569,20 @@ def building_phi(
         step = tower.steps[j]
         h_edges = snapshots[j]
         h_next = snapshots[j + 1]
-        block_chain = step.chain if isinstance(step, AddBlockChain) else None
+        # Per step: the circuit the value c goes around, the edges that move
+        # with c (edge, traversal sign) and the cap on c's forbidden values.
         if isinstance(step, AddChord):
             e = step.edge
-            edge = g.edges[e]
+            label = f"chord:{e}"
             if e == e_star:
                 if any(v != (0, 0) for v in vals):
                     raise InternalDefectError("special chord is not the outermost stage")
-                direction = orientation
-                c, forb = a, set()
-                cap = 0
+                direction, moving, cap = orientation, (), 0  # c is the target value
             else:
-                direction = edge.ends
-                s = 1  # reference-direction traversal
-                forb: set[int] = set()
-                x, y = vals[e]
-                if y == 0:
-                    forb.add((-x * s) % k)
-                for f in _adjacent_outside(g, e, h_next):
-                    _pair_forbidden(g, vals, k, e, s, f, forb)
-                cap = 4 * delta - 11
-                if len(forb) > cap or len(forb) >= k:
-                    raise InternalDefectError(
-                        f"chord forbidden set {len(forb)} exceeds cap {cap}"
-                    )
-                c = _smallest_allowed(forb, k)
+                direction, moving, cap = g.edges[e].ends, ((e, 1),), 4 * delta - 11
             circ = circuit_through_edge(g, e, allowed_edges=h_edges, direction=direction)
             if circ is None:
                 raise InternalDefectError("no circuit through the chord inside the stage")
-            _send_on(g, vals, circ, c, 0, k)
-            diags.append(StepDiagnostics(f"chord:{e}", len(forb), cap, c))
         else:
             if isinstance(step, AddVertex):
                 e1, e2 = step.e1, step.e2
@@ -657,30 +598,29 @@ def building_phi(
                 inner_v, inner_e = inner
                 label = f"block_chain:{len(step.chain)}"
             circ = _attach_circuit(g, e1, e2, a1, a2, inner_v, inner_e, h_edges)
-            s1 = circ.traversal_sign(g, 0)
-            pos2 = circ.edges.index(e2)
-            s2 = circ.traversal_sign(g, pos2)
-            forb = set()
-            for e_mov, s_mov in ((e1, s1), (e2, s2)):
-                x, y = vals[e_mov]
-                if y == 0:
-                    forb.add((-x * s_mov) % k)
-                for f in _adjacent_outside(g, e_mov, h_next):
-                    _pair_forbidden(g, vals, k, e_mov, s_mov, f, forb)
-            _pair_forbidden_both_moving(g, vals, k, e1, s1, e2, s2, forb)
+            s2 = circ.traversal_sign(g, circ.edges.index(e2))
+            moving = ((e1, circ.traversal_sign(g, 0)), (e2, s2))
             cap = 8 * delta - 15
-            if len(forb) > cap or len(forb) >= k:
-                raise InternalDefectError(
-                    f"attachment forbidden set {len(forb)} exceeds cap {cap}"
-                )
-            c = _smallest_allowed(forb, k)
-            _send_on(g, vals, circ, c, 0, k)
-            chain_choices = ()
-            if block_chain is not None:
-                chain_choices = _assign_chain_values(g, vals, block_chain, k)
-                chains.append(block_chain)
-            diags.append(StepDiagnostics(label, len(forb), cap, c, chain_choices))
-        checks.step(vals, h_edges, h_next, _step_edges(step), block_chain, f"stage:{j}")
+        forb: set[int] = set()
+        for e_mov, s_mov in moving:
+            x, y = vals[e_mov]
+            if y == 0:
+                forb.add((-x * s_mov) % k)
+            for f in _adjacent_outside(g, e_mov, h_next):
+                _pair_forbidden(g, vals, k, e_mov, s_mov, f, forb)
+        if len(moving) == 2:
+            _pair_forbidden_both_moving(g, vals, k, *moving[0], *moving[1], forb)
+        if len(forb) > cap or len(forb) >= k:
+            raise InternalDefectError(f"{label} forbidden set {len(forb)} exceeds cap {cap}")
+        c = _smallest_allowed(forb, k) if moving else a
+        _send_on(g, vals, circ, c, 0, k)
+        new_chains, chain_choices = (), ()
+        if isinstance(step, AddBlockChain):
+            new_chains = (step.chain,)
+            chain_choices = _assign_chain_values(g, vals, step.chain, k)
+            chains.append(step.chain)
+        diags.append(StepDiagnostics(label, len(forb), cap, c, chain_choices))
+        checks.step(vals, h_edges, h_next, _step_edges(step), new_chains, f"stage:{j}")
     # The base step, from snapshots[0] to the empty stage.
     if b == 1:
         circ = tower.base.circuits[0]
@@ -699,7 +639,7 @@ def building_phi(
         base_chain = tower.base
         diags.append(StepDiagnostics("base:chain", 0, 0, chain_choices[0][0], chain_choices))
     chains.append(base_chain)
-    flow0 = checks.step(vals, frozenset(), snapshots[0], snapshots[0], base_chain, "stage:base")
+    flow0 = checks.step(vals, frozenset(), snapshots[0], snapshots[0], (base_chain,), "stage:base")
     stored = flow0.values[e_star]
     fixed_value = stored if orientation == star.ends else ((-stored[0]) % k, stored[1])
     if fixed_value != (a, b):

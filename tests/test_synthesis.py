@@ -363,7 +363,7 @@ def test_strongly_intersecting_confluent_pairs_fail_the_bullet_check():
     flow = Flow(g, GroupTag.zkxz2(11), values)
     chain = CircuitChain((Circuit((0, 1, 2), (0, 2, 1)), Circuit((0, 3), (3, 4))))
     with pytest.raises(
-        InternalDefectError, match=r"^\[bullets\] confluent pairs \(0,3\) and \(0,4\) strongly intersect$"
+        InternalDefectError, match=r"^\[bullets\] confluent pairs \(0,4\) and \(0,3\) strongly intersect$"
     ):
         verify_mod_flow_bullets(g, flow, [chain])
 

@@ -94,9 +94,9 @@ def record_stages(args: tuple, kwargs: dict):
     stages = []
     real_step = synthesis._StageChecks.step
 
-    def recording_step(self, vals, h_edges, h_next, added, chain, stage):
-        flow = real_step(self, vals, h_edges, h_next, added, chain, stage)
-        stages.append((flow, h_edges, h_next, added, chain, stage))
+    def recording_step(self, vals, h_edges, h_next, added, new_chains, stage):
+        flow = real_step(self, vals, h_edges, h_next, added, new_chains, stage)
+        stages.append((flow, h_edges, h_next, added, new_chains, stage))
         return flow
 
     with pytest.MonkeyPatch.context() as mp:
@@ -121,9 +121,8 @@ def assert_matches_reference(args: tuple, kwargs: dict) -> None:
     pairs = adjacent_pairs(g)
     prev = zero_flow(g, got.flow.group)
     chains = []
-    for flow, h_edges, h_next, _added, chain, stage in stages:
-        if chain is not None:
-            chains.append(chain)
+    for flow, h_edges, h_next, _added, new_chains, stage in stages:
+        chains += new_chains
         reference_tower.check_stage(
             g, flow, h_edges, chains, prev_flow=prev, prev_h_edges=h_next, pairs=pairs, stage=stage
         )
@@ -177,12 +176,12 @@ def test_a_step_check_fails_exactly_when_the_full_check_fails(g, data):
     checks = synthesis._StageChecks(h, tag)
     prev = zero_flow(h, tag)
     chains = []
-    for flow, h_edges, h_next, added, chain, stage in stages[:j]:
-        checks.step(list(flow.values), h_edges, h_next, added, chain, stage)
+    for flow, h_edges, h_next, added, new_chains, stage in stages[:j]:
+        checks.step(list(flow.values), h_edges, h_next, added, new_chains, stage)
         prev = flow
-        chains += [chain] if chain is not None else []
-    flow, h_edges, h_next, added, chain, stage = stages[j]
-    chains += [chain] if chain is not None else []
+        chains += new_chains
+    flow, h_edges, h_next, added, new_chains, stage = stages[j]
+    chains += new_chains
     vals = list(flow.values)
     e = data.draw(st.integers(0, h.edge_count - 1))
     value = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 1)))
@@ -210,7 +209,7 @@ def test_a_step_check_fails_exactly_when_the_full_check_fails(g, data):
     except InternalDefectError as exc:
         full = exc
     try:
-        checks.step(vals, h_edges, h_next, added, chain, stage)
+        checks.step(vals, h_edges, h_next, added, new_chains, stage)
         local = None
     except InternalDefectError as exc:
         local = exc
@@ -346,7 +345,7 @@ def test_a_chain_touching_the_stage_is_refused():
             prev_h_edges=h_next, pairs=adjacent_pairs(g), stage="stage:0",
         )
     with pytest.raises(InternalDefectError, match="touches the current stage"):
-        synthesis._StageChecks(g, tag).step(vals, h_edges, h_next, chain.edge_set, chain, "stage:0")
+        synthesis._StageChecks(g, tag).step(vals, h_edges, h_next, chain.edge_set, (chain,), "stage:0")
 
 
 # Stage flows of t3 (three edges 0 -> 1) right after the all-zero top stage,
@@ -369,7 +368,69 @@ def test_a_corrupt_stage_is_refused_like_the_full_check(t3, fault, values):
             prev_h_edges=everything, pairs=adjacent_pairs(t3), stage="stage:0",
         )
     with pytest.raises(InternalDefectError, match=fault):
-        synthesis._StageChecks(t3, tag).step(vals, frozenset(), everything, everything, None, "stage:0")
+        synthesis._StageChecks(t3, tag).step(vals, frozenset(), everything, everything, (), "stage:0")
+    with pytest.raises(InternalDefectError, match=rf"^\[bullets\] .*{fault}"):
+        synthesis.verify_mod_flow_bullets(t3, Flow(t3, tag, tuple(vals)), [])
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(st.sampled_from(("two_k4", "three_k4")).map(load) | admissible_multigraphs(), st.data())
+def test_the_bullet_check_fails_exactly_when_the_full_check_fails(g, data):
+    # Corrupt the stage flow of rich_mod_flow, glued ones included: one edge
+    # set to any value; a random value sent around a circuit; around a
+    # circuit through one edge of an adjacent pair and not the other, a value
+    # that makes the pair confluent or contrafluent; or a recorded chain
+    # dropped, repeated, or made invalid by repeating its last circuit. The
+    # bullet check must raise exactly when the reference's full check of the
+    # corrupted flow, from zero, does.
+    result = synthesis.rich_mod_flow(g)
+    tag = result.flow.group
+    k = tag.k
+    vals, chains = list(result.flow.values), list(result.chains)
+    e = data.draw(st.integers(0, g.edge_count - 1))
+    value = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 1)))
+    kind = data.draw(st.sampled_from(["none", "edge", "circuit", "pair", "chain"]))
+    every_edge = frozenset(range(g.edge_count))
+    if kind == "edge":
+        vals[e] = value
+    elif kind == "circuit":
+        synthesis._send_on(g, vals, circuit_through_edge(g, e), value[0], value[1], k)
+    elif kind == "pair":
+        p = data.draw(st.sampled_from(adjacent_pairs(g)))
+        circ = circuit_through_edge(g, p.e, allowed_edges=every_edge - {p.f})
+        forbidden: set[int] = set()
+        synthesis._pair_forbidden(g, vals, k, p.e, 1, p.f, forbidden)
+        if circ is not None and forbidden:
+            synthesis._send_on(g, vals, circ, data.draw(st.sampled_from(sorted(forbidden))), 0, k)
+    elif kind == "chain":
+        i = data.draw(st.integers(0, len(chains) - 1))
+        fault = data.draw(st.sampled_from(["drop", "repeat", "repeat circuit"]))
+        if fault == "drop":
+            del chains[i]
+        elif fault == "repeat":
+            chains.append(chains[i])
+        else:
+            chains[i] = CircuitChain(chains[i].circuits + chains[i].circuits[-1:])
+    flow = Flow(g, tag, tuple(vals))
+    try:
+        reference_tower.check_stage(
+            g, flow, frozenset(), chains, prev_flow=zero_flow(g, tag), prev_h_edges=every_edge,
+            pairs=adjacent_pairs(g), stage="bullets",
+        )
+        full = None
+    except InternalDefectError as exc:
+        full = exc
+    try:
+        synthesis.verify_mod_flow_bullets(g, flow, chains)
+        bullets = None
+    except InternalDefectError as exc:
+        bullets = exc
+    assert (bullets is None) == (full is None), (bullets, full)
+    assert kind != "none" or full is None
 
 
 def test_a_new_confluent_pair_is_tested_against_the_kept_ones():
