@@ -270,13 +270,6 @@ def verify_flow(g: Multigraph, flow: Flow) -> FlowReport:
     )
 
 
-def chain_edges(flow: Flow) -> frozenset[int]:
-    """Edges of a (Z_k x Z_2) flow whose value has second coordinate 1."""
-    if flow.group.kind != "zkxz2":
-        raise PreconditionError("chain edges are defined for zkxz2 flows")
-    return frozenset(e for e, v in enumerate(flow.values) if v[1] == 1)
-
-
 @dataclass(frozen=True)
 class RichnessChecks:
     conserved: bool

@@ -15,10 +15,14 @@ machinery used by the synthesis tower. Each cut question has one owner:
   and its verdict carries the 2-edge-cuts that `edge_connectivity_at_least`
   (t = 3) and the synthesis split read.
 
-`enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by the DFS
-tree T of `_dfs_facts` (any spanning tree gives the same list): a pair of two
-non-tree edges leaves T whole, so it is no cut and is never tested; and a pass
-that has made n - 1 merges has spanned the rest of the graph, so it stops there.
+`enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by bundles of
+parallel edges and by the DFS tree T of `_dfs_facts` (any spanning tree gives
+the same list): an edge with two or more parallels is in no 2-edge-cut, and an
+edge with one parallel only with that twin; a pair of two non-tree edges
+leaves T whole, so it is no cut and is never tested; and a pass that has made
+n - 1 merges has spanned the rest of the graph, so it stops there.
+Parts of g (g minus an edge, a tower stage) are searched on g over an edge
+subset, not on a relabelled copy.
 """
 
 from __future__ import annotations
@@ -166,12 +170,6 @@ def parse_multigraph(text: str) -> Multigraph:
     return Multigraph(n, pairs)
 
 
-def format_multigraph(g: Multigraph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{e.tail} {e.head}" for e in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Connectivity and cuts
 
@@ -300,6 +298,15 @@ def _dfs_facts(g: Multigraph) -> tuple[bool, frozenset[int], frozenset[int]]:
     return len(tree) >= g.vertex_count - 1, bridge_set, frozenset(tree)
 
 
+def _two_edge_connected_on(g: Multigraph, edge_ids, vertex_count: int) -> bool:
+    """Whether the subgraph spanned by edge_ids (all of g when None), with
+    vertex_count vertices, is connected and bridgeless: one lowpoint DFS,
+    whose tree must have vertex_count - 1 edges and no block a single edge."""
+    tree: list[int] = []
+    groups = _biconnected_edge_groups(g, edge_ids, tree)
+    return len(tree) >= vertex_count - 1 and all(len(grp) > 1 for grp in groups)
+
+
 def bridges(g: Multigraph) -> frozenset[int]:
     """Edge ids whose removal increases the number of components: the
     single-edge blocks of g (a parallel edge shares its block with its twin)."""
@@ -331,8 +338,13 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
     """All unordered pairs {e, f} of non-bridge edges whose joint removal disconnects g.
 
     Each pair is (e, f) with e < f, listed in ascending order. A union-find
-    pass over g - {e, f} tests each pair, with two exact prunes from the DFS
-    spanning tree T of g (any spanning tree gives the same list):
+    pass over g - {e, f} tests each pair, with exact prunes from the bundles
+    of parallel edges and from the DFS spanning tree T of g (any spanning
+    tree gives the same list):
+    - an edge in a bundle of three or more is never tested, and an edge in a
+      bundle of two only with its twin: for a 2-edge-cut {e, f} with f no
+      bridge, g - f is connected, so e joins the two components of
+      g - {e, f}, and a twin of e, joining the same two vertices, must be f;
     - a pair with both edges outside T is skipped: g - {e, f} still contains
       T, so it is connected;
     - a pass stops at n - 1 merges: the merged edges then span g - {e, f},
@@ -344,12 +356,25 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
         raise PreconditionError("two-edge-cut enumeration requires a connected graph")
     n = g.vertex_count
     m = g.edge_count
+    bundles: dict[frozenset[int], list[int]] = {}
+    for e in g.edges:
+        bundles.setdefault(frozenset(e.ends), []).append(e.id)
+    # An edge is tested with its twin, or, with no parallel and no bridge,
+    # with every later such edge.
+    twin = {ids[0]: ids[1] for ids in bundles.values() if len(ids) == 2}
+    lone = sorted(ids[0] for ids in bundles.values() if len(ids) == 1)
+    lone = [e for e in lone if e not in bridge_set]
+    rank = {e: a for a, e in enumerate(lone)}
     cuts: list[tuple[int, int]] = []
     for i in range(m):
-        if i in bridge_set:
+        if i in rank:
+            later = lone[rank[i] + 1:]
+        elif i in twin:
+            later = (twin[i],)
+        else:
             continue
-        for j in range(i + 1, m):
-            if j in bridge_set or not (i in tree or j in tree):
+        for j in later:
+            if not (i in tree or j in tree):
                 continue
             uf = _UnionFind(n)
             merges = 0
@@ -682,8 +707,11 @@ def validate_circuit_chain(
 # Chain discovery
 
 
-def _min_two_flow(g: Multigraph, s: int, t: int) -> dict[int, int] | None:
-    """Edge usage (+1 along reference, -1 against) of a minimum-size 2-unit s-t flow.
+def _min_two_flow(
+    g: Multigraph, s: int, t: int, without_edge: int | None = None
+) -> dict[int, int] | None:
+    """Edge usage (+1 along reference, -1 against) of a minimum-size 2-unit s-t
+    flow in g, or in g minus `without_edge`.
 
     Two successive shortest augmentations over the residual graph; residual
     reverse arcs cost -1, so relaxation is Bellman-Ford style.
@@ -691,13 +719,14 @@ def _min_two_flow(g: Multigraph, s: int, t: int) -> dict[int, int] | None:
     n = g.vertex_count
     inf = float("inf")
     usage: dict[int, int] = {}
+    edges = [e for e in g.edges if e.id != without_edge]
     for _ in range(2):
         dist: list[float] = [inf] * n
         parent: list[tuple[int, int] | None] = [None] * n
         dist[s] = 0
         for _round in range(n + 1):
             changed = False
-            for e in g.edges:
+            for e in edges:
                 u0 = usage.get(e.id, 0)
                 if u0 == 0:
                     moves = ((e.tail, e.head, 1, 1), (e.head, e.tail, -1, 1))
@@ -764,21 +793,27 @@ def _chain_via_block_path(g: Multigraph, union_edges, u: int, v: int) -> Circuit
     return CircuitChain(tuple(circuits))
 
 
-def find_circuit_chain(g: Multigraph, u: int, v: int) -> CircuitChain:
-    """A circuit chain connecting u and v in a 2-edge-connected graph.
+def find_circuit_chain(
+    g: Multigraph, u: int, v: int, *, without_edge: int | None = None
+) -> CircuitChain:
+    """A circuit chain connecting u and v in a 2-edge-connected graph: g, or
+    g minus `without_edge` when that is given.
 
     The union of two edge-disjoint u-v paths of minimum total size splits
     into a chain of circuits along its block path, so this always finds one;
     a miss is an internal defect. The result is validated before it is
-    returned.
+    returned. With an edge left out, g is searched with that edge skipped;
+    vertices and the order of the other edges are those of the relabelled
+    copy of g minus the edge, so the chain is the one found on that copy.
     """
     if u == v:
         raise PreconditionError("endpoints must be distinct")
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise PreconditionError("endpoint out of range")
-    if not edge_connectivity_at_least(g, 2):
+    keep = None if without_edge is None else [e for e in range(g.edge_count) if e != without_edge]
+    if not _two_edge_connected_on(g, keep, g.vertex_count):
         raise PreconditionError("circuit chain search requires a 2-edge-connected graph")
-    usage = _min_two_flow(g, u, v)
+    usage = _min_two_flow(g, u, v, without_edge)
     if usage:
         chain = _chain_via_block_path(g, usage.keys(), u, v)
         if chain is not None and validate_circuit_chain(g, chain, (u, v)):

@@ -4,7 +4,7 @@ Given a set of adjacent-edge pairs, splitting each pair's anchor vertex off
 into a fresh degree-3 vertex yields an auxiliary graph whose nowhere-zero
 Z_6 flow, pulled back through the contraction, avoids confluence on every
 requested pair: at a degree-3 vertex a confluent pair would force the third
-edge to zero.
+edge to zero. With no pair to split, the auxiliary graph is the host itself.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ def validate_pair_set(g: Multigraph, pair_set: PairSet) -> None:
 
 @dataclass(frozen=True)
 class SplitMap:
-    """The auxiliary split graph together with its correspondence to the host."""
+    """The auxiliary split graph together with its correspondence to the host
+    (the host graph object itself when no pair was split)."""
 
     graph_h: Multigraph
     b_vertices: tuple[int, ...]  # per pair, the new degree-3 vertex
@@ -80,7 +81,9 @@ def build_pair_splitting(
     anchor edges gives back exactly the host graph. The result is bridgeless
     whenever the host is rich flow admissible, which is checked on g's
     admissibility verdict: computed here, or taken from `verdict`, which must
-    be `is_rich_flow_admissible(g)` of this same g.
+    be `is_rich_flow_admissible(g)` of this same g. With no pair, nothing is
+    split: the split graph is g itself, with no copy and nothing to assert
+    about a contraction.
     """
     if verdict is None:
         verdict = is_rich_flow_admissible(g)
@@ -89,6 +92,8 @@ def build_pair_splitting(
     validate_pair_set(g, pair_set)
     n = g.vertex_count
     pairs = pair_set.pairs
+    if not pairs:
+        return SplitMap(g, (), ())
     b_of = {i: n + i for i in range(len(pairs))}
     replacement: dict[int, dict[int, int]] = {}  # edge -> {anchor vertex -> b(p)}
     for i, p in enumerate(pairs):
@@ -145,10 +150,13 @@ def flow_avoiding_confluence(
 
     g must be rich flow admissible; `verdict`, if given, must be
     `is_rich_flow_admissible(g)` of this same g, and is handed to
-    `build_pair_splitting` instead of being computed again there.
+    `build_pair_splitting` instead of being computed again there. With no
+    pair, the split graph is g and the verified Z_6 flow of g is the result.
     """
     split = build_pair_splitting(g, pair_set, verdict=verdict)
     h_flow = nowhere_zero_z6(split.graph_h)
+    if split.graph_h is g:
+        return h_flow
     # G edge i is H edge i with matching orientation sides, so the restriction
     # of the H values is already the contracted flow.
     flow = Flow(g, GroupTag.z6(), h_flow.values[: g.edge_count])

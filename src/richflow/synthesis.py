@@ -45,6 +45,7 @@ from .multigraph import (
     CircuitChain,
     Multigraph,
     _bfs_path,
+    _two_edge_connected_on,
     circuit_through_edge,
     connected_components,
     edge_connectivity_at_least,
@@ -54,7 +55,6 @@ from .multigraph import (
     find_circuit_chain,
     find_circuit_through,
     is_rich_flow_admissible,
-    subgraph,
     induced_subgraph,
     validate_circuit,
     validate_circuit_chain,
@@ -162,6 +162,10 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
     leaf or isolated block joined through a circuit chain. For b = 0 the
     special edge enters only as the final chord.
 
+    For b = 0 the base chain is searched in g with the special edge left out,
+    and the base stage is checked for 2-edge-connectivity by one lowpoint DFS
+    over its edges of g; neither makes a copy of g.
+
     The tower is an ear decomposition, so only the base stage is checked for
     2-edge-connectivity as a whole. Each step is then checked as an ear of the
     stage before it, in time proportional to the step: a chord is a new edge
@@ -177,20 +181,17 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
         raise PreconditionError(f"edge id {e_star} out of range")
     if not edge_connectivity_at_least(g, 3):
         raise PreconditionError("tower construction requires a 3-edge-connected graph")
-    star = g.edge(e_star)
     if b == 1:
         base = CircuitChain((find_circuit_through(g, e_star),))
     else:
-        keep = [e.id for e in g.edges if e.id != e_star]
-        sub, vmap, emap = subgraph(g, range(g.vertex_count), keep)
-        local = find_circuit_chain(sub, star.tail, star.head)
-        base = _map_chain(local, vmap, emap)
-        if not validate_circuit_chain(g, base, (star.tail, star.head)):
-            raise InternalDefectError("base chain does not connect the special edge's ends")
+        star = g.edge(e_star)
+        # find_circuit_chain validates that the chain joins the two ends.
+        base = find_circuit_chain(g, star.tail, star.head, without_edge=e_star)
+        if e_star in base.edge_set:
+            raise InternalDefectError("base chain uses the special edge it must leave out")
     h_edges: set[int] = set(base.edge_set)
     h_vertices: set[int] = set(base.vertex_set)
-    stage, _, _ = subgraph(g, h_vertices, h_edges)
-    if not edge_connectivity_at_least(stage, 2):
+    if not _two_edge_connected_on(g, h_edges, len(h_vertices)):
         raise InternalDefectError("tower stage is not 2-edge-connected after base")
     steps: list = []
     snapshots: list[frozenset[int]] = [frozenset(h_edges)]
@@ -304,8 +305,11 @@ class _StageChecks:
     must meet the pair conditions, new confluent pairs tested against the
     kept ones and each other; a changed edge outside H lies in h_next, so it
     is an added edge. The work is proportional to the step, apart from
-    building the stage's `Flow` and comparing its values with the last
-    stage's.
+    comparing the stage's values with the last stage's.
+
+    `step` takes the stage's values as a tuple of (Z_k x Z_2) pairs already
+    reduced mod (k, 2), as `_send_on` writes them; it builds no `Flow`, and
+    `building_phi` builds one for the finished flow.
 
     This is also the full check of a finished flow: one step from the
     all-zero flow with H empty, every edge added and every chain new is
@@ -321,10 +325,8 @@ class _StageChecks:
         self.location: dict[int, tuple[int, int]] = {}  # chain edge -> (chain, circuit)
         self.confluent: dict[int, list[AdjacentPair]] = {}  # edge -> confluent pairs outside H
 
-    def step(self, vals, h_edges, h_next, added, chains, stage: str) -> Flow:
+    def step(self, values, h_edges, h_next, added, chains, stage: str) -> None:
         g, k = self.g, self.tag.k
-        flow = Flow(g, self.tag, tuple(vals))
-        values = flow.values
         changed = list(compress(range(g.edge_count), map(ne, self.values, values)))
         net: dict[int, tuple[int, int]] = {}
         for e in changed:
@@ -350,7 +352,6 @@ class _StageChecks:
                 )
         self._check_pairs(values, h_edges, added, stage)
         self.values = values
-        return flow
 
     def _add_chain(self, chain: CircuitChain, h_edges, stage: str) -> None:
         g = self.g
@@ -620,7 +621,7 @@ def building_phi(
             chain_choices = _assign_chain_values(g, vals, step.chain, k)
             chains.append(step.chain)
         diags.append(StepDiagnostics(label, len(forb), cap, c, chain_choices))
-        checks.step(vals, h_edges, h_next, _step_edges(step), new_chains, f"stage:{j}")
+        checks.step(tuple(vals), h_edges, h_next, _step_edges(step), new_chains, f"stage:{j}")
     # The base step, from snapshots[0] to the empty stage.
     if b == 1:
         circ = tower.base.circuits[0]
@@ -639,8 +640,10 @@ def building_phi(
         base_chain = tower.base
         diags.append(StepDiagnostics("base:chain", 0, 0, chain_choices[0][0], chain_choices))
     chains.append(base_chain)
-    flow0 = checks.step(vals, frozenset(), snapshots[0], snapshots[0], (base_chain,), "stage:base")
-    stored = flow0.values[e_star]
+    values = tuple(vals)
+    checks.step(values, frozenset(), snapshots[0], snapshots[0], (base_chain,), "stage:base")
+    flow0 = Flow(g, tag, values)
+    stored = values[e_star]
     fixed_value = stored if orientation == star.ends else ((-stored[0]) % k, stored[1])
     if fixed_value != (a, b):
         raise InternalDefectError(

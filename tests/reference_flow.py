@@ -6,7 +6,8 @@ before its kernels moved to plain integers.
 Tests compare `verify_flow`, `rich_report`, `pair_relation`, `Flow`
 normalisation, `linear_combine` and `cotree_flow_search` against these.
 The flow builders `zero_flow`, `send_through_circuit` and
-`make_adjacent_pair` serve tests only, so they live here too.
+`make_adjacent_pair`, `chain_edges` and the graph writer `format_multigraph`
+serve tests only, so they live here too.
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ def make_adjacent_pair(g: Multigraph, e: int, f: int) -> AdjacentPair:
     if not shared:
         raise PreconditionError(f"edges {e} and {f} are not adjacent")
     return AdjacentPair(min(e, f), max(e, f), shared[0])
+
+
+def chain_edges(flow: Flow) -> frozenset[int]:
+    """Edges of a (Z_k x Z_2) flow whose value has second coordinate 1."""
+    if flow.group.kind != "zkxz2":
+        raise PreconditionError("chain edges are defined for zkxz2 flows")
+    return frozenset(e for e, v in enumerate(flow.values) if v[1] == 1)
+
+
+def format_multigraph(g: Multigraph) -> str:
+    """g in the plain graph file format that `parse_multigraph` reads."""
+    lines = [f"{g.vertex_count} {g.edge_count}"]
+    lines.extend(f"{e.tail} {e.head}" for e in g.edges)
+    return "\n".join(lines) + "\n"
 
 
 def linear_combine_values(terms) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from richflow import Flow, GroupTag, Multigraph
 from richflow.flowalg import adjacent_pairs, verify_flow
 from richflow.errors import InternalDefectError, PreconditionError
-from richflow.flowalg import chain_edges, pair_relation, strongly_intersecting
+from richflow.flowalg import pair_relation, strongly_intersecting
 from richflow.multigraph import (
     CircuitChain,
     _bfs_path,
@@ -42,6 +42,8 @@ from richflow.synthesis import (
     _send_on,
     _smallest_allowed,
 )
+
+from reference_flow import chain_edges
 
 
 def vertices_of_edges(g: Multigraph, edge_ids) -> frozenset[int]:

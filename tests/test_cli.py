@@ -18,9 +18,9 @@ from richflow import cli, multigraph, oracle
 from richflow.cli import run
 from richflow.errors import InternalDefectError
 from richflow.flowalg import read_flow_json, verify_flow
-from richflow.multigraph import format_multigraph
 
 from conftest import ADMISSIBLE_NAMES, CORPUS, doubled_cycle, load
+from reference_flow import format_multigraph
 
 
 @pytest.fixture(autouse=True)

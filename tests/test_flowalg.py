@@ -17,7 +17,6 @@ from richflow import (
 from richflow.flowalg import (
     PairRelation,
     adjacent_pairs,
-    chain_edges,
     is_rich,
     linear_combine,
     modular_to_integer,
@@ -33,7 +32,7 @@ from richflow.cotree import cotree_flow_search, fundamental_circuit_signs
 from richflow.multigraph import find_circuit_through, spanning_forest
 
 import reference_flow
-from reference_flow import make_adjacent_pair, send_through_circuit, zero_flow
+from reference_flow import chain_edges, make_adjacent_pair, send_through_circuit, zero_flow
 from conftest import load, prism
 
 

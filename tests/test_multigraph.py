@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,18 +18,19 @@ from richflow.multigraph import (
     Circuit,
     CircuitChain,
     _biconnected_edge_groups,
+    _dfs_facts,
     bridges,
     edge_connectivity_at_least,
     enumerate_two_edge_cuts,
     find_attachable_block,
     find_circuit_chain,
     find_circuit_through,
-    format_multigraph,
     validate_circuit_chain,
 )
 from richflow import multigraph
 
 from conftest import ALL_NAMES, load, oracle_components, oracle_cuts, random_cubic, relabel
+from reference_flow import format_multigraph
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +153,23 @@ def test_two_cut_enumeration_tests_only_pairs_with_a_tree_edge(monkeypatch, g):
 
     monkeypatch.setattr(multigraph, "_UnionFind", CountingUnionFind)
     enumerate_two_edge_cuts(g)
-    # Every spanning tree holds every bridge, so whichever tree is taken, its
-    # n - 1 - b other edges are the non-bridge tree edges; the pairs with at
-    # least one of them are all pairs minus those of two non-tree edges.
-    b = len(bridges(g))
-    non_bridge = g.edge_count - b
-    off_tree = non_bridge - (g.vertex_count - 1 - b)
-    expected = non_bridge * (non_bridge - 1) // 2 - off_tree * (off_tree - 1) // 2
+    # The pairs tested have a tree edge, and are either two edges with no
+    # parallel and no bridge, or the two edges of a bundle of two. A twin
+    # pair has a tree edge or not depending on the tree, so take the one
+    # enumerate_two_edge_cuts takes.
+    tree = _dfs_facts(g)[2]
+    bundle = Counter(frozenset(e.ends) for e in g.edges)
+    lone = [e.id for e in g.edges if bundle[frozenset(e.ends)] == 1 and e.id not in bridges(g)]
+    off_tree = sum(e not in tree for e in lone)
+    twins_on_tree = sum(e.id in tree for e in g.edges if bundle[frozenset(e.ends)] == 2)
+    expected = len(lone) * (len(lone) - 1) // 2 - off_tree * (off_tree - 1) // 2 + twins_on_tree
     assert len(built) == expected
-    assert off_tree > 1  # the prune skipped some pairs
+    assert off_tree > 1  # the tree prune skipped some pairs
+    # The tree prune alone tests the non-bridge pairs with a tree edge.
+    non_bridge = g.edge_count - len(bridges(g))
+    all_off_tree = non_bridge - (g.vertex_count - 1 - len(bridges(g)))
+    tree_prune_only = non_bridge * (non_bridge - 1) // 2 - all_off_tree * (all_off_tree - 1) // 2
+    assert (expected < tree_prune_only) == (max(bundle.values()) > 1)
 
 
 def test_edge_connectivity_thresholds(k4):
@@ -238,8 +248,27 @@ def small_cubic_graphs(draw) -> Multigraph:
     return random_cubic(random.Random(draw(st.integers(0, 2**32 - 1))), n)
 
 
+@st.composite
+def bundled_multigraphs(draw) -> Multigraph:
+    """Connected multigraphs shaped like the benchmark's small batch graphs:
+    n <= 6, m <= 14, most edges in bundles of 2 to 4 parallel edges. A random
+    spanning tree and up to four more vertex pairs each get a bundle of 1 to
+    4 edges, as far as 14 edges allow, in shuffled order and orientations;
+    so bridges, twins and larger bundles all occur."""
+    n = draw(st.integers(2, 6))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    ends += [(u, (u + d) % n) for u, d in draw(st.lists(extra, max_size=4))]
+    pairs = list(ends)
+    for pair in ends:
+        pairs += [pair] * min(draw(st.integers(1, 4)) - 1, 14 - len(pairs))
+    pairs = draw(st.permutations(pairs))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Multigraph(n, [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)])
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(dense_multigraphs(), small_cubic_graphs()))
+@given(st.one_of(dense_multigraphs(), small_cubic_graphs(), bundled_multigraphs()))
 def test_two_cut_list_equals_brute_force_oracle(g):
     expect_bridges, expect_cuts = oracle_cuts(g)
     expected = sorted(expect_cuts)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from richflow import (
     Multigraph,
@@ -17,6 +18,7 @@ from richflow.seymour import build_pair_splitting, validate_pair_set
 
 from conftest import ADMISSIBLE_NAMES, doubled_cycle, load
 from reference_flow import make_adjacent_pair
+from test_tower_checks import admissible_multigraphs
 
 
 def random_pair_set(g, rng, max_pairs=4) -> PairSet:
@@ -138,6 +140,22 @@ def test_empty_pair_set_gives_plain_flow(k4):
     f = flow_avoiding_confluence(k4, PairSet(()))
     rep = verify_flow(k4, f)
     assert rep.conserved and rep.nowhere_zero
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(admissible_multigraphs())
+def test_empty_pair_set_takes_the_z6_flow_of_g_itself(g):
+    # Nothing is split, so the split graph is g and no copy is made; the
+    # flow is the one the search finds on a copy of g.
+    assert build_pair_splitting(g, PairSet(())).graph_h is g
+    f = flow_avoiding_confluence(g, PairSet(()))
+    copy = Multigraph(g.vertex_count, [e.ends for e in g.edges])
+    assert f.graph is g
+    assert f.values == nowhere_zero_z6(copy).values
 
 
 def test_single_pair_not_confluent(k4):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from richflow import (
     AdmissibilityError,
+    Flow,
     GroupTag,
     Multigraph,
     PreconditionError,
@@ -23,7 +24,6 @@ from richflow import (
 )
 from richflow.flowalg import (
     adjacent_pairs,
-    chain_edges,
     is_rich,
     pair_relation,
     strongly_intersecting,
@@ -35,9 +35,10 @@ from richflow.multigraph import edge_connectivity_at_least, subgraph, validate_c
 from richflow.synthesis import AddChord, build_tower, split_on_two_cut, verify_mod_flow_bullets
 
 import reference_flow
+from reference_flow import chain_edges
 from conftest import ADMISSIBLE_NAMES, load
 from test_multigraph import small_multigraphs
-from test_tower_checks import draw_block
+from test_tower_checks import admissible_multigraphs, draw_block
 
 
 THREE_EDGE_CONNECTED = [
@@ -73,6 +74,31 @@ def test_tower_k4_b0_structure(k4):
         stage, _, _ = subgraph(k4, vs, snap)
         assert edge_connectivity_at_least(stage, 2)
     assert tw.edge_snapshots[-1] == frozenset(range(k4.edge_count))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(admissible_multigraphs(), st.data())
+def test_chain_search_leaving_an_edge_out_matches_the_copy(g, data):
+    # build_tower searches its b = 0 base in g with the special edge left out;
+    # the relabelled copy of g minus that edge, searched and mapped back,
+    # gives the same chain, or the same refusal when g minus the edge is not
+    # 2-edge-connected (g has 2-edge-cuts).
+    e = data.draw(st.integers(0, g.edge_count - 1))
+    u, v = data.draw(st.sampled_from([g.edge(e).ends, g.edge(e).ends[::-1], (0, g.vertex_count - 1)]))
+    keep = [f for f in range(g.edge_count) if f != e]
+    sub, vmap, emap = subgraph(g, range(g.vertex_count), keep)
+    try:
+        want = synthesis._map_chain(multigraph.find_circuit_chain(sub, u, v), vmap, emap)
+    except PreconditionError:
+        assert not edge_connectivity_at_least(g, 3)
+        with pytest.raises(PreconditionError):
+            multigraph.find_circuit_chain(g, u, v, without_edge=e)
+        return
+    assert multigraph.find_circuit_chain(g, u, v, without_edge=e) == want
 
 
 def test_tower_rejects_non_three_connected():
@@ -324,6 +350,34 @@ def test_synthesis_runs_few_linear_passes(monkeypatch, name, most):
         monkeypatch.setattr(module, attr, lambda *a, real=real, **kw: calls.append(a[0]) or real(*a, **kw))
     synthesize_rich_flow(load(name))
     assert len(calls) <= most
+
+
+@pytest.mark.parametrize(
+    "name, graphs, flows", [("k4", 0, 8), ("petersen", 0, 8), ("two_k4", 2, 10), ("three_k4", 4, 12)]
+)
+def test_synthesis_builds_few_graphs_and_flows(monkeypatch, name, graphs, flows):
+    # Graphs: the two sides of each split. The tower base, its stage check
+    # and a Z6 step with no pair to split work on g itself (3, 3, 6 and 10
+    # graphs when they built copies). Flows: one per building_phi and one
+    # per glue, then the Z6 flow, two projections, three lifts and the
+    # combination (12, 15, 19 and 26 with one flow per tower stage and a
+    # restricted Z6 flow).
+    g = load(name)
+    built = {"graphs": 0, "flows": 0}
+    real_init, real_post_init = Multigraph.__init__, Flow.__post_init__
+
+    def counting_init(self, *args):
+        built["graphs"] += 1
+        real_init(self, *args)
+
+    def counting_post_init(self):
+        built["flows"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(Multigraph, "__init__", counting_init)
+    monkeypatch.setattr(Flow, "__post_init__", counting_post_init)
+    synthesize_rich_flow(g)
+    assert built == {"graphs": graphs, "flows": flows}
 
 
 def test_synthesize_rejects_inadmissible():

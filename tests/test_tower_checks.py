@@ -95,9 +95,9 @@ def record_stages(args: tuple, kwargs: dict):
     real_step = synthesis._StageChecks.step
 
     def recording_step(self, vals, h_edges, h_next, added, new_chains, stage):
-        flow = real_step(self, vals, h_edges, h_next, added, new_chains, stage)
+        real_step(self, vals, h_edges, h_next, added, new_chains, stage)
+        flow = Flow(self.g, self.tag, tuple(vals))
         stages.append((flow, h_edges, h_next, added, new_chains, stage))
-        return flow
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis._StageChecks, "step", recording_step)
@@ -464,11 +464,14 @@ def random_cubic(seed: int, n: int) -> Multigraph:
             return g
 
 
-GUARDED = ("subgraph", "edge_connectivity_at_least", "verify_flow", "adjacent_pairs")
+GUARDED = ("edge_connectivity_at_least", "verify_flow", "adjacent_pairs")
 
 
 def full_pass_counts(monkeypatch, g: Multigraph) -> tuple[dict[str, int], int]:
-    counts = dict.fromkeys(GUARDED, 0)
+    """Calls of the GUARDED full passes, and copies of g (graphs built on
+    g's vertex count), during one building_phi on g. A block-chain step
+    builds graphs on the vertices outside the stage, which are not counted."""
+    counts = dict.fromkeys(GUARDED + ("copies of g",), 0)
     for name in GUARDED:
         real = getattr(synthesis, name)
 
@@ -477,6 +480,13 @@ def full_pass_counts(monkeypatch, g: Multigraph) -> tuple[dict[str, int], int]:
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(synthesis, name, counting)
+    real_init = Multigraph.__init__
+
+    def counting_init(self, vertex_count, edge_pairs):
+        counts["copies of g"] += vertex_count == g.vertex_count
+        real_init(self, vertex_count, edge_pairs)
+
+    monkeypatch.setattr(Multigraph, "__init__", counting_init)
     res = synthesis.building_phi(g, 0, (1, 0), 3)
     monkeypatch.undo()
     return counts, len(res.tower.steps)
@@ -488,6 +498,7 @@ def test_full_passes_do_not_grow_with_the_tower(monkeypatch):
     assert large_steps > 3 * small_steps
     assert large == small
     assert large["verify_flow"] == large["adjacent_pairs"] == 0
+    assert large["copies of g"] == 0
 
 
 def test_traced_names_stay_importable_from_their_modules(monkeypatch):
