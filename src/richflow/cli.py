@@ -2,7 +2,8 @@
 exact search, and batch reporting over a directory of graph files.
 
 Exit codes: 0 success, 1 not admissible (or failed verification), 2 parse or
-usage error, 3 internal invariant violation or any other unexpected error.
+usage error or an unreadable input or unwritable output path, 3 internal
+invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -80,7 +81,10 @@ def _cmd_check(args) -> int:
 def _cmd_synth(args) -> int:
     g = _load_graph(args.graph)
     cert = synthesize_rich_flow(g)
-    Path(args.out).write_text(write_flow_json(cert.flow))
+    try:
+        Path(args.out).write_text(write_flow_json(cert.flow))
+    except OSError as exc:
+        raise GraphInputError(f"cannot write {args.out}: {exc}") from exc
     if args.trace:
         for entry in cert.traces:
             print(json.dumps(entry, sort_keys=True))
@@ -342,10 +346,13 @@ def _cmd_batch(args) -> int:
     else:
         rows += [_batch_row(*item) for item in graphs]
     rows.sort(key=lambda r: r["graph_path"])
-    with open(args.report, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=BATCH_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(args.report, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=BATCH_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        raise GraphInputError(f"cannot write {args.report}: {exc}") from exc
     print(f"wrote {len(rows)} rows to {args.report}")
     return 0
 

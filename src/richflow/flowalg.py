@@ -137,9 +137,10 @@ def linear_combine(terms, bound: int) -> Flow:
             raise PreconditionError("flows over different graphs cannot be combined")
         if f.group.kind != "int":
             raise PreconditionError("only integer flows can be combined")
-    columns = zip(*(f.values for _, f in terms))
-    vals = tuple(sum(c * x for (c, _), x in zip(terms, col)) for col in columns)
-    return Flow(g, GroupTag.integers(bound), vals)
+    vals = [0] * g.edge_count
+    for c, f in terms:
+        vals = [v + c * x for v, x in zip(vals, f.values)]
+    return Flow(g, GroupTag.integers(bound), tuple(vals))
 
 
 def project_flow(f: Flow, coordinate: int) -> Flow:
@@ -364,6 +365,10 @@ def modular_to_integer(g: Multigraph, flow: Flow) -> Flow:
     Each nonzero value r becomes r or r - k so that conservation holds over
     the integers; the choice vector is a feasible unit-capacity circulation
     solved by max flow. Zero values stay zero and |result| < k everywhere.
+
+    Two passes over the edges: one net-outflow pass over the input gives the
+    demands, and one pass over the lift checks its conservation, residues,
+    zero set and bound together.
     """
     if flow.group.kind not in ("zk", "z2", "z6"):
         raise PreconditionError("conversion expects a single modular group")
@@ -379,12 +384,8 @@ def modular_to_integer(g: Multigraph, flow: Flow) -> Flow:
     demands = [d // k for d in div]
     # Node layout: 0..n-1 graph vertices, n = source, n+1 = sink.
     s, t = g.vertex_count, g.vertex_count + 1
-    arcs: list[tuple[int, int, int]] = []
-    arc_of_edge: dict[int, int] = {}
-    for e in g.edges:
-        if r[e.id] != 0:
-            arc_of_edge[e.id] = len(arcs)
-            arcs.append((e.tail, e.head, 1))
+    # One unit arc per nonzero edge, in edge order, ahead of the demand arcs.
+    arcs = [(e.tail, e.head, 1) for e, x in zip(g.edges, r) if x]
     need = 0
     for v, d in enumerate(demands):
         if d > 0:
@@ -395,21 +396,23 @@ def modular_to_integer(g: Multigraph, flow: Flow) -> Flow:
     value, arc_flow = _max_flow(g.vertex_count + 2, arcs, s, t)
     if value != need:
         raise InternalDefectError("integer lift infeasible; conversion theory violated")
+    units = iter(arc_flow)
     vals = []
-    for e in g.edges:
-        if r[e.id] == 0:
-            vals.append(0)
-        else:
-            x = arc_flow[arc_of_edge[e.id]]
-            vals.append(r[e.id] - k * x)
-    out = Flow(g, GroupTag.integers(k), tuple(vals))
-    out_rep = verify_flow(g, out)
-    if not out_rep.conserved:
+    net = [0] * g.vertex_count
+    broken = False
+    for e, x in zip(g.edges, r):
+        lift = 0  # a zero value stays zero, which meets every condition
+        if x:
+            lift = x - k * next(units)
+            broken = broken or (lift - x) % k != 0 or lift == 0 or abs(lift) >= k
+            net[e.tail] += lift
+            net[e.head] -= lift
+        vals.append(lift)
+    if any(net):
         raise InternalDefectError("integer lift lost conservation")
-    for e in range(g.edge_count):
-        if (vals[e] - r[e]) % k != 0 or (vals[e] == 0) != (r[e] == 0) or abs(vals[e]) >= k:
-            raise InternalDefectError("integer lift broke residues, zero set or bound")
-    return out
+    if broken:
+        raise InternalDefectError("integer lift broke residues, zero set or bound")
+    return Flow(g, GroupTag.integers(k), tuple(vals))
 
 
 # ---------------------------------------------------------------------------

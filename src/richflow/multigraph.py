@@ -27,8 +27,8 @@ subset, not on a relabelled copy.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 from .errors import GraphInputError, InternalDefectError, PreconditionError
 
@@ -307,12 +307,6 @@ def _two_edge_connected_on(g: Multigraph, edge_ids, vertex_count: int) -> bool:
     return len(tree) >= vertex_count - 1 and all(len(grp) > 1 for grp in groups)
 
 
-def bridges(g: Multigraph) -> frozenset[int]:
-    """Edge ids whose removal increases the number of components: the
-    single-edge blocks of g (a parallel edge shares its block with its twin)."""
-    return _dfs_facts(g)[1]
-
-
 class _UnionFind:
     __slots__ = ("parent",)
 
@@ -468,7 +462,8 @@ class Circuit:
     """A connected 2-regular subgraph, listed as aligned cyclic sequences.
 
     Edge i joins vertices[i] and vertices[(i+1) % len]; the listed order is
-    also the circuit's traversal direction wherever one is needed.
+    also the circuit's traversal direction wherever one is needed. The vertex
+    and edge sets are built on first read and kept.
     """
 
     vertices: tuple[int, ...]
@@ -479,11 +474,13 @@ class Circuit:
 
     @property
     def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
+        kept = self.__dict__
+        return kept.get("vertex_set") or kept.setdefault("vertex_set", frozenset(self.vertices))
 
     @property
     def edge_set(self) -> frozenset[int]:
-        return frozenset(self.edges)
+        kept = self.__dict__
+        return kept.get("edge_set") or kept.setdefault("edge_set", frozenset(self.edges))
 
     def reversed(self) -> "Circuit":
         v = self.vertices
@@ -506,7 +503,7 @@ def validate_circuit(g: Multigraph, c: Circuit) -> bool:
     k = len(c.edges)
     if k < 2 or len(c.vertices) != k:
         return False
-    if len(set(c.vertices)) != k or len(set(c.edges)) != k:
+    if len(c.vertex_set) != k or len(c.edge_set) != k:
         return False
     for i in range(k):
         eid = c.edges[i]
@@ -524,28 +521,24 @@ def circuit_from_edge_set(g: Multigraph, edge_ids) -> Circuit | None:
     edge_ids = sorted(set(edge_ids))
     if len(edge_ids) < 2:
         return None
-    deg: Counter[int] = Counter()
+    at: dict[int, list[int]] = {}  # vertex -> its edges, ascending
     for eid in edge_ids:
         e = g.edge(eid)
-        deg[e.tail] += 1
-        deg[e.head] += 1
-    if any(d != 2 for d in deg.values()) or len(deg) != len(edge_ids):
+        at.setdefault(e.tail, []).append(eid)
+        at.setdefault(e.head, []).append(eid)
+    if any(len(ids) != 2 for ids in at.values()) or len(at) != len(edge_ids):
         return None
-    at: dict[int, list[int]] = {v: [] for v in deg}
-    for eid in edge_ids:
-        e = g.edge(eid)
-        at[e.tail].append(eid)
-        at[e.head].append(eid)
-    start = min(deg)
+    start = min(at)
     verts = [start]
     eids: list[int] = []
     used: set[int] = set()
     v = start
     while True:
-        nxt = min(e for e in at[v] if e not in used)
+        first, second = at[v]  # the lower unused one; past the start, one is used
+        nxt = second if first in used else first
         used.add(nxt)
         eids.append(nxt)
-        v = g.edge(nxt).other_end(v)
+        v = g.edges[nxt].other_end(v)
         if v == start:
             break
         verts.append(v)
@@ -563,20 +556,18 @@ def _bfs_path(
     """
     if src == dst:
         return ([src], [])
-    edges = g.edges
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {src}
+    edges, incidence = g.edges, g._incidence
+    parent: dict[int, tuple[int, int] | None] = {src: None}
     queue = deque([src])
     while queue:
         v = queue.popleft()
-        for eid in g.incident(v):
+        for eid in incidence[v]:
             if eid not in allowed:
                 continue
             e = edges[eid]
             w = e.head if e.tail == v else e.tail
-            if w in seen:
+            if w in parent:
                 continue
-            seen.add(w)
             parent[w] = (v, eid)
             if w == dst:
                 verts = [dst]
@@ -603,16 +594,18 @@ def circuit_through_edge(
 ) -> Circuit | None:
     """Shortest circuit containing edge e, traversed along the given direction.
 
-    The search runs over allowed_edges (default: all edges) minus e itself.
-    Returns None when e lies on no circuit within the allowed set.
+    The search runs over allowed_edges (default: all edges) minus e itself;
+    allowed_edges is copied only when it holds e. Returns None when e lies on
+    no circuit within the allowed set.
     """
     edge = g.edge(e)
     if direction is None:
         direction = edge.ends
     if set(direction) != {edge.tail, edge.head}:
         raise PreconditionError(f"direction {direction} does not orient edge {e}")
-    pool = frozenset(range(g.edge_count)) if allowed_edges is None else frozenset(allowed_edges)
-    pool = pool - {e}
+    pool = range(g.edge_count) if allowed_edges is None else allowed_edges
+    if e in pool:
+        pool = frozenset(pool) - {e}
     start, nxt = direction
     path = _bfs_path(g, nxt, start, pool)
     if path is None:
@@ -636,26 +629,20 @@ def find_circuit_through(g: Multigraph, e: int) -> Circuit:
 @dataclass(frozen=True)
 class CircuitChain:
     """Circuits where consecutive ones share exactly one vertex and
-    non-consecutive ones are vertex-disjoint."""
+    non-consecutive ones are vertex-disjoint; the vertex and edge sets of the
+    whole chain are built once, with the chain."""
 
     circuits: tuple[Circuit, ...]
+    vertex_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    edge_set: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        cs = self.circuits
+        object.__setattr__(self, "vertex_set", frozenset().union(*(c.vertex_set for c in cs)))
+        object.__setattr__(self, "edge_set", frozenset().union(*(c.edge_set for c in cs)))
 
     def __len__(self) -> int:
         return len(self.circuits)
-
-    @property
-    def edge_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.circuits:
-            out |= c.edge_set
-        return frozenset(out)
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.circuits:
-            out |= c.vertex_set
-        return frozenset(out)
 
     def internal_vertices(self, index: int) -> frozenset[int]:
         """Vertices of circuit `index` lying in no other circuit of the chain."""
@@ -707,11 +694,9 @@ def validate_circuit_chain(
 # Chain discovery
 
 
-def _min_two_flow(
-    g: Multigraph, s: int, t: int, without_edge: int | None = None
-) -> dict[int, int] | None:
+def _min_two_flow(g: Multigraph, s: int, t: int, edge_ids=None) -> dict[int, int] | None:
     """Edge usage (+1 along reference, -1 against) of a minimum-size 2-unit s-t
-    flow in g, or in g minus `without_edge`.
+    flow in g, or in its edges `edge_ids`.
 
     Two successive shortest augmentations over the residual graph; residual
     reverse arcs cost -1, so relaxation is Bellman-Ford style.
@@ -719,26 +704,29 @@ def _min_two_flow(
     n = g.vertex_count
     inf = float("inf")
     usage: dict[int, int] = {}
-    edges = [e for e in g.edges if e.id != without_edge]
+    edges = g.edges if edge_ids is None else [g.edges[e] for e in sorted(edge_ids)]
+    # Residual arcs (from, to, cost, (edge, direction)) of an unused edge.
+    unused = [((e.tail, e.head, 1, (e.id, 1)), (e.head, e.tail, 1, (e.id, -1))) for e in edges]
     for _ in range(2):
+        arcs = []  # fixed for one augmentation
+        for e, both in zip(edges, unused):
+            u0 = usage.get(e.id, 0)
+            if u0 == 0:
+                arcs += both
+            elif u0 == 1:
+                arcs.append((e.head, e.tail, -1, (e.id, -1)))
+            else:
+                arcs.append((e.tail, e.head, -1, (e.id, 1)))
         dist: list[float] = [inf] * n
         parent: list[tuple[int, int] | None] = [None] * n
         dist[s] = 0
         for _round in range(n + 1):
             changed = False
-            for e in edges:
-                u0 = usage.get(e.id, 0)
-                if u0 == 0:
-                    moves = ((e.tail, e.head, 1, 1), (e.head, e.tail, -1, 1))
-                elif u0 == 1:
-                    moves = ((e.head, e.tail, -1, -1),)
-                else:
-                    moves = ((e.tail, e.head, 1, -1),)
-                for a, b, d, w in moves:
-                    if dist[a] + w < dist[b]:
-                        dist[b] = dist[a] + w
-                        parent[b] = (e.id, d)
-                        changed = True
+            for a, b, w, via in arcs:
+                if dist[a] + w < dist[b]:
+                    dist[b] = dist[a] + w
+                    parent[b] = via
+                    changed = True
             if not changed:
                 break
         if dist[t] == inf:
@@ -788,32 +776,33 @@ def _chain_via_block_path(g: Multigraph, union_edges, u: int, v: int) -> Circuit
             return None
         walk.append(nxt.pop())
     circuits = [circuit_from_edge_set(g, groups[i]) for i in walk]
-    if None in circuits:
+    if any(c is None for c in circuits):
         return None
     return CircuitChain(tuple(circuits))
 
 
 def find_circuit_chain(
-    g: Multigraph, u: int, v: int, *, without_edge: int | None = None
+    g: Multigraph, u: int, v: int, *, vertices=None, edge_ids=None
 ) -> CircuitChain:
     """A circuit chain connecting u and v in a 2-edge-connected graph: g, or
-    g minus `without_edge` when that is given.
+    its subgraph with the given vertices and edges (all of g's by default).
 
     The union of two edge-disjoint u-v paths of minimum total size splits
     into a chain of circuits along its block path, so this always finds one;
     a miss is an internal defect. The result is validated before it is
-    returned. With an edge left out, g is searched with that edge skipped;
-    vertices and the order of the other edges are those of the relabelled
-    copy of g minus the edge, so the chain is the one found on that copy.
+    returned. A subgraph is searched on g over its edges, in id order, so
+    the chain is the one found on the subgraph's relabelled copy (which
+    keeps the order of vertices and edges) mapped back to g.
     """
+    if vertices is None:
+        vertices = range(g.vertex_count)
     if u == v:
         raise PreconditionError("endpoints must be distinct")
-    if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
+    if not (u in vertices and v in vertices):
         raise PreconditionError("endpoint out of range")
-    keep = None if without_edge is None else [e for e in range(g.edge_count) if e != without_edge]
-    if not _two_edge_connected_on(g, keep, g.vertex_count):
+    if not _two_edge_connected_on(g, edge_ids, len(vertices)):
         raise PreconditionError("circuit chain search requires a 2-edge-connected graph")
-    usage = _min_two_flow(g, u, v, without_edge)
+    usage = _min_two_flow(g, u, v, edge_ids)
     if usage:
         chain = _chain_via_block_path(g, usage.keys(), u, v)
         if chain is not None and validate_circuit_chain(g, chain, (u, v)):
@@ -822,29 +811,7 @@ def find_circuit_chain(
 
 
 # ---------------------------------------------------------------------------
-# Subgraphs and attachable blocks
-
-
-def subgraph(
-    g: Multigraph, vertices, edge_ids
-) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...]]:
-    """Relabelled subgraph plus maps new-vertex -> old and new-edge -> old."""
-    vs = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(vs)}
-    eids = sorted(set(edge_ids))
-    pairs = []
-    for eid in eids:
-        e = g.edge(eid)
-        if e.tail not in index or e.head not in index:
-            raise PreconditionError(f"edge {eid} leaves the requested vertex set")
-        pairs.append((index[e.tail], index[e.head]))
-    return Multigraph(len(vs), pairs), tuple(vs), tuple(eids)
-
-
-def induced_subgraph(g: Multigraph, vertices):
-    vs = set(vertices)
-    eids = [e.id for e in g.edges if e.tail in vs and e.head in vs]
-    return subgraph(g, vs, eids)
+# Attachable blocks
 
 
 def find_attachable_block(
@@ -855,6 +822,8 @@ def find_attachable_block(
     Returns (block vertex set, e1, e2, b1, b2) where e1 < e2 join `inside` to
     the block and b1, b2 are their distinct endpoints in the block. Errors when
     the vertex-attachment growth step applies instead, or nothing is left.
+    g minus `inside` is searched on g over the edges with no end inside, so
+    no graph is built.
     """
     inside = frozenset(inside)
     outside = [v for v in range(g.vertex_count) if v not in inside]
@@ -866,14 +835,12 @@ def find_attachable_block(
             raise PreconditionError(
                 f"vertex-attachment step applies: vertex {v} has {to_inside} edges inside"
             )
-    sub, vmap, emap = induced_subgraph(g, outside)
-    sub_bridges = bridges(sub)
-    comps = connected_components(sub, without=sub_bridges)
-    blocks = [frozenset(vmap[i] for i in comp) for comp in comps]
-    bridge_ends = []
-    for sb in sub_bridges:
-        e = sub.edge(sb)
-        bridge_ends.append((vmap[e.tail], vmap[e.head]))
+    outer = [e.id for e in g.edges if e.tail not in inside and e.head not in inside]
+    outer_bridges = [grp for grp in _biconnected_edge_groups(g, outer) if len(grp) == 1]
+    bridge_ends = [g.edges[eid].ends for grp in outer_bridges for eid in grp]
+    kept = frozenset(outer).difference(*outer_bridges)
+    comps = connected_components(g, without=frozenset(range(g.edge_count)) - kept)
+    blocks = [frozenset(comp) for comp in comps if comp[0] not in inside]
     candidates = []
     for blk in blocks:
         touching = sum(1 for a, b in bridge_ends if (a in blk) != (b in blk))

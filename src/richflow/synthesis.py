@@ -20,7 +20,7 @@ richness, conservation and bound checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
@@ -55,7 +55,6 @@ from .multigraph import (
     find_circuit_chain,
     find_circuit_through,
     is_rich_flow_admissible,
-    induced_subgraph,
     validate_circuit,
     validate_circuit_chain,
 )
@@ -98,13 +97,6 @@ class Tower:
     e_star: int
     steps: tuple
     edge_snapshots: tuple[frozenset[int], ...]  # one per stage, base first
-
-
-def _vertices_of_edges(g: Multigraph, edge_ids) -> frozenset[int]:
-    out: set[int] = set()
-    for eid in edge_ids:
-        out |= set(g.edges[eid].ends)
-    return frozenset(out)
 
 
 def _map_circuit(c: Circuit, vmap, emap) -> Circuit:
@@ -164,7 +156,8 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
 
     For b = 0 the base chain is searched in g with the special edge left out,
     and the base stage is checked for 2-edge-connectivity by one lowpoint DFS
-    over its edges of g; neither makes a copy of g.
+    over its edges of g. A block-chain step searches for its block, and for
+    the chain through it, on g over edge subsets too, so no step builds a graph.
 
     The tower is an ear decomposition, so only the base stage is checked for
     2-edge-connectivity as a whole. Each step is then checked as an ear of the
@@ -186,7 +179,8 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
     else:
         star = g.edge(e_star)
         # find_circuit_chain validates that the chain joins the two ends.
-        base = find_circuit_chain(g, star.tail, star.head, without_edge=e_star)
+        rest = [f for f in range(g.edge_count) if f != e_star]
+        base = find_circuit_chain(g, star.tail, star.head, edge_ids=rest)
         if e_star in base.edge_set:
             raise InternalDefectError("base chain uses the special edge it must leave out")
     h_edges: set[int] = set(base.edge_set)
@@ -216,10 +210,8 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
                     break
         if step is None:
             blk, e1, e2, b1, b2 = find_attachable_block(g, h_vertices)
-            sub, vmap, emap = induced_subgraph(g, blk)
-            idx = {orig: i for i, orig in enumerate(vmap)}
-            local = find_circuit_chain(sub, idx[b1], idx[b2])
-            chain = _map_chain(local, vmap, emap)
+            inner = [e.id for e in g.edges if e.tail in blk and e.head in blk]
+            chain = find_circuit_chain(g, b1, b2, vertices=blk, edge_ids=inner)
             a1 = g.edge(e1).other_end(b1)
             a2 = g.edge(e2).other_end(b2)
             step = AddBlockChain(chain, e1, e2, a1, a2, b1, b2)
@@ -230,7 +222,7 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
         steps.append(step)
         added = _step_edges(step)
         h_edges |= added
-        h_vertices |= _vertices_of_edges(g, added)
+        h_vertices.update(v for e in added for v in g.edges[e].ends)
         snapshots.append(frozenset(h_edges))
     return Tower(base, b, e_star, tuple(steps), tuple(snapshots))
 
@@ -260,25 +252,30 @@ def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
 
     At a shared vertex w, with both edges oriented into w, a pair of equal
     parity is confluent when the values cancel and contrafluent when they
-    agree (see `pair_relation`); so per vertex, lowest first, each edge of
-    `edges` is compared with the others by parity and value into w.
+    agree (see `pair_relation`). Either way the stored values are equal up to
+    sign, so per vertex, lowest first, each edge of `edges` is compared with
+    the others by parity and stored value, and the orientations at w are read
+    only for a pair that passes.
     """
     seen: set[tuple[int, int]] = set()
     g_edges = g.edges
     for w in sorted({v for e in edges for v in g_edges[e].ends}):
-        into = []
+        outside = []
         for f in g.incident(w):
             if f not in h_edges:
                 a, y = values[f]
-                into.append((f, y, a if g_edges[f].head == w else (-a) % k))
-        for e, y, x in into:
+                outside.append((f, y, a))
+        for e, y, a in outside:
             if e in edges:
-                for f, yf, xf in into:
-                    if yf == y and f != e and ((x + xf) % k == 0 or x == xf):
+                minus_a = (-a) % k
+                for f, yf, af in outside:
+                    if (af == a or af == minus_a) and yf == y and f != e:
+                        x = a if g_edges[e].head == w else -a
+                        xf = af if g_edges[f].head == w else -af
                         pair = (e, f) if e < f else (f, e)
                         if pair not in seen:
                             seen.add(pair)
-                            yield AdjacentPair(*pair, w), (x + xf) % k == 0, x == xf
+                            yield AdjacentPair(*pair, w), (x + xf) % k == 0, (x - xf) % k == 0
 
 
 class _StageChecks:
@@ -304,8 +301,13 @@ class _StageChecks:
     they are chain edges. The pairs outside H with a changed or added edge
     must meet the pair conditions, new confluent pairs tested against the
     kept ones and each other; a changed edge outside H lies in h_next, so it
-    is an added edge. The work is proportional to the step, apart from
-    comparing the stage's values with the last stage's.
+    is an added edge.
+
+    So a step reads only its changed and added edges, the new chains, and
+    the edges at their vertices, apart from the one comparison of the
+    stage's values with the last stage's that finds the changed edges. The
+    edge ends are read once, here, and chains carry their vertex and edge
+    sets, so no step rebuilds either.
 
     `step` takes the stage's values as a tuple of (Z_k x Z_2) pairs already
     reduced mod (k, 2), as `_send_on` writes them; it builds no `Flow`, and
@@ -319,6 +321,8 @@ class _StageChecks:
     def __init__(self, g: Multigraph, tag: GroupTag) -> None:
         self.g = g
         self.tag = tag
+        self.tails = tuple([e.tail for e in g.edges])
+        self.heads = tuple([e.head for e in g.edges])
         self.values = ((0, 0),) * g.edge_count
         self.chain_count = 0
         self.chain_vertices: set[int] = set()
@@ -326,27 +330,31 @@ class _StageChecks:
         self.confluent: dict[int, list[AdjacentPair]] = {}  # edge -> confluent pairs outside H
 
     def step(self, values, h_edges, h_next, added, chains, stage: str) -> None:
-        g, k = self.g, self.tag.k
-        changed = list(compress(range(g.edge_count), map(ne, self.values, values)))
-        net: dict[int, tuple[int, int]] = {}
+        k, old, tails, heads = self.tag.k, self.values, self.tails, self.heads
+        changed = list(compress(range(len(old)), map(ne, old, values)))
+        # (a, y) -> 2a + k*y mod 2k is a one-to-one homomorphism of Z_k x Z_2
+        # into Z_2k for odd k, so a sum is zero in one exactly when in the other.
+        net: dict[int, int] = {}
         for e in changed:
             if e not in h_next:
                 raise InternalDefectError(f"[{stage}] frozen edge {e} changed value")
-            (a, y), (a0, y0) = values[e], self.values[e]
-            edge = g.edges[e]
-            for v, da in ((edge.tail, a - a0), (edge.head, a0 - a)):
-                na, ny = net.get(v, (0, 0))
-                net[v] = (na + da, ny + y - y0)
-        bad = tuple(sorted(v for v, (na, ny) in net.items() if na % k or ny % 2))
+            (a, y), (a0, y0) = values[e], old[e]
+            dx = 2 * (a - a0) + k * (y - y0)
+            net[tails[e]] = net.get(tails[e], 0) + dx
+            net[heads[e]] = net.get(heads[e], 0) - dx
+        bad = [v for v, x in net.items() if x % (2 * k)]
         if bad:
-            raise InternalDefectError(f"[{stage}] flow not conserved at {bad}")
+            raise InternalDefectError(f"[{stage}] flow not conserved at {tuple(sorted(bad))}")
         for e in added:
             if values[e] == (0, 0):
                 raise InternalDefectError(f"[{stage}] edge {e} outside the stage is zero")
+        recheck = set(changed) if chains else changed
         for chain in chains:
             self._add_chain(chain, h_edges, stage)
-        for e in {*changed, *(e for chain in chains for e in chain.edge_set)}:
-            if (values[e][1] == 1) != (e in self.location):
+            recheck |= chain.edge_set
+        location = self.location
+        for e in recheck:
+            if (values[e][1] == 1) != (e in location):
                 raise InternalDefectError(
                     f"[{stage}] edge {e} has parity {values[e][1]} against the recorded chains"
                 )
@@ -354,14 +362,14 @@ class _StageChecks:
         self.values = values
 
     def _add_chain(self, chain: CircuitChain, h_edges, stage: str) -> None:
-        g = self.g
+        g, on_chain = self.g, chain.vertex_set
         if not validate_circuit_chain(g, chain):
             raise InternalDefectError(f"[{stage}] recorded chain is invalid")
-        if any(f in h_edges for v in chain.vertex_set for f in g.incident(v)):
+        if any(f in h_edges for v in on_chain for f in g.incident(v)):
             raise InternalDefectError(f"[{stage}] chain touches the current stage subgraph")
-        if not chain.vertex_set.isdisjoint(self.chain_vertices):
+        if not on_chain.isdisjoint(self.chain_vertices):
             raise InternalDefectError(f"[{stage}] chains are not vertex-disjoint")
-        self.chain_vertices |= chain.vertex_set
+        self.chain_vertices |= on_chain
         for qi, circ in enumerate(chain.circuits):
             for e in circ.edges:
                 self.location[e] = (self.chain_count, qi)
@@ -424,41 +432,34 @@ def _smallest_allowed(forbidden, k: int) -> int:
     raise InternalDefectError("forbidden set covers the whole group")
 
 
-def _adjacent_outside(g: Multigraph, e: int, inside_edges) -> list[int]:
-    out: set[int] = set()
-    for v in g.edges[e].ends:
-        for f in g.incident(v):
-            if f != e and f not in inside_edges:
-                out.add(f)
-    return sorted(out)
+def _pair_forbidden(vals, k, e_mov, s_mov, f_static, forbidden) -> None:
+    """Values of c making the moving/static pair confluent or contrafluent.
 
-
-def _pair_forbidden(g, vals, k, e_mov, s_mov, f_static, forbidden) -> None:
-    """Values of c making the moving/static pair confluent or contrafluent."""
+    With t = +1 when the two edges point the same way at a shared vertex and
+    -1 otherwise, c = s_mov * (-t * xf - x) makes the pair confluent and
+    c = s_mov * (t * xf - x) contrafluent. Together they are the two values
+    s_mov * (+-xf - x) whatever t is, so the pair's orientation is never read.
+    """
     x, ye = vals[e_mov]
     xf, yf = vals[f_static]
-    if ye != yf:
-        return
-    em, ef = g.edges[e_mov], g.edges[f_static]
-    w = em.tail if ef.touches(em.tail) else em.head  # a shared vertex; se * sf is the same at either
-    se = 1 if em.head == w else -1
-    sf = 1 if ef.head == w else -1
-    forbidden.add((s_mov * (-se * sf * xf - x)) % k)  # confluent
-    forbidden.add((s_mov * (se * sf * xf - x)) % k)  # contrafluent
+    if ye == yf:
+        forbidden.add((s_mov * (-xf - x)) % k)
+        forbidden.add((s_mov * (xf - x)) % k)
 
 
 def _pair_forbidden_both_moving(g, vals, k, e1, s1, e2, s2, forbidden) -> None:
-    """The single c making two co-moving adjacent edges contrafluent."""
-    shared = g.shared_vertices(e1, e2)
-    if not shared:
-        return
-    w = shared[0]
+    """The single c making two co-moving adjacent edges contrafluent. Either
+    shared vertex of two parallel edges gives it: both signs turn round."""
     x1, y1 = vals[e1]
     x2, y2 = vals[e2]
     if y1 != y2:
         return
-    s_1 = 1 if g.edge(e1).head == w else -1
-    s_2 = 1 if g.edge(e2).head == w else -1
+    d1, d2 = g.edges[e1], g.edges[e2]
+    w = d1.tail if d2.touches(d1.tail) else d1.head
+    if not d2.touches(w):
+        return
+    s_1 = 1 if d1.head == w else -1
+    s_2 = 1 if d2.head == w else -1
     coef = (s_1 * s1 - s_2 * s2) % k
     rhs = (s_2 * x2 - s_1 * x1) % k
     if coef == 0:
@@ -511,7 +512,7 @@ def _assign_chain_values(g, vals, chain: CircuitChain, k: int):
             for pos, e in enumerate(circ.edges):
                 if g.edges[e].touches(t):
                     for f in prev_at_t:
-                        _pair_forbidden(g, vals, k, e, circ.traversal_sign(g, pos), f, forbidden)
+                        _pair_forbidden(vals, k, e, circ.traversal_sign(g, pos), f, forbidden)
         if len(forbidden) > 8 or len(forbidden) >= k:
             raise InternalDefectError(f"chain value forbidden set has size {len(forbidden)}")
         c = _smallest_allowed(forbidden, k)
@@ -539,12 +540,15 @@ def building_phi(
     Each step picks its value c by one rule: c avoids the values that would
     leave a moving edge zero or make it confluent or contrafluent with an
     adjacent edge outside the next stage, or make the two moving edges of an
-    attachment contrafluent, and there are at most `cap` of those. Each
-    stage, the base step's included, is then checked on what its step
-    changed, and every condition holds for every stage by induction from the
-    all-zero flow (see `_StageChecks`). `rich_mod_flow` checks the result in
-    full with `verify_mod_flow_bullets`, the same checks run once over the
-    whole graph.
+    attachment contrafluent, and there are at most `cap` of those. A step
+    touches only its circuit and the edges at the ends of its moving edges:
+    the circuit is searched on the stage's snapshot as it is (a chord is not
+    in it), and a pair with a moving edge forbids the same two values
+    whichever way its edges point (see `_pair_forbidden`). Each stage, the
+    base step's included, is then checked on what its step changed, and every
+    condition holds for every stage by induction from the all-zero flow (see
+    `_StageChecks`). `rich_mod_flow` checks the result in full with
+    `verify_mod_flow_bullets`, the same checks run once over the whole graph.
     """
     star = g.edge(e_star)
     if orientation is None:
@@ -607,8 +611,12 @@ def building_phi(
             x, y = vals[e_mov]
             if y == 0:
                 forb.add((-x * s_mov) % k)
-            for f in _adjacent_outside(g, e_mov, h_next):
-                _pair_forbidden(g, vals, k, e_mov, s_mov, f, forb)
+            # The edges adjacent to e_mov outside h_next, which holds e_mov
+            # (a parallel one comes at both ends and adds nothing new).
+            for w in g.edges[e_mov].ends:
+                for f in g.incident(w):
+                    if f not in h_next:
+                        _pair_forbidden(vals, k, e_mov, s_mov, f, forb)
         if len(moving) == 2:
             _pair_forbidden_both_moving(g, vals, k, *moving[0], *moving[1], forb)
         if len(forb) > cap or len(forb) >= k:
@@ -734,14 +742,6 @@ def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
     return TwoCutSplit((ea, eb), u1, u2, v1, v2, side1, side2)
 
 
-@dataclass(frozen=True)
-class RichModFlowResult:
-    flow: Flow
-    chains: tuple[CircuitChain, ...]
-    traces: tuple[dict, ...]
-    confluent: tuple[AdjacentPair, ...] = ()  # set by `rich_mod_flow`
-
-
 def _tower_trace(bp: BuildingPhiResult) -> dict:
     return {
         "base": [list(c.edges) for c in bp.tower.base.circuits],
@@ -761,6 +761,19 @@ def _tower_trace(bp: BuildingPhiResult) -> dict:
             for d in bp.diagnostics
         ],
     }
+
+
+@dataclass(frozen=True)
+class RichModFlowResult:
+    flow: Flow
+    chains: tuple[CircuitChain, ...]
+    towers: tuple[BuildingPhiResult, ...]  # one per piece, in trace order
+    confluent: tuple[AdjacentPair, ...] = ()  # set by `rich_mod_flow`
+
+    @property
+    def traces(self) -> tuple[dict, ...]:
+        """One dict per tower, rendered on each read."""
+        return tuple(map(_tower_trace, self.towers))
 
 
 def _circuit_path_without(circ: Circuit, eid: int):
@@ -846,7 +859,7 @@ def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: Bui
             if ci != ri:
                 chains.append(_map_chain(ch, s2.vertices_orig, s2.edges_orig))
     flow = Flow(g, tag, tuple(vals))
-    return RichModFlowResult(flow, tuple(chains), left.traces + (_tower_trace(right),))
+    return RichModFlowResult(flow, tuple(chains), left.towers + (right,))
 
 
 def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None) -> RichModFlowResult:
@@ -882,7 +895,7 @@ def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None)
         if not verdict.admissible:
             raise InternalDefectError("near side with virtual edge is not admissible")
     bp = building_phi(core, 0, (1, 0), delta)
-    result = RichModFlowResult(bp.flow, bp.chains, (_tower_trace(bp),))
+    result = RichModFlowResult(bp.flow, bp.chains, (bp,))
     confluent = verify_mod_flow_bullets(core, result.flow, result.chains)
     for host, split in reversed(splits):
         t = result.flow.values[split.side1.added_edge]
@@ -895,7 +908,7 @@ def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None)
         )
         result = _glue(host, split, result, bp)
         confluent = verify_mod_flow_bullets(host, result.flow, result.chains)
-    return replace(result, confluent=confluent)
+    return RichModFlowResult(result.flow, result.chains, result.towers, confluent)
 
 
 # ---------------------------------------------------------------------------
@@ -904,15 +917,22 @@ def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None)
 
 @dataclass(frozen=True)
 class RichFlowCertificate:
+    """The verified rich flow and its checks, with the stage flow it came
+    from; `traces` renders that flow's towers as dicts on each read."""
+
     flow: Flow
     delta: int
     max_abs: int
     checks: RichnessChecks
-    traces: tuple[dict, ...]
+    stage: RichModFlowResult
 
     @property
     def bound(self) -> int:
         return self.flow.group.bound
+
+    @property
+    def traces(self) -> tuple[dict, ...]:
+        return self.stage.traces
 
 
 def synthesize_rich_flow(
@@ -935,7 +955,7 @@ def synthesize_rich_flow(
     if g.edge_count == 0:
         empty = Flow(g, GroupTag.integers(2), ())
         checks = rich_report(g, empty)
-        return RichFlowCertificate(empty, g.max_degree(), 0, checks, ())
+        return RichFlowCertificate(empty, g.max_degree(), 0, checks, mod)
     delta = g.max_degree()
     k = 8 * delta - 13
     bound = 264 * delta - 445
@@ -944,11 +964,12 @@ def synthesize_rich_flow(
     phi1 = modular_to_integer(g, project_flow(mod.flow, 0))
     phi2 = modular_to_integer(g, project_flow(mod.flow, 1))
     phi3 = modular_to_integer(g, phi3_mod)
-    if any(v == 0 or abs(v) > 5 for v in phi3.values):
+    # g has an edge here, so every max is of at least one value.
+    if 0 in phi3.values or max(map(abs, phi3.values)) > 5:
         raise InternalDefectError("lifted Z6 flow leaves the range +-1..+-5")
-    if any(abs(v) > 1 for v in phi2.values):
+    if max(map(abs, phi2.values)) > 1:
         raise InternalDefectError("lifted parity flow leaves the range -1..1")
-    if any(abs(v) >= k for v in phi1.values):
+    if max(map(abs, phi1.values)) >= k:
         raise InternalDefectError("lifted modular flow breaks its bound")
     combined = linear_combine(((1, phi3), (11, phi2), (33, phi1)), bound=bound)
     checks = rich_report(g, combined)
@@ -957,4 +978,4 @@ def synthesize_rich_flow(
     max_abs = max(abs(v) for v in combined.values)
     if max_abs > 264 * delta - 446:
         raise InternalDefectError("combined flow exceeds the stated maximum value")
-    return RichFlowCertificate(combined, delta, max_abs, checks, mod.traces)
+    return RichFlowCertificate(combined, delta, max_abs, checks, mod)

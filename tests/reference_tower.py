@@ -6,6 +6,11 @@ graph, every chain and every adjacent pair.
 `synthesis.build_tower` and `synthesis.building_phi` check each step locally
 instead. Tests compare their results with these and run `check_stage` on
 every stage flow that `building_phi` produces.
+
+The reference also keeps the forms that synthesis no longer uses: blocks and
+their chains are searched on relabelled copies (`subgraph`,
+`induced_subgraph`, `find_attachable_block`, with `bridges`), and the forbidden values of a
+pair are computed from the pair's shared vertex, one pair at a time.
 """
 
 from __future__ import annotations
@@ -17,13 +22,12 @@ from richflow.flowalg import pair_relation, strongly_intersecting
 from richflow.multigraph import (
     CircuitChain,
     _bfs_path,
+    _dfs_facts,
     circuit_through_edge,
+    connected_components,
     edge_connectivity_at_least,
-    find_attachable_block,
     find_circuit_chain,
     find_circuit_through,
-    induced_subgraph,
-    subgraph,
     validate_circuit_chain,
 )
 from richflow.synthesis import (
@@ -33,17 +37,155 @@ from richflow.synthesis import (
     BuildingPhiResult,
     StepDiagnostics,
     Tower,
-    _adjacent_outside,
-    _assign_chain_values,
     _attach_circuit,
     _map_chain,
-    _pair_forbidden,
-    _pair_forbidden_both_moving,
     _send_on,
     _smallest_allowed,
 )
 
 from reference_flow import chain_edges
+
+
+def bridges(g: Multigraph) -> frozenset[int]:
+    """Edge ids whose removal increases the number of components: the
+    single-edge blocks of g (a parallel edge shares its block with its twin)."""
+    return _dfs_facts(g)[1]
+
+
+def subgraph(
+    g: Multigraph, vertices, edge_ids
+) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...]]:
+    """Relabelled subgraph plus maps new-vertex -> old and new-edge -> old."""
+    vs = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(vs)}
+    eids = sorted(set(edge_ids))
+    pairs = []
+    for eid in eids:
+        e = g.edge(eid)
+        if e.tail not in index or e.head not in index:
+            raise PreconditionError(f"edge {eid} leaves the requested vertex set")
+        pairs.append((index[e.tail], index[e.head]))
+    return Multigraph(len(vs), pairs), tuple(vs), tuple(eids)
+
+
+def induced_subgraph(g: Multigraph, vertices):
+    vs = set(vertices)
+    eids = [e.id for e in g.edges if e.tail in vs and e.head in vs]
+    return subgraph(g, vs, eids)
+
+
+def find_attachable_block(g: Multigraph, inside) -> tuple[frozenset[int], int, int, int, int]:
+    """`multigraph.find_attachable_block`, searched on the relabelled copy of
+    g minus `inside`."""
+    inside = frozenset(inside)
+    outside = [v for v in range(g.vertex_count) if v not in inside]
+    if not outside:
+        raise PreconditionError("already spanning: no vertices outside the current subgraph")
+    for v in outside:
+        to_inside = sum(1 for eid in g.incident(v) if g.edges[eid].other_end(v) in inside)
+        if to_inside >= 2:
+            raise PreconditionError(
+                f"vertex-attachment step applies: vertex {v} has {to_inside} edges inside"
+            )
+    sub, vmap, emap = induced_subgraph(g, outside)
+    sub_bridges = bridges(sub)
+    comps = connected_components(sub, without=sub_bridges)
+    blocks = [frozenset(vmap[i] for i in comp) for comp in comps]
+    bridge_ends = []
+    for sb in sub_bridges:
+        e = sub.edge(sb)
+        bridge_ends.append((vmap[e.tail], vmap[e.head]))
+    candidates = []
+    for blk in blocks:
+        touching = sum(1 for a, b in bridge_ends if (a in blk) != (b in blk))
+        if touching <= 1:
+            candidates.append(blk)
+    candidates.sort(key=min)
+    for blk in candidates:
+        joining = [
+            e.id
+            for e in g.edges
+            if (e.tail in inside and e.head in blk) or (e.head in inside and e.tail in blk)
+        ]
+        if len(joining) >= 2:
+            e1, e2 = joining[0], joining[1]
+            b1 = g.edge(e1).tail if g.edge(e1).tail in blk else g.edge(e1).head
+            b2 = g.edge(e2).tail if g.edge(e2).tail in blk else g.edge(e2).head
+            if b1 == b2:
+                raise InternalDefectError(
+                    "attachment endpoints coincide although the vertex step was ruled out"
+                )
+            return blk, e1, e2, b1, b2
+    raise PreconditionError("no attachable block with two edges to the current subgraph")
+
+
+def adjacent_outside(g: Multigraph, e: int, inside_edges) -> list[int]:
+    out: set[int] = set()
+    for v in g.edges[e].ends:
+        for f in g.incident(v):
+            if f != e and f not in inside_edges:
+                out.add(f)
+    return sorted(out)
+
+
+def pair_forbidden(g, vals, k, e_mov, s_mov, f_static, forbidden) -> None:
+    """Values of c making the moving/static pair confluent or contrafluent,
+    read at a shared vertex of the two edges."""
+    x, ye = vals[e_mov]
+    xf, yf = vals[f_static]
+    if ye != yf:
+        return
+    em, ef = g.edges[e_mov], g.edges[f_static]
+    w = em.tail if ef.touches(em.tail) else em.head
+    se = 1 if em.head == w else -1
+    sf = 1 if ef.head == w else -1
+    forbidden.add((s_mov * (-se * sf * xf - x)) % k)  # confluent
+    forbidden.add((s_mov * (se * sf * xf - x)) % k)  # contrafluent
+
+
+def pair_forbidden_both_moving(g, vals, k, e1, s1, e2, s2, forbidden) -> None:
+    """The single c making two co-moving adjacent edges contrafluent, read at
+    their lowest shared vertex."""
+    shared = g.shared_vertices(e1, e2)
+    if not shared:
+        return
+    w = shared[0]
+    x1, y1 = vals[e1]
+    x2, y2 = vals[e2]
+    if y1 != y2:
+        return
+    s_1 = 1 if g.edge(e1).head == w else -1
+    s_2 = 1 if g.edge(e2).head == w else -1
+    coef = (s_1 * s1 - s_2 * s2) % k
+    rhs = (s_2 * x2 - s_1 * x1) % k
+    if coef == 0:
+        if rhs == 0:
+            raise InternalDefectError("attachment edges would be contrafluent for every value")
+        return
+    forbidden.add((rhs * pow(coef, -1, k)) % k)
+
+
+def assign_chain_values(g, vals, chain: CircuitChain, k: int):
+    """`synthesis._assign_chain_values`, with each pair's forbidden values
+    read by `pair_forbidden`."""
+    choices = []
+    for idx, circ in enumerate(chain.circuits):
+        _send_on(g, vals, circ, 0, 1, k)
+        forbidden: set[int] = set()
+        if idx:
+            prev = chain.circuits[idx - 1]
+            t = next(iter(prev.vertex_set & circ.vertex_set))
+            prev_at_t = [e for e in prev.edges if g.edges[e].touches(t)]
+            for pos, e in enumerate(circ.edges):
+                if g.edges[e].touches(t):
+                    for f in prev_at_t:
+                        pair_forbidden(g, vals, k, e, circ.traversal_sign(g, pos), f, forbidden)
+        if len(forbidden) > 8 or len(forbidden) >= k:
+            raise InternalDefectError(f"chain value forbidden set has size {len(forbidden)}")
+        c = _smallest_allowed(forbidden, k)
+        _send_on(g, vals, circ, c, 0, k)
+        choices.append((c, len(forbidden)))
+    return tuple(choices)
 
 
 def vertices_of_edges(g: Multigraph, edge_ids) -> frozenset[int]:
@@ -239,8 +381,8 @@ def building_phi(
                 x, y = vals[e]
                 if y == 0:
                     forb.add((-x * s) % k)
-                for f in _adjacent_outside(g, e, h_next):
-                    _pair_forbidden(g, vals, k, e, s, f, forb)
+                for f in adjacent_outside(g, e, h_next):
+                    pair_forbidden(g, vals, k, e, s, f, forb)
                 cap = 4 * delta - 11
                 if len(forb) > cap or len(forb) >= k:
                     raise InternalDefectError(f"chord forbidden set {len(forb)} exceeds cap {cap}")
@@ -274,9 +416,9 @@ def building_phi(
                 x, y = vals[e_mov]
                 if y == 0:
                     forb.add((-x * s_mov) % k)
-                for f in _adjacent_outside(g, e_mov, h_next):
-                    _pair_forbidden(g, vals, k, e_mov, s_mov, f, forb)
-            _pair_forbidden_both_moving(g, vals, k, e1, s1, e2, s2, forb)
+                for f in adjacent_outside(g, e_mov, h_next):
+                    pair_forbidden(g, vals, k, e_mov, s_mov, f, forb)
+            pair_forbidden_both_moving(g, vals, k, e1, s1, e2, s2, forb)
             cap = 8 * delta - 15
             if len(forb) > cap or len(forb) >= k:
                 raise InternalDefectError(f"attachment forbidden set {len(forb)} exceeds cap {cap}")
@@ -284,7 +426,7 @@ def building_phi(
             _send_on(g, vals, circ, c, 0, k)
             chain_choices = ()
             if block_chain is not None:
-                chain_choices = _assign_chain_values(g, vals, block_chain, k)
+                chain_choices = assign_chain_values(g, vals, block_chain, k)
                 chains.append(block_chain)
             diags.append(StepDiagnostics(label, len(forb), cap, c, chain_choices))
         check_stage(
@@ -311,7 +453,7 @@ def building_phi(
         chains.append(CircuitChain((circ,)))
         diags.append(StepDiagnostics("base:circuit", 0, 0, c))
     else:
-        chain_choices = _assign_chain_values(g, vals, tower.base, k)
+        chain_choices = assign_chain_values(g, vals, tower.base, k)
         chains.append(tower.base)
         diags.append(StepDiagnostics("base:chain", 0, 0, chain_choices[0][0], chain_choices))
     flow0 = Flow(g, tag, tuple(vals))

@@ -24,7 +24,6 @@ from richflow import (
 from richflow.cli import run
 from richflow.flowalg import Flow, is_rich, modular_to_integer, pair_relation, verify_flow
 from richflow.multigraph import (
-    bridges,
     edge_connectivity_at_least,
     enumerate_two_edge_cuts,
     find_circuit_through,
@@ -33,6 +32,7 @@ from richflow.seymour import build_pair_splitting
 from richflow.synthesis import split_on_two_cut, verify_mod_flow_bullets
 
 import reference_flow
+from reference_tower import bridges
 from reference_flow import send_through_circuit, zero_flow
 from conftest import ADMISSIBLE_NAMES, ALL_NAMES, CORPUS, load, oracle_cuts
 from test_seymour import random_pair_set

@@ -266,6 +266,21 @@ def test_usage_errors_exit_two(capsys):
     assert run(["bogus-command"]) == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "batch"])
+def test_an_unwritable_output_path_exits_two(tmp_path, capsys, command):
+    # Like an unreadable input: exit 2 with the path, no traceback, no exit 3.
+    out = tmp_path / "no" / "such" / "dir" / "out"
+    if command == "synth":
+        argv = ["synth", graph("k4"), "-o", str(out)]
+    else:
+        (tmp_path / "k4.graph").write_text((CORPUS / "k4.graph").read_text())
+        argv = ["batch", str(tmp_path), "--report", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err and not out.parent.exists()
+
+
 def test_batch_report(tmp_path, capsys):
     report = tmp_path / "report.csv"
     assert run(["batch", str(CORPUS), "--report", str(report)]) == 0

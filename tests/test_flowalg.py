@@ -411,6 +411,26 @@ def test_convert_requires_conserved_input(t3):
         modular_to_integer(t3, Flow(t3, GroupTag.zk(11), (1, 0, 0)))
 
 
+# A 2-cycle 0 -> 1 -> 0 carrying 1 and 1 over Z_3 is conserved over the
+# integers too, so the circulation moves nothing; each wrong circulation
+# here breaks one family of the lift's checks, conservation first.
+WRONG_CIRCULATIONS = [
+    ([1, 0], "integer lift lost conservation"),  # lifts -2, 1
+    ([2, 2], "integer lift broke residues, zero set or bound"),  # lifts -5, -5
+    ([3, 0], "integer lift lost conservation"),  # lifts -8, 1: both broken
+]
+
+
+@pytest.mark.parametrize("arc_flow, message", WRONG_CIRCULATIONS)
+def test_a_wrong_circulation_fails_the_lift_check(monkeypatch, arc_flow, message):
+    from richflow import flowalg
+
+    g = Multigraph(2, [(0, 1), (1, 0)])
+    monkeypatch.setattr(flowalg, "_max_flow", lambda *args: (0, arc_flow))
+    with pytest.raises(InternalDefectError, match=f"^{message}$"):
+        modular_to_integer(g, Flow(g, GroupTag.zk(3), (1, 1)))
+
+
 def random_modular_flow(g, tag, rng, sends=5):
     acc = list(zero_flow(g, tag).values)
     for _ in range(sends):

@@ -19,7 +19,6 @@ from richflow.multigraph import (
     CircuitChain,
     _biconnected_edge_groups,
     _dfs_facts,
-    bridges,
     edge_connectivity_at_least,
     enumerate_two_edge_cuts,
     find_attachable_block,
@@ -31,6 +30,7 @@ from richflow import multigraph
 
 from conftest import ALL_NAMES, load, oracle_components, oracle_cuts, random_cubic, relabel
 from reference_flow import format_multigraph
+from reference_tower import bridges
 
 
 # ---------------------------------------------------------------------------

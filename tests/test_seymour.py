@@ -13,11 +13,11 @@ from richflow import (
     nowhere_zero_z6,
 )
 from richflow.flowalg import adjacent_pairs, pair_relation, strongly_intersecting, verify_flow
-from richflow.multigraph import bridges
 from richflow.seymour import build_pair_splitting, validate_pair_set
 
 from conftest import ADMISSIBLE_NAMES, doubled_cycle, load
 from reference_flow import make_adjacent_pair
+from reference_tower import bridges
 from test_tower_checks import admissible_multigraphs
 
 

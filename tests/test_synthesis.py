@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -30,14 +32,16 @@ from richflow.flowalg import (
     verify_flow,
     write_flow_json,
 )
-from richflow import multigraph, synthesis
-from richflow.multigraph import edge_connectivity_at_least, subgraph, validate_circuit_chain
+from richflow import flowalg, multigraph, synthesis
+from richflow.multigraph import edge_connectivity_at_least, validate_circuit_chain
 from richflow.synthesis import AddChord, build_tower, split_on_two_cut, verify_mod_flow_bullets
 
 import reference_flow
 from reference_flow import chain_edges
-from conftest import ADMISSIBLE_NAMES, load
+from reference_tower import subgraph
+from conftest import ADMISSIBLE_NAMES, load, random_cubic
 from test_multigraph import small_multigraphs
+import test_tower_checks
 from test_tower_checks import admissible_multigraphs, draw_block
 
 
@@ -96,9 +100,9 @@ def test_chain_search_leaving_an_edge_out_matches_the_copy(g, data):
     except PreconditionError:
         assert not edge_connectivity_at_least(g, 3)
         with pytest.raises(PreconditionError):
-            multigraph.find_circuit_chain(g, u, v, without_edge=e)
+            multigraph.find_circuit_chain(g, u, v, edge_ids=keep)
         return
-    assert multigraph.find_circuit_chain(g, u, v, without_edge=e) == want
+    assert multigraph.find_circuit_chain(g, u, v, edge_ids=keep) == want
 
 
 def test_tower_rejects_non_three_connected():
@@ -319,6 +323,52 @@ def test_deep_split_certificate_and_traces_match_golden_files(name):
     assert traces == (golden / f"{name}.traces.jsonl").read_text()
 
 
+def seeded_small_multigraphs(seed: int, count: int) -> list[Multigraph]:
+    """`count` admissible multigraphs with n <= 6 and m <= 14, most of them
+    with parallel edges, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    out: list[Multigraph] = []
+    while len(out) < count:
+        n = rng.randint(2, 6)
+        g = Multigraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n, 14))])
+        if is_rich_flow_admissible(g).admissible:
+            out.append(g)
+    return out
+
+
+def seeded_cubic_graphs(seed: int, count: int) -> list[Multigraph]:
+    """`count` 3-edge-connected simple cubic graphs, n cycling 16, 20, ..., 32,
+    drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    out: list[Multigraph] = []
+    while len(out) < count:
+        g = random_cubic(rng, 16 + 4 * (len(out) % 5))
+        if edge_connectivity_at_least(g, 3):
+            out.append(g)
+    return out
+
+
+def test_seeded_synthesis_matches_golden_digest():
+    # One SHA-256 over the certificate bytes and the traces of 224 seeded
+    # syntheses: any change to a certificate, a tower, a value choice or the
+    # trace format shows here. A change that alters them must mean to, and
+    # must rewrite tests/golden/seeded_synthesis.sha256 with them.
+    small = seeded_small_multigraphs(20, 200)
+    cubic = seeded_cubic_graphs(21, 24)
+    assert sum(len({e.ends for e in g.edges}) < g.edge_count for g in small) >= 100
+    digest = hashlib.sha256()
+    block_steps = 0
+    for g in small + cubic:
+        cert = synthesize_rich_flow(g)
+        traces = json.dumps(cert.traces, sort_keys=True)
+        digest.update(write_flow_json(cert.flow).encode())
+        digest.update(traces.encode())
+        block_steps += traces.count("AddBlockChain")
+    assert block_steps >= 5
+    golden = Path(__file__).resolve().parent / "golden" / "seeded_synthesis.sha256"
+    assert digest.hexdigest() == golden.read_text().strip()
+
+
 @pytest.mark.parametrize("name, most", [("k4", 2), ("petersen", 2), ("two_k4", 5), ("three_k4", 8)])
 def test_synthesis_enumerates_two_edge_cuts_at_most(monkeypatch, name, most):
     # One verdict per graph the split loop meets (the input's is also read by
@@ -331,7 +381,7 @@ def test_synthesis_enumerates_two_edge_cuts_at_most(monkeypatch, name, most):
     assert len(calls) <= most
 
 
-@pytest.mark.parametrize("name, most", [("k4", 12), ("petersen", 12), ("two_k4", 19)])
+@pytest.mark.parametrize("name, most", [("k4", 9), ("petersen", 9), ("two_k4", 16)])
 def test_synthesis_runs_few_linear_passes(monkeypatch, name, most):
     # A lowpoint DFS or a BFS spanning forest is one linear pass over a graph.
     # Connectivity, bridges and the enumerator's spanning tree come from one
@@ -352,32 +402,101 @@ def test_synthesis_runs_few_linear_passes(monkeypatch, name, most):
     assert len(calls) <= most
 
 
+# name -> graph: the corpus, and 3-edge-connected cubic graphs whose towers
+# take block-chain steps.
+COUNTED = {
+    **{name: (lambda name=name: load(name)) for name in ("k4", "petersen", "two_k4", "three_k4")},
+    **{f"cubic-{n}-{seed}": (lambda seed=seed, n=n: test_tower_checks.random_cubic(seed, n))
+       for seed, n in ((16, 16), (1, 24), (2, 24))},
+}
+
+
 @pytest.mark.parametrize(
-    "name, graphs, flows", [("k4", 0, 8), ("petersen", 0, 8), ("two_k4", 2, 10), ("three_k4", 4, 12)]
+    "name, graphs, flows",
+    [("k4", 0, 8), ("petersen", 0, 8), ("two_k4", 2, 10), ("three_k4", 4, 12),
+     ("cubic-16-16", 0, 8), ("cubic-24-1", 0, 8), ("cubic-24-2", 0, 8)],
 )
 def test_synthesis_builds_few_graphs_and_flows(monkeypatch, name, graphs, flows):
-    # Graphs: the two sides of each split. The tower base, its stage check
-    # and a Z6 step with no pair to split work on g itself (3, 3, 6 and 10
-    # graphs when they built copies). Flows: one per building_phi and one
-    # per glue, then the Z6 flow, two projections, three lifts and the
-    # combination (12, 15, 19 and 26 with one flow per tower stage and a
-    # restricted Z6 flow).
-    g = load(name)
-    built = {"graphs": 0, "flows": 0}
+    # Graphs: the two sides of each split, and none inside building_phi.
+    # The tower base, its stage check, a block-chain step and a Z6 step with
+    # no pair to split work on g itself (3, 3, 6 and 10 graphs when they
+    # built copies, and two per block-chain step: 2, 4 and 4 on the cubic
+    # graphs). Flows: one per building_phi and one per glue, then the Z6
+    # flow, two projections, three lifts and the combination (12, 15, 19
+    # and 26 with one flow per tower stage and a restricted Z6 flow).
+    g = COUNTED[name]()
+    built = {"graphs": 0, "flows": 0, "graphs in building_phi": 0}
+    inside = [False]
     real_init, real_post_init = Multigraph.__init__, Flow.__post_init__
+    real_building_phi = synthesis.building_phi
 
     def counting_init(self, *args):
         built["graphs"] += 1
+        built["graphs in building_phi"] += inside[0]
         real_init(self, *args)
 
     def counting_post_init(self):
         built["flows"] += 1
         real_post_init(self)
 
+    def flagged_building_phi(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_building_phi(*args, **kwargs)
+        finally:
+            inside[0] = False
+
     monkeypatch.setattr(Multigraph, "__init__", counting_init)
     monkeypatch.setattr(Flow, "__post_init__", counting_post_init)
-    synthesize_rich_flow(g)
-    assert built == {"graphs": graphs, "flows": flows}
+    monkeypatch.setattr(synthesis, "building_phi", flagged_building_phi)
+    cert = synthesize_rich_flow(g)
+    assert built == {"graphs": graphs, "flows": flows, "graphs in building_phi": 0}
+    if name.startswith("cubic"):
+        assert any("AddBlockChain" in step for trace in cert.traces for step in trace["steps"])
+
+
+@pytest.mark.parametrize("name", ["k4", "petersen", "two_k4", "k4_doubled"])
+def test_steps_copy_no_stage_and_lifts_check_in_one_pass(monkeypatch, name):
+    # Stage copies: in the backward pass, every path search runs on a tower
+    # snapshot or a block chain's edge set as it is, never on a copy (one
+    # per chord step and per block-chain step when a chord circuit copied
+    # its stage minus the chord and a chain rebuilt its edge set on each
+    # read). Conservation passes: one net-outflow pass per lift, for its
+    # demands, then the Z6 flow's and the combination's checks (8 when each
+    # lift was also checked by verify_flow).
+    counts = {"stage copies": 0, "conservation passes": 0}
+    kept: list = []  # the snapshots and chain edge sets of the tower being assigned
+    real_build_tower, real_building_phi = synthesis.build_tower, synthesis.building_phi
+    real_net_outflow = flowalg._net_outflow
+
+    def recording_build_tower(*args, **kwargs):
+        tower = real_build_tower(*args, **kwargs)
+        kept[:] = [*tower.edge_snapshots]
+        kept.extend(s.chain.edge_set for s in tower.steps if isinstance(s, synthesis.AddBlockChain))
+        return tower
+
+    def assigning_building_phi(*args, **kwargs):
+        try:
+            return real_building_phi(*args, **kwargs)
+        finally:
+            kept.clear()
+
+    def counting_net_outflow(*args):
+        counts["conservation passes"] += 1
+        return real_net_outflow(*args)
+
+    for module in (multigraph, synthesis):
+        def checking_bfs_path(g, src, dst, allowed, _real=module._bfs_path):
+            if kept and not any(allowed is known for known in kept):
+                counts["stage copies"] += 1
+            return _real(g, src, dst, allowed)
+
+        monkeypatch.setattr(module, "_bfs_path", checking_bfs_path)
+    monkeypatch.setattr(synthesis, "build_tower", recording_build_tower)
+    monkeypatch.setattr(synthesis, "building_phi", assigning_building_phi)
+    monkeypatch.setattr(flowalg, "_net_outflow", counting_net_outflow)
+    synthesize_rich_flow(load(name))
+    assert counts == {"stage copies": 0, "conservation passes": 5}
 
 
 def test_synthesize_rejects_inadmissible():
