@@ -15,23 +15,30 @@ from collections.abc import Callable
 
 from .errors import PreconditionError
 from .flowalg import Flow, GroupTag
-from .multigraph import Multigraph, _bfs_path, spanning_forest
+from .multigraph import Multigraph, spanning_forest
 
 
-def fundamental_circuit_signs(
-    g: Multigraph, tree: frozenset[int], co_edge: int
-) -> list[tuple[int, int]]:
+def fundamental_circuit_signs(g: Multigraph, up, depth, co_edge: int) -> list[tuple[int, int]]:
     """Tree edges of the fundamental circuit of co_edge, each with its sign.
 
     The circuit is traversed along co_edge's reference orientation, so its
-    tree part is the tree path head -> tail; a tree edge gets +1 when
-    traversed tail -> head.
+    tree part is the tree path head -> tail, walked up `spanning_forest`'s
+    rooted forest from both ends, deeper end first, until they meet; a tree
+    edge gets +1 when traversed tail -> head.
     """
-    e = g.edge(co_edge)
-    verts, eids = _bfs_path(g, e.head, e.tail, tree)
-    return [
-        (t, 1 if g.edges[t].ends == (a, b) else -1) for a, b, t in zip(verts, verts[1:], eids)
-    ]
+    edges = g.edges
+    u, v = edges[co_edge].head, edges[co_edge].tail
+    from_head, from_tail = [], []
+    while u != v:
+        if depth[u] >= depth[v]:
+            t = edges[up[u]]
+            from_head.append((t.id, 1 if t.tail == u else -1))
+            u = t.other_end(u)
+        else:
+            t = edges[up[v]]
+            from_tail.append((t.id, 1 if t.head == v else -1))
+            v = t.other_end(v)
+    return from_head + from_tail[::-1]
 
 
 def cotree_flow_search(
@@ -45,8 +52,8 @@ def cotree_flow_search(
     """
     if group.kind not in ("zk", "z2", "z6"):
         raise PreconditionError(f"co-tree search takes Z_k, Z_2 or Z_6, not {group.kind!r}")
-    tree, co = spanning_forest(g)
-    members: dict[int, list[tuple[int, int]]] = {co_e: fundamental_circuit_signs(g, tree, co_e) for co_e in co}
+    tree, co, up, depth = spanning_forest(g)
+    members = {co_e: fundamental_circuit_signs(g, up, depth, co_e) for co_e in co}
     remaining = {t: 0 for t in tree}
     for co_e in co:
         for t, _ in members[co_e]:

@@ -10,7 +10,7 @@ machinery used by the synthesis tower. Each cut question has one owner:
 - one lowpoint DFS, `_biconnected_edge_groups`, finds blocks and a spanning
   tree; `_dfs_facts` reads connectivity, the bridges (single-edge blocks) and
   the tree off one call, and circuit chains walk its blocks;
-- one BFS spanning forest, `spanning_forest`, is the co-tree basis of `cotree`;
+- one rooted BFS spanning forest, `spanning_forest`, is `cotree`'s basis;
 - `is_rich_flow_admissible` is the one caller of `enumerate_two_edge_cuts`,
   and its verdict carries the 2-edge-cuts that `edge_connectivity_at_least`
   (t = 3) and the synthesis split read.
@@ -198,29 +198,30 @@ def connected_components(g: Multigraph, *, without: frozenset[int] = frozenset()
     return comps
 
 
-def spanning_forest(g: Multigraph) -> tuple[frozenset[int], list[int]]:
-    """(tree edge ids, co-tree edge ids ascending) of the BFS forest grown
-    from each unreached vertex in id order, lowest edge id first. It has
-    n - c edges for c components: n - 1 when g is connected."""
+def spanning_forest(g: Multigraph) -> tuple[frozenset[int], list[int], list[int], list[int]]:
+    """(tree edge ids, co-tree edge ids ascending, up, depth) of the BFS forest
+    grown from each unreached vertex in id order, lowest edge id first; up[v]
+    is v's tree edge toward its root (-1 at a root), depth[v] its distance
+    from the root. The tree has n - c edges for c components."""
     edges = g.edges
-    seen = [False] * g.vertex_count
-    tree: set[int] = set()
+    up = [-1] * g.vertex_count
+    depth = [-1] * g.vertex_count
     for root in range(g.vertex_count):
-        if seen[root]:
+        if depth[root] >= 0:
             continue
-        seen[root] = True
+        depth[root] = 0
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for eid in g.incident(v):
                 e = edges[eid]
                 w = e.head if e.tail == v else e.tail
-                if not seen[w]:
-                    seen[w] = True
-                    tree.add(eid)
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    up[w] = eid
                     queue.append(w)
-    co = [e for e in range(g.edge_count) if e not in tree]
-    return frozenset(tree), co
+    tree = frozenset(e for e in up if e >= 0)
+    return tree, [e for e in range(g.edge_count) if e not in tree], up, depth
 
 
 def _biconnected_edge_groups(g: Multigraph, edge_ids=None, tree=None) -> list[frozenset[int]]:
@@ -548,7 +549,7 @@ def circuit_from_edge_set(g: Multigraph, edge_ids) -> Circuit | None:
 
 
 def _bfs_path(
-    g: Multigraph, src: int, dst: int, allowed: frozenset[int]
+    g: Multigraph, src: int, dst: int, allowed: set[int] | frozenset[int]
 ) -> tuple[list[int], list[int]] | None:
     """Shortest src..dst path over the allowed edges; lowest edge id first.
 
@@ -589,7 +590,7 @@ def circuit_through_edge(
     g: Multigraph,
     e: int,
     *,
-    allowed_edges: frozenset[int] | None = None,
+    allowed_edges: set[int] | frozenset[int] | None = None,
     direction: tuple[int, int] | None = None,
 ) -> Circuit | None:
     """Shortest circuit containing edge e, traversed along the given direction.

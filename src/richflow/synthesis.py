@@ -10,9 +10,10 @@ A confluence-free Z_6 flow and modular-to-integer lifting then combine the
 pieces into a certified rich flow with all absolute values below 264*Delta-445.
 
 Every "clearly" step of the construction is re-checked mechanically. The
-tower and the backward pass check each step locally, on what the step adds or
-changes, and the invariants of every stage follow by induction over the
-steps. Every stage flow of `rich_mod_flow`, glued or not, gets the full
+tower (its base and steps) and the backward pass (one edge set, shrinking a
+step at a time) check each step locally, on what it adds or changes, and the
+invariants of every stage follow by induction. Every stage flow of
+`rich_mod_flow`, glued or not, gets the full
 check, which is the same per-step check (`_StageChecks`) run once from the
 all-zero flow over the whole graph; the combined integer flow gets the
 richness, conservation and bound checks.
@@ -90,13 +91,13 @@ class AddBlockChain:
 
 @dataclass(frozen=True)
 class Tower:
-    """Growth record from the base up to the whole graph, with edge snapshots."""
+    """The base and the steps up to the whole graph, each adding edges no
+    earlier one added: stage j is the base plus steps 0..j-1."""
 
     base: CircuitChain
     b: int
     e_star: int
     steps: tuple
-    edge_snapshots: tuple[frozenset[int], ...]  # one per stage, base first
 
 
 def _map_circuit(c: Circuit, vmap, emap) -> Circuit:
@@ -188,7 +189,6 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
     if not _two_edge_connected_on(g, h_edges, len(h_vertices)):
         raise InternalDefectError("tower stage is not 2-edge-connected after base")
     steps: list = []
-    snapshots: list[frozenset[int]] = [frozenset(h_edges)]
     while len(h_edges) < g.edge_count:
         step = None
         for e in g.edges:
@@ -223,8 +223,7 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
         added = _step_edges(step)
         h_edges |= added
         h_vertices.update(v for e in added for v in g.edges[e].ends)
-        snapshots.append(frozenset(h_edges))
-    return Tower(base, b, e_star, tuple(steps), tuple(snapshots))
+    return Tower(base, b, e_star, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def verify_mod_flow_bullets(g: Multigraph, flow: Flow, chains) -> tuple[Adjacent
     anchored at their lowest shared vertex."""
     every_edge = frozenset(range(g.edge_count))
     checks = _StageChecks(g, flow.group)
-    checks.step(flow.values, frozenset(), every_edge, every_edge, tuple(chains), "bullets")
+    checks.step(flow.values, frozenset(), every_edge, tuple(chains), "bullets")
     # Each confluent pair is kept under both of its edges; take it once.
     confluent = (p for e, pairs in checks.confluent.items() for p in pairs if p.e == e)
     return tuple(sorted(confluent, key=lambda p: (p.e, p.f)))
@@ -281,27 +280,27 @@ def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
 class _StageChecks:
     """The invariants of the stage flows, checked on what each step changes.
 
-    Stage j is the flow once tower steps j.. are assigned, over the stage
-    H = snapshots[j] (the base step leaves H empty). Its invariants: the
-    flow is conserved; no edge outside H is zero; the recorded chains are
-    valid circuit chains, vertex-disjoint from H and from each other, whose
-    edges are exactly the edges of parity 1; of the adjacent pairs with both
-    edges outside H, every contrafluent one lies in one circuit of one chain
-    and no two confluent ones strongly intersect. They hold for the all-zero
-    flow on the whole graph, where the pass starts.
+    Stage j is the flow once tower steps j.. are assigned, over the stage H
+    that the base and steps 0..j-1 span (the base step leaves H empty). Its
+    invariants: the flow is conserved; no edge outside H is zero; the
+    recorded chains are valid circuit chains, vertex-disjoint from H and from
+    each other, whose edges are exactly the edges of parity 1; of the
+    adjacent pairs with both edges outside H, every contrafluent one lies in
+    one circuit of one chain and no two confluent ones strongly intersect.
+    They hold for the all-zero flow on the whole graph, where the pass starts.
 
-    `step` proves them for stage j from stage j + 1. The edges whose value
-    changed, found by comparing values, must lie in h_next (the stage the
-    step leaves), so every other edge and every pair of them is as it was.
-    The change must be conserved at the ends of the changed edges, the only
-    vertices whose sums can move, so the flow stays conserved. The edges the
-    step adds, h_next minus H, must be nonzero. The new chains must be valid
-    and disjoint from H, from the earlier chains and from each other. The
-    changed edges and the new chains' edges must have parity 1 exactly when
-    they are chain edges. The pairs outside H with a changed or added edge
-    must meet the pair conditions, new confluent pairs tested against the
-    kept ones and each other; a changed edge outside H lies in h_next, so it
-    is an added edge.
+    `step` proves them for stage j from stage j + 1, whose stage is H plus
+    the step's `added` edges. The edges whose value changed, found by
+    comparing values, must lie in H or be added, so every other edge and
+    every pair of them is as it was. The change must be conserved at the
+    ends of the changed edges, the only vertices whose sums can move, so the
+    flow stays conserved. The added edges must be nonzero. The new chains
+    must be valid and disjoint from H, from the earlier chains and from each
+    other. The changed edges and the new chains' edges must have parity 1
+    exactly when they are chain edges. The pairs outside H with a changed or
+    added edge must meet the pair conditions, new confluent pairs tested
+    against the kept ones and each other; a changed edge outside H is an
+    added edge.
 
     So a step reads only its changed and added edges, the new chains, and
     the edges at their vertices, apart from the one comparison of the
@@ -329,14 +328,14 @@ class _StageChecks:
         self.location: dict[int, tuple[int, int]] = {}  # chain edge -> (chain, circuit)
         self.confluent: dict[int, list[AdjacentPair]] = {}  # edge -> confluent pairs outside H
 
-    def step(self, values, h_edges, h_next, added, chains, stage: str) -> None:
+    def step(self, values, h_edges, added, chains, stage: str) -> None:
         k, old, tails, heads = self.tag.k, self.values, self.tails, self.heads
         changed = list(compress(range(len(old)), map(ne, old, values)))
         # (a, y) -> 2a + k*y mod 2k is a one-to-one homomorphism of Z_k x Z_2
         # into Z_2k for odd k, so a sum is zero in one exactly when in the other.
         net: dict[int, int] = {}
         for e in changed:
-            if e not in h_next:
+            if e not in h_edges and e not in added:
                 raise InternalDefectError(f"[{stage}] frozen edge {e} changed value")
             (a, y), (a0, y0) = values[e], old[e]
             dx = 2 * (a - a0) + k * (y - y0)
@@ -477,7 +476,7 @@ def _attach_circuit(
     a2: int,
     inner_vertices,
     inner_edges,
-    h_edges: frozenset[int],
+    h_edges,
 ) -> Circuit:
     """Oriented circuit a1 -e1-> inner path -e2-> a2 -(inside subgraph)-> a1."""
     if a1 == a2:
@@ -542,9 +541,10 @@ def building_phi(
     adjacent edge outside the next stage, or make the two moving edges of an
     attachment contrafluent, and there are at most `cap` of those. A step
     touches only its circuit and the edges at the ends of its moving edges:
-    the circuit is searched on the stage's snapshot as it is (a chord is not
-    in it), and a pair with a moving edge forbids the same two values
-    whichever way its edges point (see `_pair_forbidden`). Each stage, the
+    the circuit is searched on the stage as it is (one edge set that loses
+    each step's edges, a chord's first), and a pair with a moving edge
+    forbids the same two values whichever way its edges point (see
+    `_pair_forbidden`). Each stage, the
     base step's included, is then checked on what its step changed, and every
     condition holds for every stage by induction from the all-zero flow (see
     `_StageChecks`). `rich_mod_flow` checks the result in full with
@@ -569,11 +569,11 @@ def building_phi(
     chains: list[CircuitChain] = []
     diags: list[StepDiagnostics] = []
     checks = _StageChecks(g, tag)
-    snapshots = tower.edge_snapshots
+    stage = set(range(g.edge_count))  # each step first removes its edges, leaving H
     for j in reversed(range(len(tower.steps))):
         step = tower.steps[j]
-        h_edges = snapshots[j]
-        h_next = snapshots[j + 1]
+        added = _step_edges(step)
+        stage -= added
         # Per step: the circuit the value c goes around, the edges that move
         # with c (edge, traversal sign) and the cap on c's forbidden values.
         if isinstance(step, AddChord):
@@ -585,7 +585,7 @@ def building_phi(
                 direction, moving, cap = orientation, (), 0  # c is the target value
             else:
                 direction, moving, cap = g.edges[e].ends, ((e, 1),), 4 * delta - 11
-            circ = circuit_through_edge(g, e, allowed_edges=h_edges, direction=direction)
+            circ = circuit_through_edge(g, e, allowed_edges=stage, direction=direction)
             if circ is None:
                 raise InternalDefectError("no circuit through the chord inside the stage")
         else:
@@ -602,7 +602,7 @@ def building_phi(
                     raise InternalDefectError("attached chain lost connectivity")
                 inner_v, inner_e = inner
                 label = f"block_chain:{len(step.chain)}"
-            circ = _attach_circuit(g, e1, e2, a1, a2, inner_v, inner_e, h_edges)
+            circ = _attach_circuit(g, e1, e2, a1, a2, inner_v, inner_e, stage)
             s2 = circ.traversal_sign(g, circ.edges.index(e2))
             moving = ((e1, circ.traversal_sign(g, 0)), (e2, s2))
             cap = 8 * delta - 15
@@ -611,11 +611,11 @@ def building_phi(
             x, y = vals[e_mov]
             if y == 0:
                 forb.add((-x * s_mov) % k)
-            # The edges adjacent to e_mov outside h_next, which holds e_mov
-            # (a parallel one comes at both ends and adds nothing new).
+            # The edges adjacent to e_mov outside H and the step's edges (a
+            # parallel one comes at both ends and adds nothing new).
             for w in g.edges[e_mov].ends:
                 for f in g.incident(w):
-                    if f not in h_next:
+                    if f not in stage and f not in added:
                         _pair_forbidden(vals, k, e_mov, s_mov, f, forb)
         if len(moving) == 2:
             _pair_forbidden_both_moving(g, vals, k, *moving[0], *moving[1], forb)
@@ -629,8 +629,8 @@ def building_phi(
             chain_choices = _assign_chain_values(g, vals, step.chain, k)
             chains.append(step.chain)
         diags.append(StepDiagnostics(label, len(forb), cap, c, chain_choices))
-        checks.step(tuple(vals), h_edges, h_next, _step_edges(step), new_chains, f"stage:{j}")
-    # The base step, from snapshots[0] to the empty stage.
+        checks.step(tuple(vals), stage, added, new_chains, f"stage:{j}")
+    # The base step, from the base's edges (what the stage is now) to none.
     if b == 1:
         circ = tower.base.circuits[0]
         pos = circ.edges.index(e_star)
@@ -649,7 +649,7 @@ def building_phi(
         diags.append(StepDiagnostics("base:chain", 0, 0, chain_choices[0][0], chain_choices))
     chains.append(base_chain)
     values = tuple(vals)
-    checks.step(values, frozenset(), snapshots[0], snapshots[0], (base_chain,), "stage:base")
+    checks.step(values, frozenset(), tower.base.edge_set, (base_chain,), "stage:base")
     flow0 = Flow(g, tag, values)
     stored = values[e_star]
     fixed_value = stored if orientation == star.ends else ((-stored[0]) % k, stored[1])
@@ -776,22 +776,19 @@ class RichModFlowResult:
         return tuple(map(_tower_trace, self.towers))
 
 
-def _circuit_path_without(circ: Circuit, eid: int):
-    """Vertex and edge sequences of the circuit with one edge removed,
-    running from one endpoint of the removed edge to the other."""
+def _side_path(circ: Circuit, side: SubgraphSide, start: int, end: int):
+    """Host vertex and edge sequences of a side's circuit with its virtual
+    edge removed, running from start to end, the removed edge's ends."""
     length = len(circ.edges)
-    idx = circ.edges.index(eid)
-    verts = [circ.vertices[(idx + 1 + j) % length] for j in range(length)]
-    eids = [circ.edges[(idx + 1 + j) % length] for j in range(length - 1)]
+    idx = circ.edges.index(side.added_edge)
+    verts = [side.vertices_orig[circ.vertices[(idx + 1 + j) % length]] for j in range(length)]
+    eids = [side.edges_orig[circ.edges[(idx + 1 + j) % length]] for j in range(length - 1)]
+    if verts[0] != start or verts[-1] != end:
+        if verts[0] != end or verts[-1] != start:
+            raise InternalDefectError("spliced path has unexpected endpoints")
+        verts.reverse()
+        eids.reverse()
     return verts, eids
-
-
-def _oriented_path(verts, eids, start, end):
-    if verts[0] == start and verts[-1] == end:
-        return verts, eids
-    if verts[0] == end and verts[-1] == start:
-        return list(reversed(verts)), list(reversed(eids))
-    raise InternalDefectError("spliced path has unexpected endpoints")
 
 
 def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: BuildingPhiResult) -> RichModFlowResult:
@@ -827,16 +824,8 @@ def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: Bui
         right_chain = right.chains[ri]
         if len(right_chain.circuits) != 1:
             raise InternalDefectError("special edge's chain in the far side is not a single circuit")
-        q1 = left.chains[li].circuits[lq]
-        p1v_loc, p1e_loc = _circuit_path_without(q1, s1.added_edge)
-        p1v = [s1.vertices_orig[v] for v in p1v_loc]
-        p1e = [s1.edges_orig[e] for e in p1e_loc]
-        p1v, p1e = _oriented_path(p1v, p1e, split.u2, split.u1)
-        q2 = right_chain.circuits[0]
-        p2v_loc, p2e_loc = _circuit_path_without(q2, s2.added_edge)
-        p2v = [s2.vertices_orig[v] for v in p2v_loc]
-        p2e = [s2.edges_orig[e] for e in p2e_loc]
-        p2v, p2e = _oriented_path(p2v, p2e, split.v1, split.v2)
+        p1v, p1e = _side_path(left.chains[li].circuits[lq], s1, split.u2, split.u1)
+        p2v, p2e = _side_path(right_chain.circuits[0], s2, split.v1, split.v2)
         merged = Circuit(
             tuple([split.u1] + p2v + p1v[:-1]),
             tuple([ea] + p2e + [eb] + p1e),

@@ -1,0 +1,147 @@
+"""Mutants of the package that the tier-1 tests must kill.
+
+Each entry names a file under src/, an exact anchor that occurs in it exactly
+once, the text that replaces the anchor, and the test node that must fail
+once the replacement is made. `tests/test_mutants.py` (tier-1) checks only
+that every anchor still occurs exactly once and every target still exists,
+so a refactor that moves an anchor must update this list.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py [name ...]
+
+It copies the repository's src/, tests/, corpus/ and perfbench/ into a
+temporary directory, runs every target there unmutated (they must pass),
+then applies each mutant to a fresh copy and runs its target. It prints one
+line per mutant and exits 1 if any survives or cannot be applied. A
+surviving mutant is a missing test: add the test, never drop the mutant.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "corpus", "perfbench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    anchor: str
+    replacement: str
+    target: str  # pytest node id, relative to the repository root
+
+
+SYNTHESIS = "src/richflow/synthesis.py"
+TOWER_CHECKS = "tests/test_tower_checks.py"
+
+MUTANTS = (
+    Mutant(
+        "stage-keeps-step-edges",
+        SYNTHESIS,
+        "        stage -= added\n",
+        "",
+        f"{TOWER_CHECKS}::test_local_checks_match_the_full_reference_on_the_corpus",
+    ),
+    Mutant(
+        "stage-copied-per-step",
+        SYNTHESIS,
+        "        stage -= added\n",
+        "        stage = stage - added\n",
+        "tests/test_synthesis.py::test_steps_copy_no_stage_and_lifts_check_in_one_pass",
+    ),
+    Mutant(
+        "forbidden-filter-counts-step-edges",
+        SYNTHESIS,
+        "if f not in stage and f not in added:",
+        "if f not in stage:",
+        "tests/test_synthesis.py::test_chord_steps_meet_their_cap",
+    ),
+    Mutant(
+        "frozen-edge-test-skipped",
+        SYNTHESIS,
+        "            if e not in h_edges and e not in added:\n",
+        "            if False:\n",
+        f"{TOWER_CHECKS}::test_a_changed_frozen_edge_is_refused",
+    ),
+    Mutant(
+        "pair-forbids-one-value",
+        SYNTHESIS,
+        "        forbidden.add((s_mov * (xf - x)) % k)\n",
+        "",
+        f"{TOWER_CHECKS}::test_pair_forbidden_reads_no_orientation",
+    ),
+    Mutant(
+        "forest-walk-sign-flipped",
+        "src/richflow/cotree.py",
+        "from_head.append((t.id, 1 if t.tail == u else -1))",
+        "from_head.append((t.id, -1 if t.tail == u else 1))",
+        "tests/test_flowalg.py::test_forest_walk_circuits_match_the_tree_bfs_on_the_corpus",
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    for part in COPIED:
+        src = ROOT / part
+        if src.is_dir():
+            shutil.copytree(src, dest / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(src, dest / part)
+
+
+def run_pytest(root: Path, targets) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *targets]
+    return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+
+
+def outcome(mutant: Mutant) -> str:
+    """'killed' when the target fails on the mutated copy, 'survived' when it
+    passes, and 'error: ...' when the mutant cannot be applied or run."""
+    with tempfile.TemporaryDirectory(prefix="richflow-mutant-") as tmp:
+        root = Path(tmp)
+        copy_tree(root)
+        path = root / mutant.path
+        text = path.read_text()
+        if text.count(mutant.anchor) != 1:
+            return f"error: anchor occurs {text.count(mutant.anchor)} times"
+        path.write_text(text.replace(mutant.anchor, mutant.replacement))
+        proc = run_pytest(root, [mutant.target])
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 1:  # pytest: some test failed
+        return "killed"
+    return f"error: pytest exited {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    if not chosen:
+        print(f"no mutant named {argv}; known: {[m.name for m in MUTANTS]}")
+        return 2
+    with tempfile.TemporaryDirectory(prefix="richflow-mutant-") as tmp:
+        copy_tree(Path(tmp))
+        clean = run_pytest(Path(tmp), sorted({m.target for m in chosen}))
+    if clean.returncode != 0:
+        print("the targets fail without a mutant:\n" + clean.stdout)
+        return 1
+    failed = 0
+    for mutant in chosen:
+        result = outcome(mutant)
+        failed += result != "killed"
+        print(f"{result:>9}  {mutant.name}  ({mutant.target})")
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

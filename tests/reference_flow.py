@@ -4,7 +4,8 @@ relation and co-tree search written on top of it, as the package had them
 before its kernels moved to plain integers.
 
 Tests compare `verify_flow`, `rich_report`, `pair_relation`, `Flow`
-normalisation, `linear_combine` and `cotree_flow_search` against these.
+normalisation, `linear_combine`, `cotree_flow_search` and its fundamental
+circuits, found here by a BFS over the tree, against these.
 The flow builders `zero_flow`, `send_through_circuit` and
 `make_adjacent_pair`, `chain_edges` and the graph writer `format_multigraph`
 serve tests only, so they live here too.
@@ -13,10 +14,9 @@ serve tests only, so they live here too.
 from __future__ import annotations
 
 from richflow import AdjacentPair, Flow, GroupTag, Multigraph
-from richflow.cotree import fundamental_circuit_signs
 from richflow.errors import InternalDefectError, PreconditionError
 from richflow.flowalg import FlowReport, RichnessChecks
-from richflow.multigraph import Circuit, spanning_forest, validate_circuit
+from richflow.multigraph import Circuit, _bfs_path, spanning_forest, validate_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +204,24 @@ def pair_relation(flow: Flow, pair: AdjacentPair) -> tuple[bool, bool]:
 # Co-tree search over group elements
 
 
+def fundamental_circuit_signs(g: Multigraph, tree, co_edge: int) -> list[tuple[int, int]]:
+    """Tree edges of the fundamental circuit of co_edge, each with its sign:
+    the tree path head -> tail, found by a BFS over the tree edges; a tree
+    edge gets +1 when traversed tail -> head."""
+    e = g.edge(co_edge)
+    verts, eids = _bfs_path(g, e.head, e.tail, tree)
+    return [
+        (t, 1 if g.edges[t].ends == (a, b) else -1) for a, b, t in zip(verts, verts[1:], eids)
+    ]
+
+
 def cotree_flow_values(g: Multigraph, group: GroupTag) -> tuple | None:
     """The values of the first conserved nowhere-zero flow over a cyclic
     group in co-tree search order, or None when there is none."""
     m = g.edge_count
     if m == 0:
         return ()
-    tree, co = spanning_forest(g)
+    tree, co, _, _ = spanning_forest(g)
     members = {co_e: fundamental_circuit_signs(g, tree, co_e) for co_e in co}
     remaining = {t: 0 for t in tree}
     for co_e in co:

@@ -219,7 +219,6 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
     h_vertices: set[int] = set(base.vertex_set)
     assert_stage_two_connected(g, h_vertices, h_edges, "base")
     steps: list = []
-    snapshots: list[frozenset[int]] = [frozenset(h_edges)]
     while len(h_edges) < g.edge_count:
         chord = None
         for e in g.edges:
@@ -261,9 +260,26 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
                 steps.append(AddBlockChain(chain, e1, e2, a1, a2, b1, b2))
                 h_vertices |= chain.vertex_set
                 h_edges |= chain.edge_set | {e1, e2}
-        snapshots.append(frozenset(h_edges))
         assert_stage_two_connected(g, h_vertices, h_edges, repr(steps[-1]))
-    return Tower(base, b, e_star, tuple(steps), tuple(snapshots))
+    return Tower(base, b, e_star, tuple(steps))
+
+
+def step_edges(step) -> list[int]:
+    """The edges a tower step adds, as a list, so that a repeat shows."""
+    if isinstance(step, AddChord):
+        return [step.edge]
+    if isinstance(step, AddVertex):
+        return [step.e1, step.e2]
+    return [e for circ in step.chain.circuits for e in circ.edges] + [step.e1, step.e2]
+
+
+def stage_edges(tower: Tower) -> list[frozenset[int]]:
+    """The edge set of every stage of the tower, base first: each stage is
+    the one before plus the edges its step adds."""
+    stages = [frozenset(tower.base.edge_set)]
+    for step in tower.steps:
+        stages.append(stages[-1].union(step_edges(step)))
+    return stages
 
 
 def check_stage(
@@ -360,11 +376,11 @@ def building_phi(
     chains: list[CircuitChain] = []
     diags: list[StepDiagnostics] = []
     prev_vals = tuple(vals)
-    snapshots = tower.edge_snapshots
+    stages = stage_edges(tower)
     for j in reversed(range(len(tower.steps))):
         step = tower.steps[j]
-        h_edges = snapshots[j]
-        h_next = snapshots[j + 1]
+        h_edges = stages[j]
+        h_next = stages[j + 1]
         if isinstance(step, AddChord):
             e = step.edge
             edge = g.edge(e)
@@ -463,7 +479,7 @@ def building_phi(
         frozenset(),
         chains,
         prev_flow=Flow(g, tag, prev_vals),
-        prev_h_edges=snapshots[0],
+        prev_h_edges=stages[0],
         pairs=pairs,
         stage="final",
     )

@@ -33,7 +33,7 @@ from richflow.multigraph import find_circuit_through, spanning_forest
 
 import reference_flow
 from reference_flow import chain_edges, make_adjacent_pair, send_through_circuit, zero_flow
-from conftest import load, prism
+from conftest import ALL_NAMES, load, prism, random_cubic
 
 
 def path3() -> Multigraph:
@@ -269,12 +269,12 @@ def kernel_cases(draw) -> tuple[Multigraph, GroupTag, list]:
     m = g.edge_count
     values = draw(st.lists(element, min_size=m, max_size=m))
     if m and draw(st.booleans()):
-        tree, co = spanning_forest(g)
+        _, co, up, depth = spanning_forest(g)
         values = [reference_flow.zero(tag)] * m
         for c in co:
             val = draw(element)
             values[c] = val
-            for t, sign in fundamental_circuit_signs(g, tree, c):
+            for t, sign in fundamental_circuit_signs(g, up, depth, c):
                 step = val if sign == 1 else reference_flow.neg(tag, val)
                 values[t] = reference_flow.add(tag, values[t], step)
         for e in draw(st.lists(st.integers(0, m - 1), max_size=2)):
@@ -331,6 +331,43 @@ def test_cotree_search_matches_generic_reference(g, tag):
 def test_cotree_search_takes_only_cyclic_groups(k4, tag):
     with pytest.raises(PreconditionError, match="Z_k, Z_2 or Z_6"):
         cotree_flow_search(k4, tag)
+
+
+def assert_walks_match_the_tree_bfs(g: Multigraph) -> None:
+    # The walk up the rooted forest and a BFS over the same tree's edges
+    # find the same path, edge by edge and sign by sign.
+    tree, co, up, depth = spanning_forest(g)
+    assert tree == frozenset(e for e in up if e >= 0)
+    for co_e in co:
+        want = reference_flow.fundamental_circuit_signs(g, tree, co_e)
+        assert fundamental_circuit_signs(g, up, depth, co_e) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_free_multigraphs())
+def test_forest_walk_circuits_match_the_tree_bfs(g):
+    assert_walks_match_the_tree_bfs(g)
+
+
+def test_forest_walk_circuits_match_the_tree_bfs_on_the_corpus():
+    rng = random.Random(5)
+    for g in [load(name) for name in ALL_NAMES] + [random_cubic(rng, n) for n in (32, 64)]:
+        assert_walks_match_the_tree_bfs(g)
+
+
+def test_cotree_search_runs_no_path_search(monkeypatch):
+    # Every fundamental circuit is walked up the one rooted forest: no BFS
+    # path search per co-tree edge (7.6 per small synthesis when each ran one).
+    from richflow import cotree, multigraph
+
+    calls = []
+    for module in (multigraph, cotree):
+        real = getattr(module, "_bfs_path", None)
+        if real is not None:
+            monkeypatch.setattr(module, "_bfs_path", lambda *a, real=real: calls.append(a) or real(*a))
+    for name in ALL_NAMES:
+        cotree_flow_search(load(name), GroupTag.z6())
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +550,11 @@ def test_flow_json_rejects_wrong_graph(t3, k4):
 
 
 def test_fundamental_circuits_are_conserved(k4):
-    tree, co = spanning_forest(k4)
+    _, co, up, depth = spanning_forest(k4)
     tag = GroupTag.zk(11)
     for co_e in co:
         vals = [0] * k4.edge_count
         vals[co_e] = 4
-        for t, sign in fundamental_circuit_signs(k4, tree, co_e):
+        for t, sign in fundamental_circuit_signs(k4, up, depth, co_e):
             vals[t] = (vals[t] + sign * 4) % 11
         assert verify_flow(k4, Flow(k4, tag, tuple(vals))).conserved

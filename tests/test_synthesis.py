@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.util
 import json
 import random
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -38,7 +40,7 @@ from richflow.synthesis import AddChord, build_tower, split_on_two_cut, verify_m
 
 import reference_flow
 from reference_flow import chain_edges
-from reference_tower import subgraph
+from reference_tower import stage_edges, step_edges, subgraph
 from conftest import ADMISSIBLE_NAMES, load, random_cubic
 from test_multigraph import small_multigraphs
 import test_tower_checks
@@ -70,14 +72,22 @@ def test_tower_k4_b0_structure(k4):
     assert tw.steps[-1] == AddChord(0)
     for step in tw.steps[:-1]:
         assert not (isinstance(step, AddChord) and step.edge == 0)
-    # Every stage is 2-edge-connected and the last stage is the whole graph.
-    for snap in tw.edge_snapshots:
+    # Every stage is 2-edge-connected, and the base and steps add every edge
+    # exactly once, which the backward pass's stage walk relies on.
+    for edges in stage_edges(tw):
         vs = set()
-        for e in snap:
+        for e in edges:
             vs |= set(k4.edge(e).ends)
-        stage, _, _ = subgraph(k4, vs, snap)
+        stage, _, _ = subgraph(k4, vs, edges)
         assert edge_connectivity_at_least(stage, 2)
-    assert tw.edge_snapshots[-1] == frozenset(range(k4.edge_count))
+    assert_adds_every_edge_once(k4, tw)
+
+
+def assert_adds_every_edge_once(g, tw) -> None:
+    added = [e for circ in tw.base.circuits for e in circ.edges]
+    for step in tw.steps:
+        added += step_edges(step)
+    assert sorted(added) == list(range(g.edge_count))
 
 
 @settings(
@@ -117,8 +127,7 @@ def test_tower_exercises_block_step():
         g = load(name)
         for e in (0, g.edge_count // 2, g.edge_count - 1):
             for b in (0, 1):
-                tw = build_tower(g, e, b)
-                assert tw.edge_snapshots[-1] == frozenset(range(g.edge_count))
+                assert_adds_every_edge_once(g, build_tower(g, e, b))
 
 
 # ---------------------------------------------------------------------------
@@ -457,29 +466,33 @@ def test_synthesis_builds_few_graphs_and_flows(monkeypatch, name, graphs, flows)
 
 @pytest.mark.parametrize("name", ["k4", "petersen", "two_k4", "k4_doubled"])
 def test_steps_copy_no_stage_and_lifts_check_in_one_pass(monkeypatch, name):
-    # Stage copies: in the backward pass, every path search runs on a tower
-    # snapshot or a block chain's edge set as it is, never on a copy (one
-    # per chord step and per block-chain step when a chord circuit copied
-    # its stage minus the chord and a chain rebuilt its edge set on each
-    # read). Conservation passes: one net-outflow pass per lift, for its
-    # demands, then the Z6 flow's and the combination's checks (8 when each
-    # lift was also checked by verify_flow).
+    # Stage copies: in the backward pass, every path search runs on one
+    # stage set, the same object for the whole tower as it shrinks step by
+    # step, or on a block chain's edge set as it is, never on a copy (a
+    # snapshot per stage, a chord circuit's stage copied minus the chord, or
+    # a chain's edge set rebuilt on each read). Conservation passes: one
+    # net-outflow pass per lift, for its demands, then the Z6 flow's and the
+    # combination's checks (8 when each lift was also checked by verify_flow).
     counts = {"stage copies": 0, "conservation passes": 0}
-    kept: list = []  # the snapshots and chain edge sets of the tower being assigned
+    chain_sets: list = []  # the chains' edge sets while a tower is assigned
+    stage: list = []  # the set the first stage search ran on
+    assigning = [False]
     real_build_tower, real_building_phi = synthesis.build_tower, synthesis.building_phi
     real_net_outflow = flowalg._net_outflow
 
     def recording_build_tower(*args, **kwargs):
         tower = real_build_tower(*args, **kwargs)
-        kept[:] = [*tower.edge_snapshots]
-        kept.extend(s.chain.edge_set for s in tower.steps if isinstance(s, synthesis.AddBlockChain))
+        chain_sets[:] = [s.chain.edge_set for s in tower.steps if isinstance(s, synthesis.AddBlockChain)]
+        assigning[0] = True
         return tower
 
     def assigning_building_phi(*args, **kwargs):
         try:
             return real_building_phi(*args, **kwargs)
         finally:
-            kept.clear()
+            assigning[0] = False
+            chain_sets.clear()
+            stage.clear()
 
     def counting_net_outflow(*args):
         counts["conservation passes"] += 1
@@ -487,8 +500,11 @@ def test_steps_copy_no_stage_and_lifts_check_in_one_pass(monkeypatch, name):
 
     for module in (multigraph, synthesis):
         def checking_bfs_path(g, src, dst, allowed, _real=module._bfs_path):
-            if kept and not any(allowed is known for known in kept):
-                counts["stage copies"] += 1
+            if assigning[0] and not any(allowed is chain for chain in chain_sets):
+                if not stage:
+                    stage.append(allowed)
+                elif allowed is not stage[0]:
+                    counts["stage copies"] += 1
             return _real(g, src, dst, allowed)
 
         monkeypatch.setattr(module, "_bfs_path", checking_bfs_path)
@@ -497,6 +513,67 @@ def test_steps_copy_no_stage_and_lifts_check_in_one_pass(monkeypatch, name):
     monkeypatch.setattr(flowalg, "_net_outflow", counting_net_outflow)
     synthesize_rich_flow(load(name))
     assert counts == {"stage copies": 0, "conservation passes": 5}
+
+
+def retained_bytes(g: Multigraph) -> int:
+    """The memory that building_phi's result on g holds, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = building_phi(g, 0, (1, 0), 3)
+        gc.collect()
+        assert result.tower.steps
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_result_retains_memory_linear_in_the_graph():
+    # A result keeps its tower, chains and flow: O(m) in all. An edge set
+    # kept per stage makes it O(m^2): with one, the retained size of these
+    # graphs grew x2.8 from n = 32 to n = 64; without, x1.6.
+    rng = random.Random(1)
+    sizes = {}
+    for n in (32, 64):
+        graphs = []
+        while len(graphs) < 3:
+            g = random_cubic(rng, n)
+            verdict = is_rich_flow_admissible(g)
+            if verdict.admissible and not verdict.two_cuts:
+                graphs.append(g)
+        retained_bytes(graphs[0])  # first-call allocations are not the result's
+        sizes[n] = sum(map(retained_bytes, graphs))
+    assert sizes[64] <= 2.3 * sizes[32], sizes
+
+
+def regular_multigraph(rng: random.Random, n: int, degree: int) -> Multigraph:
+    """A degree-regular multigraph on n vertices by the configuration model,
+    drawn again until it has no loop."""
+    while True:
+        points = [v for v in range(n) for _ in range(degree)]
+        rng.shuffle(points)
+        pairs = list(zip(points[0::2], points[1::2]))
+        if all(u != v for u, v in pairs):
+            return Multigraph(n, pairs)
+
+
+@pytest.mark.parametrize("delta", [3, 4, 5, 6, 8])
+def test_chord_steps_meet_their_cap(delta):
+    # A chord's forbidden values are its zero value and two per adjacent
+    # edge of its parity outside the stage it leaves. Some chord step here
+    # forbids exactly 4*delta - 11, the cap, so a rule that counts one value
+    # too many fails on the cap and one too few never meets it. (Drawn the
+    # same way, delta = 7 met the cap in none of 40 graphs.)
+    rng = random.Random(delta)
+    for _ in range(8):
+        g = regular_multigraph(rng, 12, delta)
+        if not is_rich_flow_admissible(g).admissible:
+            continue
+        steps = [d for bp in rich_mod_flow(g).towers for d in bp.diagnostics if d.label.startswith("chord:")]
+        if any(d.cap == 4 * delta - 11 and d.forbidden_count == d.cap for d in steps):
+            return
+    pytest.fail(f"no chord step met its cap at delta = {delta}")
 
 
 def test_synthesize_rejects_inadmissible():

@@ -90,14 +90,15 @@ def building_phi_calls(g: Multigraph) -> list[tuple[tuple, dict]]:
 
 def record_stages(args: tuple, kwargs: dict):
     """building_phi(*args, **kwargs) and, per stage it checks, the stage
-    flow and the other arguments of `_StageChecks.step`."""
+    flow and the other arguments of `_StageChecks.step`. The stage set is
+    copied: building_phi goes on shrinking it after the call."""
     stages = []
     real_step = synthesis._StageChecks.step
 
-    def recording_step(self, vals, h_edges, h_next, added, new_chains, stage):
-        real_step(self, vals, h_edges, h_next, added, new_chains, stage)
+    def recording_step(self, vals, h_edges, added, new_chains, stage):
+        real_step(self, vals, h_edges, added, new_chains, stage)
         flow = Flow(self.g, self.tag, tuple(vals))
-        stages.append((flow, h_edges, h_next, added, new_chains, stage))
+        stages.append((flow, frozenset(h_edges), frozenset(added), new_chains, stage))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis._StageChecks, "step", recording_step)
@@ -107,8 +108,9 @@ def record_stages(args: tuple, kwargs: dict):
 
 def assert_matches_reference(args: tuple, kwargs: dict) -> None:
     """building_phi(*args, **kwargs) gives the reference's tower, flow,
-    chains and diagnostics, and every stage flow it checks passes the
-    reference's full checks."""
+    chains and diagnostics, checks each stage on the reference's stage and
+    step edges, and every stage flow it checks passes the reference's full
+    checks."""
     got, stages = record_stages(args, kwargs)
     want = reference_tower.building_phi(*args, **kwargs)
     g, e_star = args[0], args[1]
@@ -118,10 +120,16 @@ def assert_matches_reference(args: tuple, kwargs: dict) -> None:
     assert got.chains == want.chains
     assert got.diagnostics == want.diagnostics
     assert len(stages) == len(got.tower.steps) + 1
+    # Stage j is checked on H_j and the step's edges, which make H_{j+1};
+    # the base step on no stage and the base's edges.
+    h_sets = reference_tower.stage_edges(want.tower)
+    want_sets = [(h_sets[j], h_sets[j + 1]) for j in reversed(range(len(got.tower.steps)))]
+    want_sets.append((frozenset(), h_sets[0]))
     pairs = adjacent_pairs(g)
     prev = zero_flow(g, got.flow.group)
     chains = []
-    for flow, h_edges, h_next, _added, new_chains, stage in stages:
+    for (flow, h_edges, added, new_chains, stage), (h_want, h_next) in zip(stages, want_sets):
+        assert h_edges == h_want and h_edges.isdisjoint(added) and h_edges | added == h_next
         chains += new_chains
         reference_tower.check_stage(
             g, flow, h_edges, chains, prev_flow=prev, prev_h_edges=h_next, pairs=pairs, stage=stage
@@ -176,11 +184,12 @@ def test_a_step_check_fails_exactly_when_the_full_check_fails(g, data):
     checks = synthesis._StageChecks(h, tag)
     prev = zero_flow(h, tag)
     chains = []
-    for flow, h_edges, h_next, added, new_chains, stage in stages[:j]:
-        checks.step(list(flow.values), h_edges, h_next, added, new_chains, stage)
+    for flow, h_edges, added, new_chains, stage in stages[:j]:
+        checks.step(list(flow.values), h_edges, added, new_chains, stage)
         prev = flow
         chains += new_chains
-    flow, h_edges, h_next, added, new_chains, stage = stages[j]
+    flow, h_edges, added, new_chains, stage = stages[j]
+    h_next = h_edges | added
     chains += new_chains
     vals = list(flow.values)
     e = data.draw(st.integers(0, h.edge_count - 1))
@@ -209,7 +218,7 @@ def test_a_step_check_fails_exactly_when_the_full_check_fails(g, data):
     except InternalDefectError as exc:
         full = exc
     try:
-        checks.step(vals, h_edges, h_next, added, new_chains, stage)
+        checks.step(vals, h_edges, added, new_chains, stage)
         local = None
     except InternalDefectError as exc:
         local = exc
@@ -251,7 +260,7 @@ def test_send_on_faults_are_caught_at_their_stage(monkeypatch, k4, fault):
     # h_next leaves edge 0 out, so moving edge 0 there moves a frozen edge.
     tower = synthesis.build_tower(k4, 0, 0)
     assert tower.steps[-1] == synthesis.AddChord(0) and len(tower.steps) >= 2
-    assert 0 not in tower.edge_snapshots[-2]
+    assert 0 not in reference_tower.stage_edges(tower)[-2]
     on_call = 2 if fault == "outside" else 1
     monkeypatch.setattr(synthesis, "_send_on", faulty_send_on(fault, on_call, outside_edge=0))
     with pytest.raises(InternalDefectError, match=r"\[stage:\d+\]") as err:
@@ -364,7 +373,24 @@ def test_a_chain_touching_the_stage_is_refused():
             prev_h_edges=h_next, pairs=adjacent_pairs(g), stage="stage:0",
         )
     with pytest.raises(InternalDefectError, match="touches the current stage"):
-        synthesis._StageChecks(g, tag).step(vals, h_edges, h_next, chain.edge_set, (chain,), "stage:0")
+        synthesis._StageChecks(g, tag).step(vals, h_edges, chain.edge_set, (chain,), "stage:0")
+
+
+def test_a_changed_frozen_edge_is_refused(t3):
+    # t3's three edges 0 -> 1, H = {0} and the step adds edge 1; (1, 0) sent
+    # around edges 1 and 2 also moves edge 2, which is neither in H nor
+    # added. Every other condition holds: the flow is conserved, edge 1 is
+    # nonzero, and the one confluent pair (1, 2) meets no other.
+    tag = GroupTag.zkxz2(11)
+    vals = [(0, 0), (1, 0), (10, 0)]
+    h_edges, added = frozenset({0}), frozenset({1})
+    with pytest.raises(InternalDefectError, match=r"^\[stage:0\] frozen edge 2 changed value$"):
+        reference_tower.check_stage(
+            t3, Flow(t3, tag, tuple(vals)), h_edges, [], prev_flow=zero_flow(t3, tag),
+            prev_h_edges=h_edges | added, pairs=adjacent_pairs(t3), stage="stage:0",
+        )
+    with pytest.raises(InternalDefectError, match=r"^\[stage:0\] frozen edge 2 changed value$"):
+        synthesis._StageChecks(t3, tag).step(vals, h_edges, added, (), "stage:0")
 
 
 # Stage flows of t3 (three edges 0 -> 1) right after the all-zero top stage,
@@ -388,7 +414,7 @@ def test_a_corrupt_stage_is_refused_like_the_full_check(t3, fault, values):
             prev_h_edges=everything, pairs=adjacent_pairs(t3), stage="stage:0",
         )
     with pytest.raises(InternalDefectError, match=fault):
-        synthesis._StageChecks(t3, tag).step(vals, frozenset(), everything, everything, (), "stage:0")
+        synthesis._StageChecks(t3, tag).step(vals, frozenset(), everything, (), "stage:0")
     with pytest.raises(InternalDefectError, match=rf"^\[bullets\] .*{fault}"):
         synthesis.verify_mod_flow_bullets(t3, Flow(t3, tag, tuple(vals)), [])
 
