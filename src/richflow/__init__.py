@@ -14,7 +14,7 @@ from .errors import (
 )
 from .multigraph import AdmissibilityVerdict, Multigraph, is_rich_flow_admissible, parse_multigraph
 from .flowalg import AdjacentPair, Flow, GroupTag
-from .seymour import PairSet, flow_avoiding_confluence, nowhere_zero_z6
+from .seymour import flow_avoiding_confluence, nowhere_zero_z6
 from .synthesis import (
     BuildingPhiResult,
     RichFlowCertificate,

@@ -11,9 +11,13 @@ machinery used by the synthesis tower. Each cut question has one owner:
   tree; `_dfs_facts` reads connectivity, the bridges (single-edge blocks) and
   the tree off one call, and circuit chains walk its blocks;
 - one rooted BFS spanning forest, `spanning_forest`, is `cotree`'s basis;
+- one union-find, `_UnionFind`, answers what falls apart when edges go: the
+  2-edge-cut tests, the edge-blocks of `find_attachable_block` and the
+  sides of the synthesis split;
 - `is_rich_flow_admissible` is the one caller of `enumerate_two_edge_cuts`,
-  and its verdict carries the 2-edge-cuts that `edge_connectivity_at_least`
-  (t = 3) and the synthesis split read.
+  and its verdict carries the 2-edge-cuts that the synthesis split reads;
+  an admissible verdict with no 2-edge-cut is the one answer to
+  "3-edge-connected?".
 
 `enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by bundles of
 parallel edges and by the DFS tree T of `_dfs_facts` (any spanning tree gives
@@ -174,30 +178,6 @@ def parse_multigraph(text: str) -> Multigraph:
 # Connectivity and cuts
 
 
-def connected_components(g: Multigraph, *, without: frozenset[int] = frozenset()):
-    """Vertex sets of the components of g with the given edges removed."""
-    seen = [False] * g.vertex_count
-    comps: list[tuple[int, ...]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for eid in g.incident(v):
-                if eid in without:
-                    continue
-                w = g.edges[eid].other_end(v)
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def spanning_forest(g: Multigraph) -> tuple[frozenset[int], list[int], list[int], list[int]]:
     """(tree edge ids, co-tree edge ids ascending, up, depth) of the BFS forest
     grown from each unreached vertex in id order, lowest edge id first; up[v]
@@ -299,15 +279,6 @@ def _dfs_facts(g: Multigraph) -> tuple[bool, frozenset[int], frozenset[int]]:
     return len(tree) >= g.vertex_count - 1, bridge_set, frozenset(tree)
 
 
-def _two_edge_connected_on(g: Multigraph, edge_ids, vertex_count: int) -> bool:
-    """Whether the subgraph spanned by edge_ids (all of g when None), with
-    vertex_count vertices, is connected and bridgeless: one lowpoint DFS,
-    whose tree must have vertex_count - 1 edges and no block a single edge."""
-    tree: list[int] = []
-    groups = _biconnected_edge_groups(g, edge_ids, tree)
-    return len(tree) >= vertex_count - 1 and all(len(grp) > 1 for grp in groups)
-
-
 class _UnionFind:
     __slots__ = ("parent",)
 
@@ -383,21 +354,6 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
             if n - merges > 1:
                 cuts.append((i, j))
     return cuts
-
-
-def edge_connectivity_at_least(g: Multigraph, t: int) -> bool:
-    """True iff g is connected and has no edge cut of size < t, for t in {1,2,3}.
-
-    t = 1 and t = 2 take linear time; t = 3 reads the admissibility verdict's
-    2-edge-cuts.
-    """
-    if t not in (1, 2, 3):
-        raise PreconditionError(f"threshold must be 1, 2 or 3, got {t}")
-    if t == 3:
-        verdict = is_rich_flow_admissible(g)
-        return verdict.admissible and not verdict.two_cuts
-    connected, bridge_set, _ = _dfs_facts(g)
-    return connected and (t == 1 or not bridge_set)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +757,11 @@ def find_circuit_chain(
         raise PreconditionError("endpoints must be distinct")
     if not (u in vertices and v in vertices):
         raise PreconditionError("endpoint out of range")
-    if not _two_edge_connected_on(g, edge_ids, len(vertices)):
+    # One lowpoint DFS: connected when its tree spans the vertices, and
+    # bridgeless when no block is a single edge.
+    tree: list[int] = []
+    groups = _biconnected_edge_groups(g, edge_ids, tree)
+    if len(tree) < len(vertices) - 1 or any(len(grp) == 1 for grp in groups):
         raise PreconditionError("circuit chain search requires a 2-edge-connected graph")
     usage = _min_two_flow(g, u, v, edge_ids)
     if usage:
@@ -837,13 +797,20 @@ def find_attachable_block(
                 f"vertex-attachment step applies: vertex {v} has {to_inside} edges inside"
             )
     outer = [e.id for e in g.edges if e.tail not in inside and e.head not in inside]
-    outer_bridges = [grp for grp in _biconnected_edge_groups(g, outer) if len(grp) == 1]
-    bridge_ends = [g.edges[eid].ends for grp in outer_bridges for eid in grp]
-    kept = frozenset(outer).difference(*outer_bridges)
-    comps = connected_components(g, without=frozenset(range(g.edge_count)) - kept)
-    blocks = [frozenset(comp) for comp in comps if comp[0] not in inside]
+    groups = _biconnected_edge_groups(g, outer)
+    bridge_ends = [g.edges[eid].ends for grp in groups if len(grp) == 1 for eid in grp]
+    # Joined by their non-bridge edges, the outside vertices fall into the
+    # edge-blocks of g minus `inside`.
+    uf = _UnionFind(g.vertex_count)
+    for grp in groups:
+        if len(grp) > 1:
+            for eid in grp:
+                uf.union(*g.edges[eid].ends)
+    blocks: dict[int, set[int]] = {}
+    for v in outside:
+        blocks.setdefault(uf.find(v), set()).add(v)
     candidates = []
-    for blk in blocks:
+    for blk in map(frozenset, blocks.values()):
         touching = sum(1 for a, b in bridge_ends if (a in blk) != (b in blk))
         if touching <= 1:
             candidates.append(blk)

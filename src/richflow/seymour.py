@@ -9,8 +9,6 @@ edge to zero. With no pair to split, the auxiliary graph is the host itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cotree import cotree_flow_search
 from .errors import InternalDefectError, PreconditionError
 from .flowalg import (
@@ -24,19 +22,9 @@ from .flowalg import (
 from .multigraph import AdmissibilityVerdict, Multigraph, _dfs_facts, is_rich_flow_admissible
 
 
-@dataclass(frozen=True)
-class PairSet:
-    """Adjacent-edge pairs, each anchored at a chosen shared vertex."""
-
-    pairs: tuple[AdjacentPair, ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def validate_pair_set(g: Multigraph, pair_set: PairSet) -> None:
-    """Enforce the splitting preconditions; raises PreconditionError."""
-    ps = pair_set.pairs
+def validate_pair_set(g: Multigraph, ps: tuple[AdjacentPair, ...]) -> None:
+    """Enforce the splitting preconditions on adjacent-edge pairs, each
+    anchored at a chosen shared vertex; raises PreconditionError."""
     seen: set[frozenset[int]] = set()
     holders: dict[int, list[int]] = {}  # edge -> indices of the pairs holding it
     for j, p in enumerate(ps):
@@ -61,24 +49,16 @@ def validate_pair_set(g: Multigraph, pair_set: PairSet) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class SplitMap:
-    """The auxiliary split graph together with its correspondence to the host
-    (the host graph object itself when no pair was split)."""
-
-    graph_h: Multigraph
-    b_vertices: tuple[int, ...]  # per pair, the new degree-3 vertex
-    anchor_edges: tuple[int, ...]  # per pair, the H edge a(p) -- b(p)
-    # G edge i maps to H edge i by construction; kept implicit.
-
-
 def build_pair_splitting(
-    g: Multigraph, pair_set: PairSet, *, verdict: AdmissibilityVerdict | None = None
-) -> SplitMap:
-    """Split each pair off its anchor vertex into a fresh degree-3 vertex.
+    g: Multigraph, pairs: tuple[AdjacentPair, ...], *, verdict: AdmissibilityVerdict | None = None
+) -> Multigraph:
+    """The split graph H: each pair split off its anchor vertex into a fresh
+    degree-3 vertex.
 
-    The two pair edges and a new anchor edge meet at b(p); contracting the
-    anchor edges gives back exactly the host graph. The result is bridgeless
+    By construction, b(p_i) is vertex n + i and the anchor edge a(p_i) --
+    b(p_i) is edge m + i, and edge i of g is edge i of H. The two pair edges
+    and the anchor edge meet at b(p); contracting the anchor edges gives
+    back exactly the host graph. The result is bridgeless
     whenever the host is rich flow admissible, which is checked on g's
     admissibility verdict: computed here, or taken from `verdict`, which must
     be `is_rich_flow_admissible(g)` of this same g. With no pair, nothing is
@@ -89,31 +69,29 @@ def build_pair_splitting(
         verdict = is_rich_flow_admissible(g)
     if not verdict.admissible:
         raise PreconditionError(f"pair splitting requires an admissible graph: {verdict.describe()}")
-    validate_pair_set(g, pair_set)
+    validate_pair_set(g, pairs)
     n = g.vertex_count
-    pairs = pair_set.pairs
     if not pairs:
-        return SplitMap(g, (), ())
-    b_of = {i: n + i for i in range(len(pairs))}
+        return g
     replacement: dict[int, dict[int, int]] = {}  # edge -> {anchor vertex -> b(p)}
     for i, p in enumerate(pairs):
         for eid in (p.e, p.f):
             slot = replacement.setdefault(eid, {})
             if p.shared_vertex in slot:
                 raise InternalDefectError("two pairs share an edge at the same anchor")
-            slot[p.shared_vertex] = b_of[i]
+            slot[p.shared_vertex] = n + i
     h_pairs = []
     for e in g.edges:
         slot = replacement.get(e.id, {})
         h_pairs.append((slot.get(e.tail, e.tail), slot.get(e.head, e.head)))
     for i, p in enumerate(pairs):
-        h_pairs.append((p.shared_vertex, b_of[i]))
+        h_pairs.append((p.shared_vertex, n + i))
     h = Multigraph(n + len(pairs), h_pairs)
     for i in range(len(pairs)):
-        if h.degree(b_of[i]) != 3:
-            raise InternalDefectError(f"split vertex for pair {i} has degree {h.degree(b_of[i])}")
+        if h.degree(n + i) != 3:
+            raise InternalDefectError(f"split vertex for pair {i} has degree {h.degree(n + i)}")
     # Contraction check: mapping every b(p) back to a(p) must restore the host.
-    back = {b_of[i]: pairs[i].shared_vertex for i in range(len(pairs))}
+    back = {n + i: p.shared_vertex for i, p in enumerate(pairs)}
     for e in g.edges:
         he = h.edges[e.id]
         restored = (back.get(he.tail, he.tail), back.get(he.head, he.head))
@@ -124,7 +102,7 @@ def build_pair_splitting(
         raise InternalDefectError("split graph has a bridge despite an admissible host")
     if not connected:
         raise InternalDefectError("split graph is disconnected")
-    return SplitMap(h, tuple(b_of[i] for i in range(len(pairs))), tuple(range(g.edge_count, h.edge_count)))
+    return h
 
 
 def nowhere_zero_z6(g: Multigraph) -> Flow:
@@ -144,7 +122,7 @@ def nowhere_zero_z6(g: Multigraph) -> Flow:
 
 
 def flow_avoiding_confluence(
-    g: Multigraph, pair_set: PairSet, *, verdict: AdmissibilityVerdict | None = None
+    g: Multigraph, pairs: tuple[AdjacentPair, ...], *, verdict: AdmissibilityVerdict | None = None
 ) -> Flow:
     """A nowhere-zero Z_6 flow on g in which no requested pair is confluent.
 
@@ -153,9 +131,9 @@ def flow_avoiding_confluence(
     `build_pair_splitting` instead of being computed again there. With no
     pair, the split graph is g and the verified Z_6 flow of g is the result.
     """
-    split = build_pair_splitting(g, pair_set, verdict=verdict)
-    h_flow = nowhere_zero_z6(split.graph_h)
-    if split.graph_h is g:
+    h = build_pair_splitting(g, pairs, verdict=verdict)
+    h_flow = nowhere_zero_z6(h)
+    if h is g:
         return h_flow
     # G edge i is H edge i with matching orientation sides, so the restriction
     # of the H values is already the contracted flow.
@@ -163,7 +141,7 @@ def flow_avoiding_confluence(
     rep = verify_flow(g, flow)
     if not (rep.conserved and rep.nowhere_zero):
         raise InternalDefectError("contracted flow lost conservation or gained zeros")
-    for p in pair_set.pairs:
+    for p in pairs:
         if pair_relation(flow, p).confluent:
             raise InternalDefectError(f"pair ({p.e},{p.f}) is still confluent after splitting")
     return flow

@@ -45,11 +45,9 @@ from .multigraph import (
     Circuit,
     CircuitChain,
     Multigraph,
+    _UnionFind,
     _bfs_path,
-    _two_edge_connected_on,
     circuit_through_edge,
-    connected_components,
-    edge_connectivity_at_least,
     # Not called here: perfbench/trace.py wraps it on this module too.
     enumerate_two_edge_cuts,  # noqa: F401  (traced)
     find_attachable_block,
@@ -59,7 +57,7 @@ from .multigraph import (
     validate_circuit,
     validate_circuit_chain,
 )
-from .seymour import PairSet, flow_avoiding_confluence
+from .seymour import flow_avoiding_confluence
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +153,16 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
     leaf or isolated block joined through a circuit chain. For b = 0 the
     special edge enters only as the final chord.
 
-    For b = 0 the base chain is searched in g with the special edge left out,
-    and the base stage is checked for 2-edge-connectivity by one lowpoint DFS
-    over its edges of g. A block-chain step searches for its block, and for
-    the chain through it, on g over edge subsets too, so no step builds a graph.
+    g must be 3-edge-connected, which is read off its admissibility verdict:
+    admissible with no 2-edge-cut. For b = 0 the base chain is searched in g
+    with the special edge left out. A block-chain step searches for its
+    block, and for the chain through it, on g over edge subsets too, so no
+    step builds a graph.
 
     The tower is an ear decomposition, so only the base stage is checked for
-    2-edge-connectivity as a whole. Each step is then checked as an ear of the
+    2-edge-connectivity as a whole, as a valid circuit chain in O(|base|): it
+    is connected, and each of its edges lies on one of its circuits, so no
+    edge is a bridge. Each step is then checked as an ear of the
     stage before it, in time proportional to the step: a chord is a new edge
     with both ends in H; an added vertex lies outside H and brings two
     distinct edges into H; a block chain is a valid circuit chain
@@ -173,7 +174,8 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
         raise PreconditionError("b must be 0 or 1")
     if not (0 <= e_star < g.edge_count):
         raise PreconditionError(f"edge id {e_star} out of range")
-    if not edge_connectivity_at_least(g, 3):
+    verdict = is_rich_flow_admissible(g)
+    if not verdict.admissible or verdict.two_cuts:
         raise PreconditionError("tower construction requires a 3-edge-connected graph")
     if b == 1:
         base = CircuitChain((find_circuit_through(g, e_star),))
@@ -184,10 +186,10 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
         base = find_circuit_chain(g, star.tail, star.head, edge_ids=rest)
         if e_star in base.edge_set:
             raise InternalDefectError("base chain uses the special edge it must leave out")
+    if not validate_circuit_chain(g, base):
+        raise InternalDefectError("tower stage is not 2-edge-connected after base")
     h_edges: set[int] = set(base.edge_set)
     h_vertices: set[int] = set(base.vertex_set)
-    if not _two_edge_connected_on(g, h_edges, len(h_vertices)):
-        raise InternalDefectError("tower stage is not 2-edge-connected after base")
     steps: list = []
     while len(h_edges) < g.edge_count:
         step = None
@@ -702,34 +704,42 @@ def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
     admissibility verdict's, not empty) with the smallest far side, adding one
     virtual edge per side.
 
+    Each cut gets one union-find pass over g minus its two edges, which must
+    leave two sides. Each cut edge has one end on each side, so vertex 0's
+    side S0 has (deg(S0) - 2) / 2 inner edges, and the other side the rest
+    of the m - 2; a side's size is (inner edges, vertices). The vertices and
+    inner edges of the sides are listed for the chosen cut only.
+
     The far side plus its virtual edge is 3-edge-connected, which is asserted
-    here; the near side plus its virtual edge stays admissible, which
-    `rich_mod_flow` asserts with the verdict it next splits by.
+    here on its admissibility verdict; the near side plus its virtual edge
+    stays admissible, which `rich_mod_flow` asserts with the verdict it next
+    splits by.
     """
+    if not two_cuts:
+        raise PreconditionError("no 2-edge-cut to split along")
+    n, m = g.vertex_count, g.edge_count
     best = None
     for ea, eb in two_cuts:
-        comps = connected_components(g, without=frozenset((ea, eb)))
-        if len(comps) != 2:
-            raise InternalDefectError("a 2-edge-cut of a bridgeless graph split 3 ways")
-        sides = []
-        for comp in comps:
-            vset = set(comp)
-            inner = [
-                e.id
-                for e in g.edges
-                if e.id not in (ea, eb) and e.tail in vset and e.head in vset
-            ]
-            sides.append((vset, inner))
-        key0 = (len(sides[0][1]), len(sides[0][0]))
-        key1 = (len(sides[1][1]), len(sides[1][0]))
+        uf = _UnionFind(n)
+        merges = sum(uf.union(e.tail, e.head) for e in g.edges if e.id != ea and e.id != eb)
+        if merges != n - 2:
+            raise InternalDefectError(f"edges {ea} and {eb} do not split g in two")
+        zero = uf.find(0)
+        on_zero = [v for v in range(n) if uf.find(v) == zero]
+        e0 = (sum(map(g.degree, on_zero)) - 2) // 2
+        key0, key1 = (e0, len(on_zero)), (m - 2 - e0, n - len(on_zero))
         far = 1 if key1 <= key0 else 0  # ties keep vertex 0 on the near side
         candidate_key = (key1 if far == 1 else key0, (ea, eb))
         if best is None or candidate_key < best[0]:
-            best = (candidate_key, (ea, eb), sides, far)
-    _, (ea, eb), sides, far = best
-    near = 1 - far
-    near_set, near_inner = sides[near]
-    far_set, far_inner = sides[far]
+            best = (candidate_key, uf, far)
+    (_, (ea, eb)), uf, far = best
+    zero = uf.find(0)
+    near_set = {v for v in range(n) if (uf.find(v) == zero) == (far == 1)}
+    far_set = [v for v in range(n) if v not in near_set]
+    near_inner, far_inner = [], []
+    for e in g.edges:
+        if e.id != ea and e.id != eb:
+            (near_inner if e.tail in near_set else far_inner).append(e.id)
     edge_a, edge_b = g.edge(ea), g.edge(eb)
     u1 = edge_a.tail if edge_a.tail in near_set else edge_a.head
     v1 = edge_a.other_end(u1)
@@ -737,7 +747,8 @@ def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
     v2 = edge_b.other_end(u2)
     side1 = _build_side(g, near_set, near_inner, u1, u2)
     side2 = _build_side(g, far_set, far_inner, v1, v2)
-    if not edge_connectivity_at_least(side2.graph, 3):
+    verdict = is_rich_flow_admissible(side2.graph)
+    if not verdict.admissible or verdict.two_cuts:
         raise InternalDefectError("minimal far side with virtual edge is not 3-edge-connected")
     return TwoCutSplit((ea, eb), u1, u2, v1, v2, side1, side2)
 
@@ -949,7 +960,7 @@ def synthesize_rich_flow(
     k = 8 * delta - 13
     bound = 264 * delta - 445
     # `rich_mod_flow` has verified these against strong intersection.
-    phi3_mod = flow_avoiding_confluence(g, PairSet(mod.confluent), verdict=verdict)
+    phi3_mod = flow_avoiding_confluence(g, mod.confluent, verdict=verdict)
     phi1 = modular_to_integer(g, project_flow(mod.flow, 0))
     phi2 = modular_to_integer(g, project_flow(mod.flow, 1))
     phi3 = modular_to_integer(g, phi3_mod)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from richflow import Multigraph, parse_multigraph
+from richflow import Multigraph, is_rich_flow_admissible, parse_multigraph
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -34,6 +34,12 @@ ALL_NAMES = ADMISSIBLE_NAMES + INADMISSIBLE_NAMES
 
 def load(name: str) -> Multigraph:
     return parse_multigraph((CORPUS / f"{name}.graph").read_text())
+
+
+def three_edge_connected(g: Multigraph) -> bool:
+    """Read off the admissibility verdict: admissible with no 2-edge-cut."""
+    verdict = is_rich_flow_admissible(g)
+    return verdict.admissible and not verdict.two_cuts
 
 
 @pytest.fixture

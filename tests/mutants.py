@@ -41,7 +41,9 @@ class Mutant(NamedTuple):
 
 
 SYNTHESIS = "src/richflow/synthesis.py"
+MULTIGRAPH = "src/richflow/multigraph.py"
 TOWER_CHECKS = "tests/test_tower_checks.py"
+TEST_SYNTHESIS = "tests/test_synthesis.py"
 
 MUTANTS = (
     Mutant(
@@ -85,6 +87,62 @@ MUTANTS = (
         "from_head.append((t.id, 1 if t.tail == u else -1))",
         "from_head.append((t.id, -1 if t.tail == u else 1))",
         "tests/test_flowalg.py::test_forest_walk_circuits_match_the_tree_bfs_on_the_corpus",
+    ),
+    Mutant(
+        "stage-conservation-ignores-parity",
+        SYNTHESIS,
+        "dx = 2 * (a - a0) + k * (y - y0)",
+        "dx = 2 * (a - a0)",
+        f"{TOWER_CHECKS}::test_a_corrupt_stage_is_refused_like_the_full_check",
+    ),
+    Mutant(
+        "tower-base-check-skipped",
+        SYNTHESIS,
+        "    if not validate_circuit_chain(g, base):\n",
+        "    if False:\n",
+        f"{TEST_SYNTHESIS}::test_tower_refuses_a_base_that_is_not_a_circuit_chain",
+    ),
+    Mutant(
+        "split-tie-goes-to-vertex-0",
+        SYNTHESIS,
+        "far = 1 if key1 <= key0 else 0",
+        "far = 1 if key1 < key0 else 0",
+        f"{TEST_SYNTHESIS}::test_k4_rings_and_chains_match_golden_digest",
+    ),
+    Mutant(
+        "split-counts-cut-edges-as-inner",
+        SYNTHESIS,
+        "(sum(map(g.degree, on_zero)) - 2) // 2",
+        "sum(map(g.degree, on_zero)) // 2",
+        f"{TEST_SYNTHESIS}::test_k4_rings_and_chains_match_golden_digest",
+    ),
+    Mutant(
+        "block-search-union-dropped",
+        MULTIGRAPH,
+        "                uf.union(*g.edges[eid].ends)\n",
+        "                pass\n",
+        "tests/test_multigraph.py::test_attachable_block_two_triangles",
+    ),
+    Mutant(
+        "block-search-keeps-bridges",
+        MULTIGRAPH,
+        "        if len(grp) > 1:\n",
+        "        if True:\n",
+        "tests/test_multigraph.py::test_attachable_block_leaves_out_the_bridges_between_blocks",
+    ),
+    Mutant(
+        "chain-search-ignores-edge-subset",
+        MULTIGRAPH,
+        "usage = _min_two_flow(g, u, v, edge_ids)",
+        "usage = _min_two_flow(g, u, v)",
+        f"{TEST_SYNTHESIS}::test_chain_search_leaving_an_edge_out_matches_the_copy",
+    ),
+    Mutant(
+        "lift-conservation-check-skipped",
+        "src/richflow/flowalg.py",
+        "    if any(net):\n",
+        "    if False:\n",
+        "tests/test_flowalg.py::test_a_wrong_circulation_fails_the_lift_check",
     ),
 )
 

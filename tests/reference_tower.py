@@ -9,11 +9,15 @@ every stage flow that `building_phi` produces.
 
 The reference also keeps the forms that synthesis no longer uses: blocks and
 their chains are searched on relabelled copies (`subgraph`,
-`induced_subgraph`, `find_attachable_block`, with `bridges`), and the forbidden values of a
-pair are computed from the pair's shared vertex, one pair at a time.
+`induced_subgraph`, `find_attachable_block`, with `bridges`), components
+are found by BFS (`connected_components`), the 2-cut split lists both sides
+of every cut (`split_on_two_cut`), and the forbidden values of a pair are
+computed from the pair's shared vertex, one pair at a time.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from richflow import Flow, GroupTag, Multigraph
 from richflow.flowalg import adjacent_pairs, verify_flow
@@ -24,8 +28,6 @@ from richflow.multigraph import (
     _bfs_path,
     _dfs_facts,
     circuit_through_edge,
-    connected_components,
-    edge_connectivity_at_least,
     find_circuit_chain,
     find_circuit_through,
     validate_circuit_chain,
@@ -37,12 +39,15 @@ from richflow.synthesis import (
     BuildingPhiResult,
     StepDiagnostics,
     Tower,
+    TwoCutSplit,
     _attach_circuit,
+    _build_side,
     _map_chain,
     _send_on,
     _smallest_allowed,
 )
 
+from conftest import three_edge_connected
 from reference_flow import chain_edges
 
 
@@ -50,6 +55,69 @@ def bridges(g: Multigraph) -> frozenset[int]:
     """Edge ids whose removal increases the number of components: the
     single-edge blocks of g (a parallel edge shares its block with its twin)."""
     return _dfs_facts(g)[1]
+
+
+def connected_components(g: Multigraph, *, without: frozenset[int] = frozenset()):
+    """Vertex sets of the components of g with the given edges removed, by
+    BFS from each unreached vertex in id order."""
+    seen = [False] * g.vertex_count
+    comps: list[tuple[int, ...]] = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for eid in g.incident(v):
+                if eid in without:
+                    continue
+                w = g.edges[eid].other_end(v)
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
+    """`synthesis.split_on_two_cut`, listing both sides' vertices and inner
+    edges for every cut and comparing their sizes (inner edges, vertices)."""
+    best = None
+    for ea, eb in two_cuts:
+        comps = connected_components(g, without=frozenset((ea, eb)))
+        if len(comps) != 2:
+            raise InternalDefectError(f"edges {ea} and {eb} do not split g in two")
+        sides = []
+        for comp in comps:
+            vset = set(comp)
+            inner = [
+                e.id
+                for e in g.edges
+                if e.id not in (ea, eb) and e.tail in vset and e.head in vset
+            ]
+            sides.append((vset, inner))
+        key0 = (len(sides[0][1]), len(sides[0][0]))
+        key1 = (len(sides[1][1]), len(sides[1][0]))
+        far = 1 if key1 <= key0 else 0  # ties keep vertex 0 on the near side
+        candidate_key = (key1 if far == 1 else key0, (ea, eb))
+        if best is None or candidate_key < best[0]:
+            best = (candidate_key, (ea, eb), sides, far)
+    _, (ea, eb), sides, far = best
+    near_set, near_inner = sides[1 - far]
+    far_set, far_inner = sides[far]
+    edge_a, edge_b = g.edge(ea), g.edge(eb)
+    u1 = edge_a.tail if edge_a.tail in near_set else edge_a.head
+    v1 = edge_a.other_end(u1)
+    u2 = edge_b.tail if edge_b.tail in near_set else edge_b.head
+    v2 = edge_b.other_end(u2)
+    side1 = _build_side(g, near_set, near_inner, u1, u2)
+    side2 = _build_side(g, far_set, far_inner, v1, v2)
+    if not three_edge_connected(side2.graph):
+        raise InternalDefectError("minimal far side with virtual edge is not 3-edge-connected")
+    return TwoCutSplit((ea, eb), u1, u2, v1, v2, side1, side2)
 
 
 def subgraph(
@@ -193,8 +261,8 @@ def vertices_of_edges(g: Multigraph, edge_ids) -> frozenset[int]:
 
 
 def assert_stage_two_connected(g: Multigraph, vertices, edge_ids, label: str) -> None:
-    sub, _, _ = subgraph(g, vertices, edge_ids)
-    if not edge_connectivity_at_least(sub, 2):
+    connected, sub_bridges, _ = _dfs_facts(subgraph(g, vertices, edge_ids)[0])
+    if not connected or sub_bridges:
         raise InternalDefectError(f"tower stage is not 2-edge-connected after {label}")
 
 
@@ -203,7 +271,7 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
         raise PreconditionError("b must be 0 or 1")
     if not (0 <= e_star < g.edge_count):
         raise PreconditionError(f"edge id {e_star} out of range")
-    if not edge_connectivity_at_least(g, 3):
+    if not three_edge_connected(g):
         raise PreconditionError("tower construction requires a 3-edge-connected graph")
     star = g.edge(e_star)
     if b == 1:

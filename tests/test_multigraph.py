@@ -19,7 +19,6 @@ from richflow.multigraph import (
     CircuitChain,
     _biconnected_edge_groups,
     _dfs_facts,
-    edge_connectivity_at_least,
     enumerate_two_edge_cuts,
     find_attachable_block,
     find_circuit_chain,
@@ -28,7 +27,15 @@ from richflow.multigraph import (
 )
 from richflow import multigraph
 
-from conftest import ALL_NAMES, load, oracle_components, oracle_cuts, random_cubic, relabel
+from conftest import (
+    ALL_NAMES,
+    load,
+    oracle_components,
+    oracle_cuts,
+    random_cubic,
+    relabel,
+    three_edge_connected,
+)
 from reference_flow import format_multigraph
 from reference_tower import bridges
 
@@ -173,14 +180,16 @@ def test_two_cut_enumeration_tests_only_pairs_with_a_tree_edge(monkeypatch, g):
 
 
 def test_edge_connectivity_thresholds(k4):
-    assert edge_connectivity_at_least(k4, 3)
-    assert not edge_connectivity_at_least(load("c4"), 3)
-    assert not edge_connectivity_at_least(load("bridge"), 2)
-    assert edge_connectivity_at_least(load("bridge"), 1)
+    # 3-edge-connectivity is read off the verdict; connectivity and
+    # bridgelessness off one lowpoint DFS.
+    assert three_edge_connected(k4)
+    assert not three_edge_connected(load("c4"))
+    connected, bridge_set, _ = _dfs_facts(load("bridge"))
+    assert connected and bridge_set
     # Admissible, with one 2-edge-cut {4, 5} whose edges share no vertex.
     g = Multigraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
     assert is_rich_flow_admissible(g).two_cuts == ((4, 5),)
-    assert not edge_connectivity_at_least(g, 3)
+    assert not three_edge_connected(g)
 
 
 @st.composite
@@ -201,9 +210,10 @@ def test_cut_answers_match_subset_deletion_oracle(g):
     assert bridges(g) == frozenset(expect_bridges)
     verdict = is_rich_flow_admissible(g)
     assert verdict.two_cuts == (tuple(sorted(expect_cuts)) if two_connected else ())
-    assert edge_connectivity_at_least(g, 1) == connected
-    assert edge_connectivity_at_least(g, 2) == two_connected
-    assert edge_connectivity_at_least(g, 3) == (two_connected and not expect_cuts)
+    dfs_connected, dfs_bridges, _ = _dfs_facts(g)
+    assert dfs_connected == connected
+    assert (dfs_connected and not dfs_bridges) == two_connected
+    assert three_edge_connected(g) == (two_connected and not expect_cuts)
     # The verdict's witnesses: the lowest bridge, and the first 2-edge-cut in
     # list order whose edges share a vertex, with their lowest shared vertex.
     shared = [
@@ -436,6 +446,18 @@ def test_attachable_block_two_triangles():
     assert blk == {3, 4, 5}
     assert (e1, e2) == (6, 7)
     assert (b1, b2) == (3, 4)
+
+
+def test_attachable_block_leaves_out_the_bridges_between_blocks():
+    # Outside the triangle {0, 1, 2}, the triangles {3, 4, 5} and {6, 7, 8}
+    # are joined by edge 6 = (5, 6), a bridge of g minus the inside: two leaf
+    # blocks, not one block holding a bridge.
+    g = Multigraph(
+        9,
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (5, 6), (6, 7), (7, 8), (6, 8),
+         (0, 3), (1, 4), (2, 7), (0, 8)],
+    )
+    assert find_attachable_block(g, {0, 1, 2}) == (frozenset({3, 4, 5}), 10, 11, 3, 4)
 
 
 def test_attachable_block_spanning_error(k4):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from richflow import (
+    AdjacentPair,
     Multigraph,
-    PairSet,
     PreconditionError,
     flow_avoiding_confluence,
     nowhere_zero_z6,
@@ -21,7 +21,7 @@ from reference_tower import bridges
 from test_tower_checks import admissible_multigraphs
 
 
-def random_pair_set(g, rng, max_pairs=4) -> PairSet:
+def random_pair_set(g, rng, max_pairs=4) -> tuple[AdjacentPair, ...]:
     """Greedy random pair set: never strongly intersecting, <= 2 pairs/edge."""
     pairs = adjacent_pairs(g)
     rng.shuffle(pairs)
@@ -37,7 +37,7 @@ def random_pair_set(g, rng, max_pairs=4) -> PairSet:
         chosen.append(cand)
         per_edge[cand.e] = per_edge.get(cand.e, 0) + 1
         per_edge[cand.f] = per_edge.get(cand.f, 0) + 1
-    return PairSet(tuple(chosen))
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -46,22 +46,21 @@ def random_pair_set(g, rng, max_pairs=4) -> PairSet:
 
 def test_split_k4_single_pair(k4):
     p = make_adjacent_pair(k4, 0, 1)  # edges (0,1) and (0,2) share vertex 0
-    sm = build_pair_splitting(k4, PairSet((p,)))
-    h = sm.graph_h
+    h = build_pair_splitting(k4, (p,))
     assert h.vertex_count == 5
-    assert h.degree(sm.b_vertices[0]) == 3
+    assert h.degree(4) == 3  # b(p_0) is vertex n + 0
     assert not bridges(h)
 
 
 def test_split_parallel_pair_anchor_is_lower_vertex(t3):
     p = make_adjacent_pair(t3, 0, 1)
     assert p.shared_vertex == 0  # arbitrary choice pinned to the lower id
-    sm = build_pair_splitting(t3, PairSet((p,)))
-    b = sm.b_vertices[0]
+    h = build_pair_splitting(t3, (p,))
+    b = t3.vertex_count  # b(p_0) is vertex n + 0
     # Both parallel edges now run b -> 1, and the anchor edge joins 0 and b.
-    assert set(sm.graph_h.edge(0).ends) == {b, 1}
-    assert set(sm.graph_h.edge(1).ends) == {b, 1}
-    assert set(sm.graph_h.edge(3).ends) == {0, b}
+    assert set(h.edge(0).ends) == {b, 1}
+    assert set(h.edge(1).ends) == {b, 1}
+    assert set(h.edge(3).ends) == {0, b}
 
 
 def test_split_edge_in_two_pairs(k4):
@@ -70,9 +69,8 @@ def test_split_edge_in_two_pairs(k4):
     p1 = make_adjacent_pair(k4, 0, 3)
     p2 = make_adjacent_pair(k4, 3, 5)
     assert p1.shared_vertex == 1 and p2.shared_vertex == 2
-    sm = build_pair_splitting(k4, PairSet((p1, p2)))
-    h = sm.graph_h
-    b1, b2 = sm.b_vertices
+    h = build_pair_splitting(k4, (p1, p2))
+    b1, b2 = 4, 5  # b(p_i) is vertex n + i
     assert set(h.edge(3).ends) == {b1, b2}  # both endpoints replaced
     assert h.degree(b1) == 3 and h.degree(b2) == 3
 
@@ -81,19 +79,19 @@ def test_pair_set_rejects_strong_intersection(k4):
     p1 = make_adjacent_pair(k4, 0, 1)
     p2 = make_adjacent_pair(k4, 1, 2)
     with pytest.raises(PreconditionError, match="strongly intersect"):
-        validate_pair_set(k4, PairSet((p1, p2)))
+        validate_pair_set(k4, (p1, p2))
 
 
 def test_pair_set_rejects_triple_edge_use():
     g = load("dt")
     ps = [make_adjacent_pair(g, 0, f) for f in (1, 2, 4)]
     with pytest.raises(PreconditionError):
-        validate_pair_set(g, PairSet(tuple(ps)))
+        validate_pair_set(g, tuple(ps))
 
 
 def test_split_requires_admissible():
     with pytest.raises(PreconditionError):
-        build_pair_splitting(load("c4"), PairSet(()))
+        build_pair_splitting(load("c4"), ())
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +135,7 @@ def test_z6_rejects_disconnected():
 
 
 def test_empty_pair_set_gives_plain_flow(k4):
-    f = flow_avoiding_confluence(k4, PairSet(()))
+    f = flow_avoiding_confluence(k4, ())
     rep = verify_flow(k4, f)
     assert rep.conserved and rep.nowhere_zero
 
@@ -151,8 +149,8 @@ def test_empty_pair_set_gives_plain_flow(k4):
 def test_empty_pair_set_takes_the_z6_flow_of_g_itself(g):
     # Nothing is split, so the split graph is g and no copy is made; the
     # flow is the one the search finds on a copy of g.
-    assert build_pair_splitting(g, PairSet(())).graph_h is g
-    f = flow_avoiding_confluence(g, PairSet(()))
+    assert build_pair_splitting(g, ()) is g
+    f = flow_avoiding_confluence(g, ())
     copy = Multigraph(g.vertex_count, [e.ends for e in g.edges])
     assert f.graph is g
     assert f.values == nowhere_zero_z6(copy).values
@@ -160,7 +158,7 @@ def test_empty_pair_set_takes_the_z6_flow_of_g_itself(g):
 
 def test_single_pair_not_confluent(k4):
     p = make_adjacent_pair(k4, 0, 1)
-    f = flow_avoiding_confluence(k4, PairSet((p,)))
+    f = flow_avoiding_confluence(k4, (p,))
     assert not pair_relation(f, p).confluent
 
 
@@ -168,7 +166,7 @@ def test_strongly_intersecting_input_rejected(k4):
     p1 = make_adjacent_pair(k4, 0, 1)
     p2 = make_adjacent_pair(k4, 1, 2)
     with pytest.raises(PreconditionError):
-        flow_avoiding_confluence(k4, PairSet((p1, p2)))
+        flow_avoiding_confluence(k4, (p1, p2))
 
 
 def test_randomized_pair_sets_across_corpus():
@@ -176,12 +174,12 @@ def test_randomized_pair_sets_across_corpus():
     for trial in range(30):
         g = load(ADMISSIBLE_NAMES[trial % len(ADMISSIBLE_NAMES)])
         ps = random_pair_set(g, rng)
-        sm = build_pair_splitting(g, ps)
-        assert not bridges(sm.graph_h)
-        for b in sm.b_vertices:
-            assert sm.graph_h.degree(b) == 3
+        h = build_pair_splitting(g, ps)
+        assert not bridges(h)
+        for i in range(len(ps)):
+            assert h.degree(g.vertex_count + i) == 3
         f = flow_avoiding_confluence(g, ps)
         rep = verify_flow(g, f)
         assert rep.conserved and rep.nowhere_zero
-        for p in ps.pairs:
+        for p in ps:
             assert not pair_relation(f, p).confluent

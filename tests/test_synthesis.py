@@ -17,6 +17,7 @@ from richflow import (
     AdmissibilityError,
     Flow,
     GroupTag,
+    InternalDefectError,
     Multigraph,
     PreconditionError,
     SearchBudget,
@@ -35,21 +36,20 @@ from richflow.flowalg import (
     write_flow_json,
 )
 from richflow import flowalg, multigraph, synthesis
-from richflow.multigraph import edge_connectivity_at_least, validate_circuit_chain
+from richflow.multigraph import Circuit, CircuitChain, _dfs_facts, validate_circuit_chain
 from richflow.synthesis import AddChord, build_tower, split_on_two_cut, verify_mod_flow_bullets
 
 import reference_flow
+import reference_tower
 from reference_flow import chain_edges
 from reference_tower import stage_edges, step_edges, subgraph
-from conftest import ADMISSIBLE_NAMES, load, random_cubic
+from conftest import ADMISSIBLE_NAMES, load, random_cubic, three_edge_connected
 from test_multigraph import small_multigraphs
 import test_tower_checks
-from test_tower_checks import admissible_multigraphs, draw_block
+from test_tower_checks import admissible_multigraphs, draw_block, shuffled_graph
 
 
-THREE_EDGE_CONNECTED = [
-    name for name in ADMISSIBLE_NAMES if edge_connectivity_at_least(load(name), 3)
-]
+THREE_EDGE_CONNECTED = [name for name in ADMISSIBLE_NAMES if three_edge_connected(load(name))]
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +78,8 @@ def test_tower_k4_b0_structure(k4):
         vs = set()
         for e in edges:
             vs |= set(k4.edge(e).ends)
-        stage, _, _ = subgraph(k4, vs, edges)
-        assert edge_connectivity_at_least(stage, 2)
+        connected, stage_bridges, _ = _dfs_facts(subgraph(k4, vs, edges)[0])
+        assert connected and not stage_bridges
     assert_adds_every_edge_once(k4, tw)
 
 
@@ -108,7 +108,7 @@ def test_chain_search_leaving_an_edge_out_matches_the_copy(g, data):
     try:
         want = synthesis._map_chain(multigraph.find_circuit_chain(sub, u, v), vmap, emap)
     except PreconditionError:
-        assert not edge_connectivity_at_least(g, 3)
+        assert not three_edge_connected(g)
         with pytest.raises(PreconditionError):
             multigraph.find_circuit_chain(g, u, v, edge_ids=keep)
         return
@@ -118,6 +118,27 @@ def test_chain_search_leaving_an_edge_out_matches_the_copy(g, data):
 def test_tower_rejects_non_three_connected():
     with pytest.raises(PreconditionError):
         build_tower(load("c4"), 0, 0)
+
+
+def path_of(c: Circuit) -> Circuit:
+    """The circuit c with its last edge left out: a path, no circuit."""
+    return Circuit(c.vertices[:-1], c.edges[:-1])
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_tower_refuses_a_base_that_is_not_a_circuit_chain(monkeypatch, k4, b):
+    # The base must be checked: every later step is only checked as an ear.
+    real_circuit, real_chain = synthesis.find_circuit_through, synthesis.find_circuit_chain
+    monkeypatch.setattr(synthesis, "find_circuit_through", lambda g, e: path_of(real_circuit(g, e)))
+    monkeypatch.setattr(
+        synthesis,
+        "find_circuit_chain",
+        lambda *args, **kwargs: CircuitChain(
+            tuple(map(path_of, real_chain(*args, **kwargs).circuits))
+        ),
+    )
+    with pytest.raises(InternalDefectError, match="^tower stage is not 2-edge-connected after base$"):
+        build_tower(k4, 0, b)
 
 
 def test_tower_exercises_block_step():
@@ -202,7 +223,68 @@ def test_split_two_k4():
         assert side.graph.vertex_count == 4
         assert side.graph.edge_count == 7  # K4 plus one parallel edge
     assert is_rich_flow_admissible(split.side1.graph).admissible
-    assert edge_connectivity_at_least(split.side2.graph, 3)
+    assert three_edge_connected(split.side2.graph)
+
+
+def test_split_refuses_an_empty_cut_list(k4):
+    with pytest.raises(PreconditionError, match="^no 2-edge-cut to split along$"):
+        split_on_two_cut(k4, ())
+
+
+def test_split_refuses_a_pair_that_does_not_split(k4):
+    # K4 minus edges 0 = (0, 1) and 5 = (2, 3) is still connected.
+    with pytest.raises(InternalDefectError, match="^edges 0 and 5 do not split g in two$"):
+        split_on_two_cut(k4, ((0, 5),))
+
+
+@st.composite
+def blocks_in_a_ring_or_chain(draw) -> Multigraph:
+    """Two to five random blocks (`draw_block`) in a ring, each joined to the
+    next by one edge, or in a chain, consecutive ones joined by two edges;
+    inadmissible draws are rejected."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=2, max_size=5))
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    pairs = [(o + u, o + v) for o, n in zip(offsets, sizes) for u, v in draw_block(draw, n)]
+    ring = draw(st.booleans())
+    for i in range(len(sizes) if ring else len(sizes) - 1):
+        j = (i + 1) % len(sizes)
+        for _ in range(1 if ring else 2):
+            u = offsets[i] + draw(st.integers(0, sizes[i] - 1))
+            pairs.append((u, offsets[j] + draw(st.integers(0, sizes[j] - 1))))
+    g = shuffled_graph(draw, sum(sizes), pairs)
+    if not is_rich_flow_admissible(g).admissible:
+        reject()
+    return g
+
+
+def split_or_error(split, g, cuts):
+    try:
+        return split(g, cuts)
+    except InternalDefectError as exc:
+        return str(exc)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(blocks_in_a_ring_or_chain() | admissible_multigraphs(), st.data())
+def test_split_matches_the_per_cut_listing_reference(g, data):
+    # One union-find pass per cut picks the same cut and the same sides as
+    # listing both sides of every cut: down the split loop of rich_mod_flow,
+    # and on any sublist of each verdict's cuts, where the chosen far side
+    # may fail its 3-edge-connectivity assert in both.
+    cuts = is_rich_flow_admissible(g).two_cuts
+    while cuts:
+        some = tuple(data.draw(st.lists(st.sampled_from(cuts), min_size=1, unique=True)))
+        assert split_or_error(split_on_two_cut, g, some) == split_or_error(
+            reference_tower.split_on_two_cut, g, some
+        )
+        split = split_on_two_cut(g, cuts)
+        assert split == reference_tower.split_on_two_cut(g, cuts)
+        g = split.side1.graph
+        cuts = is_rich_flow_admissible(g).two_cuts
 
 
 def test_split_recursion_depth_two():
@@ -212,7 +294,7 @@ def test_split_recursion_depth_two():
     cuts = is_rich_flow_admissible(near).two_cuts
     assert cuts  # the near side still has a 2-edge-cut
     second = split_on_two_cut(near, cuts)
-    assert edge_connectivity_at_least(second.side2.graph, 3)
+    assert three_edge_connected(second.side2.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +414,21 @@ def test_deep_split_certificate_and_traces_match_golden_files(name):
     assert traces == (golden / f"{name}.traces.jsonl").read_text()
 
 
+def test_k4_rings_and_chains_match_golden_digest():
+    # One SHA-256 over the certificates and traces of K4 rings and chains of
+    # 3 to 10 copies: the split order, the sides and the glue over up to 9
+    # splits, a path the benchmark barely takes. A change that alters them
+    # must mean to, and must rewrite tests/golden/k4_rings_chains.sha256.
+    digest = hashlib.sha256()
+    for count in range(3, 11):
+        for g in (k4_ring(count), k4_chain(count)):
+            cert = synthesize_rich_flow(g)
+            digest.update(write_flow_json(cert.flow).encode())
+            digest.update(json.dumps(cert.traces, sort_keys=True).encode())
+    golden = Path(__file__).resolve().parent / "golden" / "k4_rings_chains.sha256"
+    assert digest.hexdigest() == golden.read_text().strip()
+
+
 def seeded_small_multigraphs(seed: int, count: int) -> list[Multigraph]:
     """`count` admissible multigraphs with n <= 6 and m <= 14, most of them
     with parallel edges, drawn from random.Random(seed)."""
@@ -352,7 +449,7 @@ def seeded_cubic_graphs(seed: int, count: int) -> list[Multigraph]:
     out: list[Multigraph] = []
     while len(out) < count:
         g = random_cubic(rng, 16 + 4 * (len(out) % 5))
-        if edge_connectivity_at_least(g, 3):
+        if three_edge_connected(g):
             out.append(g)
     return out
 
@@ -390,13 +487,16 @@ def test_synthesis_enumerates_two_edge_cuts_at_most(monkeypatch, name, most):
     assert len(calls) <= most
 
 
-@pytest.mark.parametrize("name, most", [("k4", 9), ("petersen", 9), ("two_k4", 16)])
+@pytest.mark.parametrize(
+    "name, most", [("k4", 8), ("petersen", 8), ("two_k4", 14), ("three_k4", 22)]
+)
 def test_synthesis_runs_few_linear_passes(monkeypatch, name, most):
     # A lowpoint DFS or a BFS spanning forest is one linear pass over a graph.
     # Connectivity, bridges and the enumerator's spanning tree come from one
     # DFS per question asked of a graph (22 passes on k4 and Petersen and 36
     # on two_k4 when each answer ran its own), and the BFS forest only gives
-    # the co-tree basis.
+    # the co-tree basis. A tower's base is checked as a circuit chain, with
+    # no DFS (9, 9, 16 and 25 passes with one).
     from richflow import cotree
 
     calls = []

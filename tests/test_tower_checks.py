@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from richflow import Flow, GroupTag, InternalDefectError, Multigraph, is_rich_flow_admissible
 from richflow import synthesis
 from richflow.flowalg import adjacent_pairs, pair_relation
-from richflow.multigraph import Circuit, CircuitChain, circuit_through_edge, edge_connectivity_at_least
+from richflow.multigraph import Circuit, CircuitChain, circuit_through_edge
 
 import reference_tower
 from reference_flow import zero_flow
-from conftest import ADMISSIBLE_NAMES, load
+from conftest import ADMISSIBLE_NAMES, load, three_edge_connected
 
 
 def draw_block(draw, n: int) -> list[tuple[int, int]]:
@@ -44,6 +44,14 @@ def draw_block(draw, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def shuffled_graph(draw, n: int, pairs) -> Multigraph:
+    """The graph on n vertices with the given edges, in a drawn order and
+    with drawn orientations."""
+    pairs = draw(st.permutations(pairs))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Multigraph(n, [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)])
+
+
 @st.composite
 def admissible_multigraphs(draw) -> Multigraph:
     """One block, or two joined by two disjoint edges (a 2-edge-cut), with
@@ -60,9 +68,7 @@ def admissible_multigraphs(draw) -> Multigraph:
         a1, a2 = draw(st.permutations(range(sizes[0])))[:2]
         b1, b2 = (sizes[0] + v for v in draw(st.permutations(range(sizes[1])))[:2])
         pairs += [(a1, b1), (a2, b2)]
-    pairs = draw(st.permutations(pairs))
-    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Multigraph(offset, [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)])
+    g = shuffled_graph(draw, offset, pairs)
     if not is_rich_flow_admissible(g).admissible:
         reject()
     return g
@@ -81,7 +87,7 @@ def building_phi_calls(g: Multigraph) -> list[tuple[tuple, dict]]:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis, "building_phi", recording)
         synthesis.rich_mod_flow(g)
-    if edge_connectivity_at_least(g, 3):
+    if three_edge_connected(g):
         e = g.edge_count - 1
         tail, head = g.edge(e).ends
         calls.append(((g, e, (2, 1), g.max_degree()), {"orientation": (head, tail)}))
@@ -155,7 +161,7 @@ def test_local_checks_match_the_full_reference_on_the_corpus(name):
     # Wagner and Petersen take block-chain steps from a one-circuit base.
     g = load(name)
     calls = building_phi_calls(g)
-    if edge_connectivity_at_least(g, 3):
+    if three_edge_connected(g):
         delta = g.max_degree()
         calls += [((g, e, (1, b), delta), {}) for e in range(g.edge_count) for b in (0, 1)]
     for args, kwargs in calls:
@@ -506,11 +512,11 @@ def random_cubic(seed: int, n: int) -> Multigraph:
         if any(u == v for u, v in edges) or len({frozenset(e) for e in edges}) != len(edges):
             continue
         g = Multigraph(n, edges)
-        if edge_connectivity_at_least(g, 3):
+        if three_edge_connected(g):
             return g
 
 
-GUARDED = ("edge_connectivity_at_least", "verify_flow", "adjacent_pairs")
+GUARDED = ("is_rich_flow_admissible", "verify_flow", "adjacent_pairs")
 
 
 def full_pass_counts(monkeypatch, g: Multigraph) -> tuple[dict[str, int], int]:
