@@ -64,17 +64,17 @@ def cotree_flow_search(
     domain = range(1, mod)
     tree_val = {t: 0 for t in tree}
     finalized: list = [None] * g.edge_count
-    # Depth-first over co-tree positions with an explicit stack: next_try[d]
-    # is the domain index to try next at depth d, and trail[d] holds the
+    # Depth-first over co-tree positions with an explicit stack: next_try[i]
+    # is the domain index to try next at position i, and trail[i] holds the
     # (tree edge, delta) pairs and finalized tree edges of the value placed there.
     next_try = [0] * len(co)
     trail: list[tuple[list[tuple[int, int]], list[int]]] = []
-    depth = 0
-    while depth >= 0:
-        if depth == len(co):
+    pos = 0
+    while pos >= 0:
+        if pos == len(co):
             return Flow(g, group, tuple(finalized))
-        co_e = co[depth]
-        if len(trail) > depth:  # retract the value placed at this depth
+        co_e = co[pos]
+        if len(trail) > pos:  # retract the value placed at this position
             touched, done = trail.pop()
             for t in done:
                 finalized[t] = None
@@ -82,12 +82,12 @@ def cotree_flow_search(
                 tree_val[t] -= delta
                 remaining[t] += 1
             finalized[co_e] = None
-        if next_try[depth] == len(domain):
-            next_try[depth] = 0
-            depth -= 1
+        if next_try[pos] == len(domain):
+            next_try[pos] = 0
+            pos -= 1
             continue
-        val = domain[next_try[depth]]
-        next_try[depth] += 1
+        val = domain[next_try[pos]]
+        next_try[pos] += 1
         if tick is not None:
             tick()
         finalized[co_e] = val
@@ -107,5 +107,5 @@ def cotree_flow_search(
                 finalized[t] = tv
                 done.append(t)
         if ok:
-            depth += 1
+            pos += 1
     return None

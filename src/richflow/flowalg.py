@@ -9,11 +9,11 @@ Supported value groups: Z_k for odd k >= 3, Z_2, Z_6, Z_k x Z_2, and bounded
 integers (values strictly inside (-bound, bound), which `rich_report` checks).
 
 `GroupTag` names the value group at the boundary: on a `Flow` and in
-certificate files. The loops that check flows do not dispatch on it per
-value; they work on plain integers, reduced by one modulus per flow (none for
-integer flows). Z_k x Z_2 is cyclic of order 2k for odd k, so (a, b) is
-handled as the x in 0..2k-1 with x = a mod k and x = b mod 2. Only integer
-flows are combined, by `linear_combine`.
+certificate files. Every value is a plain integer, reduced by the tag's one
+modulus (none for integer flows), so no check dispatches on the group per
+value. Z_k x Z_2 is cyclic of order 2k for odd k: the pair (a, y) is the x
+in 0..2k-1 with x = a mod k and x = y mod 2, and pairs appear only in
+certificate files. Only integer flows are combined, by `linear_combine`.
 """
 
 from __future__ import annotations
@@ -70,30 +70,16 @@ class GroupTag:
             return 2
         if self.kind == "z6":
             return 6
+        if self.kind == "zkxz2":
+            return 2 * self.k
         return None
-
-
-def cyclic_values(group: GroupTag, values) -> tuple[list[int] | tuple, int | None]:
-    """Values of the group as plain integers, and the modulus m they live under.
-
-    Every modular group here is cyclic, Z_m, and values come back unchanged
-    except that Z_k x Z_2 maps onto Z_2k. For integers m is None.
-    """
-    if group.kind == "zkxz2":
-        k = group.k
-        return [a + k * ((a + b) & 1) for a, b in values], 2 * k
-    return values, group.modulus
-
-
-def _negated(group: GroupTag, v):
-    """-v, reduced later by `Flow`."""
-    return (-v[0], v[1]) if group.kind == "zkxz2" else -v
 
 
 @dataclass(frozen=True)
 class Flow:
-    """Per-edge group values relative to reference orientations: ints, or pairs
-    of ints for Z_k x Z_2; anything else raises PreconditionError.
+    """Per-edge group values relative to reference orientations, as ints
+    reduced by the group's modulus (a Z_k x Z_2 value is one int mod 2k);
+    anything but an int raises PreconditionError.
 
     An integer flow's bound is not enforced here: `rich_report` decides
     `bound_ok`, so a certificate beyond its bound can be read and reported.
@@ -106,23 +92,12 @@ class Flow:
     def __post_init__(self) -> None:
         if len(self.values) != self.graph.edge_count:
             raise PreconditionError("one value per edge required")
-        tag = self.group
-        if tag.kind == "zkxz2":
-            for v in self.values:
-                if not (type(v) in (tuple, list) and len(v) == 2 and type(v[0]) is type(v[1]) is int):
-                    raise PreconditionError(f"zkxz2 flow value {v!r} is not a pair of ints")
-            k = tag.k
-            norm = tuple((a % k, b % 2) for a, b in self.values)
-        else:
-            for v in self.values:
-                if type(v) is not int:  # no float truncated, no boolean taken for 0 or 1
-                    raise PreconditionError(f"flow value {v!r} is not an int")
-            if tag.kind == "int":
-                norm = tuple(self.values)
-            else:
-                mod = tag.modulus
-                norm = tuple(v % mod for v in self.values)
-        object.__setattr__(self, "values", norm)
+        for v in self.values:
+            if type(v) is not int:  # no float truncated, no boolean taken for 0 or 1
+                raise PreconditionError(f"flow value {v!r} is not an int")
+        mod = self.group.modulus
+        if mod is not None:
+            object.__setattr__(self, "values", tuple(v % mod for v in self.values))
 
 
 def linear_combine(terms, bound: int) -> Flow:
@@ -147,10 +122,11 @@ def project_flow(f: Flow, coordinate: int) -> Flow:
     """First (Z_k) or second (Z_2) coordinate of a (Z_k x Z_2) flow."""
     if f.group.kind != "zkxz2":
         raise PreconditionError("projection is defined on zkxz2 flows")
+    k = f.group.k
     if coordinate == 0:
-        return Flow(f.graph, GroupTag.zk(f.group.k), tuple(v[0] for v in f.values))
+        return Flow(f.graph, GroupTag.zk(k), tuple(x % k for x in f.values))
     if coordinate == 1:
-        return Flow(f.graph, GroupTag.z2(), tuple(v[1] for v in f.values))
+        return Flow(f.graph, GroupTag.z2(), tuple(x % 2 for x in f.values))
     raise PreconditionError("coordinate must be 0 or 1")
 
 
@@ -206,14 +182,7 @@ def pair_relation(flow: Flow, pair: AdjacentPair) -> PairRelation:
     w = pair.shared_vertex
     if not (e.touches(w) and f.touches(w)):
         raise PreconditionError("pair anchor is not a shared vertex of its edges")
-    x, y = flow.values[pair.e], flow.values[pair.f]
-    tag = flow.group
-    if tag.kind == "zkxz2":
-        if x[1] != y[1]:
-            return PairRelation(confluent=False, contrafluent=False)
-        x, y, mod = x[0], y[0], tag.k
-    else:
-        mod = tag.modulus
+    x, y, mod = flow.values[pair.e], flow.values[pair.f], flow.group.modulus
     if (e.head == w) != (f.head == w):
         y = -y
     # Oriented into w the values are now s*x and s*y for one sign s.
@@ -257,7 +226,7 @@ def verify_flow(g: Multigraph, flow: Flow) -> FlowReport:
     """Exact conservation and nowhere-zero checks with violation witnesses."""
     if flow.graph != g:
         raise PreconditionError("flow belongs to a different graph")
-    values, mod = cyclic_values(flow.group, flow.values)
+    values, mod = flow.values, flow.group.modulus
     sums = _net_outflow(g, values)
     if mod is not None:
         sums = [x % mod for x in sums]
@@ -427,9 +396,10 @@ def write_flow_json(flow: Flow) -> str:
     else:
         payload["k"] = flow.group.k if flow.group.kind in ("zk", "zkxz2") else flow.group.modulus
     edges = []
+    k = flow.group.k
     for e in g.edges:
         v = flow.values[e.id]
-        value = list(v) if flow.group.kind == "zkxz2" else v
+        value = [v % k, v % 2] if flow.group.kind == "zkxz2" else v
         edges.append({"id": e.id, "tail": e.tail, "head": e.head, "value": value})
     payload["edges"] = edges
     return json.dumps(payload, indent=2) + "\n"
@@ -447,7 +417,8 @@ def read_flow_json(text: str, g: Multigraph) -> Flow:
 
     Every number must be a JSON integer, a Z_k x Z_2 value a list of two of
     them, and the k of a z2 or z6 certificate its modulus; anything else
-    raises GraphInputError.
+    raises GraphInputError. A pair [a, y] is read as the x with x = a mod k
+    and x = y mod 2, so a reversed row is negated like any other value.
     """
     try:
         payload = json.loads(text)
@@ -483,8 +454,9 @@ def read_flow_json(text: str, g: Multigraph) -> Flow:
     if kind == "zkxz2":
         if not all(isinstance(v, list) and len(v) == 2 for v in values):
             raise GraphInputError("certificate zkxz2 values must be lists of two integers")
-        values = [tuple(v) for v in values]
         _require_ints("value", [x for v in values for x in v])
+        k = tag.k
+        values = [a + k * ((a + y) & 1) for a, y in values]
     else:
         _require_ints("value", values)
     vals: list = [None] * g.edge_count
@@ -495,7 +467,7 @@ def read_flow_json(text: str, g: Multigraph) -> Flow:
         if tail == edge.tail and head == edge.head:
             vals[eid] = value
         elif tail == edge.head and head == edge.tail:
-            vals[eid] = _negated(tag, value)
+            vals[eid] = -value
         else:
             raise GraphInputError(f"edge {eid} endpoints do not match the graph")
     return Flow(g, tag, tuple(vals))

@@ -1,11 +1,12 @@
 """Constructive synthesis of rich integer flows.
 
 The pipeline grows a tower of 2-edge-connected subgraphs above a base circuit
-or circuit chain, assigns (Z_k x Z_2) circuit values backwards through the
-tower while steering every adjacent pair away from forbidden confluency. A
-graph that is not 3-edge-connected is handled by one loop: it peels a smallest
-2-edge-cut side off at a time, each read from the admissibility verdict of the
-graph that remains, and then glues the sides' flows back innermost first.
+or circuit chain, assigns (Z_k x Z_2) circuit values, each one integer mod 2k
+(see `flowalg`), backwards through the tower while steering every adjacent
+pair away from forbidden confluency. A graph that is not 3-edge-connected
+is handled by one loop: it peels a smallest 2-edge-cut side off at a time,
+each read from the admissibility verdict of the graph that remains, and then
+glues the sides' flows back innermost first.
 A confluence-free Z_6 flow and modular-to-integer lifting then combine the
 pieces into a certified rich flow with all absolute values below 264*Delta-445.
 
@@ -251,32 +252,34 @@ def _related_pairs(g: Multigraph, values, k: int, edges, h_edges):
     among the adjacent pairs with an edge in `edges` and neither edge in
     h_edges, each once, as (pair, confluent, contrafluent).
 
-    At a shared vertex w, with both edges oriented into w, a pair of equal
-    parity is confluent when the values cancel and contrafluent when they
-    agree (see `pair_relation`). Either way the stored values are equal up to
+    At a shared vertex w, with both edges oriented into w, a pair is
+    confluent when the values cancel mod 2k and contrafluent when they agree
+    (see `pair_relation`); the parity is part of the value, so a pair of
+    unequal parity is neither. Either way the stored values are equal up to
     sign, so per vertex, lowest first, each edge of `edges` is compared with
-    the others by parity and stored value, and the orientations at w are read
-    only for a pair that passes.
+    the others by stored value, and the orientations at w are read only for
+    a pair that passes.
     """
+    order = 2 * k
     seen: set[tuple[int, int]] = set()
     g_edges = g.edges
     for w in sorted({v for e in edges for v in g_edges[e].ends}):
-        outside = []
-        for f in g.incident(w):
-            if f not in h_edges:
-                a, y = values[f]
-                outside.append((f, y, a))
-        for e, y, a in outside:
+        outside = [(f, values[f]) for f in g.incident(w) if f not in h_edges]
+        for e, x in outside:
             if e in edges:
-                minus_a = (-a) % k
-                for f, yf, af in outside:
-                    if (af == a or af == minus_a) and yf == y and f != e:
-                        x = a if g_edges[e].head == w else -a
-                        xf = af if g_edges[f].head == w else -af
+                minus_x = (-x) % order
+                for f, xf in outside:
+                    if (xf == x or xf == minus_x) and f != e:
+                        into = x if g_edges[e].head == w else -x
+                        into_f = xf if g_edges[f].head == w else -xf
                         pair = (e, f) if e < f else (f, e)
                         if pair not in seen:
                             seen.add(pair)
-                            yield AdjacentPair(*pair, w), (x + xf) % k == 0, (x - xf) % k == 0
+                            yield (
+                                AdjacentPair(*pair, w),
+                                (into + into_f) % order == 0,
+                                (into - into_f) % order == 0,
+                            )
 
 
 class _StageChecks:
@@ -294,9 +297,9 @@ class _StageChecks:
     `step` proves them for stage j from stage j + 1, whose stage is H plus
     the step's `added` edges. The edges whose value changed, found by
     comparing values, must lie in H or be added, so every other edge and
-    every pair of them is as it was. The change must be conserved at the
-    ends of the changed edges, the only vertices whose sums can move, so the
-    flow stays conserved. The added edges must be nonzero. The new chains
+    every pair of them is as it was. The change must be conserved mod 2k at
+    the ends of the changed edges, the only vertices whose sums can move, so
+    the flow stays conserved. The added edges must be nonzero. The new chains
     must be valid and disjoint from H, from the earlier chains and from each
     other. The changed edges and the new chains' edges must have parity 1
     exactly when they are chain edges. The pairs outside H with a changed or
@@ -310,9 +313,9 @@ class _StageChecks:
     edge ends are read once, here, and chains carry their vertex and edge
     sets, so no step rebuilds either.
 
-    `step` takes the stage's values as a tuple of (Z_k x Z_2) pairs already
-    reduced mod (k, 2), as `_send_on` writes them; it builds no `Flow`, and
-    `building_phi` builds one for the finished flow.
+    `step` takes the stage's values as a tuple of ints already reduced mod
+    2k, as `_send_on` writes them, the parity of each its Z_2 coordinate; it
+    builds no `Flow`, and `building_phi` builds one for the finished flow.
 
     This is also the full check of a finished flow: one step from the
     all-zero flow with H empty, every edge added and every chain new is
@@ -324,7 +327,7 @@ class _StageChecks:
         self.tag = tag
         self.tails = tuple([e.tail for e in g.edges])
         self.heads = tuple([e.head for e in g.edges])
-        self.values = ((0, 0),) * g.edge_count
+        self.values = (0,) * g.edge_count
         self.chain_count = 0
         self.chain_vertices: set[int] = set()
         self.location: dict[int, tuple[int, int]] = {}  # chain edge -> (chain, circuit)
@@ -333,21 +336,18 @@ class _StageChecks:
     def step(self, values, h_edges, added, chains, stage: str) -> None:
         k, old, tails, heads = self.tag.k, self.values, self.tails, self.heads
         changed = list(compress(range(len(old)), map(ne, old, values)))
-        # (a, y) -> 2a + k*y mod 2k is a one-to-one homomorphism of Z_k x Z_2
-        # into Z_2k for odd k, so a sum is zero in one exactly when in the other.
         net: dict[int, int] = {}
         for e in changed:
             if e not in h_edges and e not in added:
                 raise InternalDefectError(f"[{stage}] frozen edge {e} changed value")
-            (a, y), (a0, y0) = values[e], old[e]
-            dx = 2 * (a - a0) + k * (y - y0)
+            dx = values[e] - old[e]
             net[tails[e]] = net.get(tails[e], 0) + dx
             net[heads[e]] = net.get(heads[e], 0) - dx
         bad = [v for v, x in net.items() if x % (2 * k)]
         if bad:
             raise InternalDefectError(f"[{stage}] flow not conserved at {tuple(sorted(bad))}")
         for e in added:
-            if values[e] == (0, 0):
+            if values[e] == 0:
                 raise InternalDefectError(f"[{stage}] edge {e} outside the stage is zero")
         recheck = set(changed) if chains else changed
         for chain in chains:
@@ -355,9 +355,9 @@ class _StageChecks:
             recheck |= chain.edge_set
         location = self.location
         for e in recheck:
-            if (values[e][1] == 1) != (e in location):
+            if values[e] & 1 != (e in location):
                 raise InternalDefectError(
-                    f"[{stage}] edge {e} has parity {values[e][1]} against the recorded chains"
+                    f"[{stage}] edge {e} has parity {values[e] & 1} against the recorded chains"
                 )
         self._check_pairs(values, h_edges, added, stage)
         self.values = values
@@ -420,10 +420,11 @@ class BuildingPhiResult:
 
 
 def _send_on(g: Multigraph, vals, circuit: Circuit, c: int, parity: int, k: int) -> None:
+    """Add (c, parity) of Z_k x Z_2 around the circuit: the x mod 2k with
+    x = c mod k and x = parity mod 2, with each edge's traversal sign."""
+    x = c + k * ((c + parity) & 1)
     for pos, eid in enumerate(circuit.edges):
-        sign = circuit.traversal_sign(g, pos)
-        x, y = vals[eid]
-        vals[eid] = ((x + sign * c) % k, (y + parity) % 2)
+        vals[eid] = (vals[eid] + circuit.traversal_sign(g, pos) * x) % (2 * k)
 
 
 def _smallest_allowed(forbidden, k: int) -> int:
@@ -440,10 +441,11 @@ def _pair_forbidden(vals, k, e_mov, s_mov, f_static, forbidden) -> None:
     -1 otherwise, c = s_mov * (-t * xf - x) makes the pair confluent and
     c = s_mov * (t * xf - x) contrafluent. Together they are the two values
     s_mov * (+-xf - x) whatever t is, so the pair's orientation is never read.
+    Only the Z_k coordinates v % k enter c, and only a pair of equal parity
+    v & 1 can be related.
     """
-    x, ye = vals[e_mov]
-    xf, yf = vals[f_static]
-    if ye == yf:
+    x, xf = vals[e_mov], vals[f_static]
+    if x & 1 == xf & 1:
         forbidden.add((s_mov * (-xf - x)) % k)
         forbidden.add((s_mov * (xf - x)) % k)
 
@@ -451,9 +453,8 @@ def _pair_forbidden(vals, k, e_mov, s_mov, f_static, forbidden) -> None:
 def _pair_forbidden_both_moving(g, vals, k, e1, s1, e2, s2, forbidden) -> None:
     """The single c making two co-moving adjacent edges contrafluent. Either
     shared vertex of two parallel edges gives it: both signs turn round."""
-    x1, y1 = vals[e1]
-    x2, y2 = vals[e2]
-    if y1 != y2:
+    x1, x2 = vals[e1], vals[e2]
+    if x1 & 1 != x2 & 1:
         return
     d1, d2 = g.edges[e1], g.edges[e2]
     w = d1.tail if d2.touches(d1.tail) else d1.head
@@ -525,7 +526,7 @@ def _assign_chain_values(g, vals, chain: CircuitChain, k: int):
 def building_phi(
     g: Multigraph,
     e_star: int,
-    target: tuple[int, int],
+    target: int,
     delta: int,
     orientation: tuple[int, int] | None = None,
 ) -> BuildingPhiResult:
@@ -533,10 +534,10 @@ def building_phi(
     induce vertex-disjoint circuit chains, whose confluent pairs never
     strongly intersect, and whose contrafluent pairs are chain-consecutive.
 
-    The special edge ends up carrying `target` under `orientation` (reference
-    orientation by default). `delta` must be at least the maximum degree;
-    `rich_mod_flow` passes the whole graph's value to every 2-cut side so
-    all pieces share one group.
+    The special edge ends up carrying `target`, a value mod 2k, under
+    `orientation` (reference orientation by default). `delta` must be at
+    least the maximum degree; `rich_mod_flow` passes the whole graph's value
+    to every 2-cut side so all pieces share one group.
 
     Each step picks its value c by one rule: c avoids the values that would
     leave a moving edge zero or make it confluent or contrafluent with an
@@ -563,11 +564,14 @@ def building_phi(
     if k % 2 == 0 or k < 11:
         raise InternalDefectError("group modulus must be odd and at least 11")
     tag = GroupTag.zkxz2(k)
-    a, b = target[0] % k, target[1] % 2
-    if (a, b) == (0, 0):
+    if type(target) is not int:
+        raise PreconditionError(f"target {target!r} is not a stage value, an int mod 2k")
+    target %= tag.modulus
+    if target == 0:
         raise PreconditionError("target value must be nonzero")
-    tower = build_tower(g, e_star, b)
-    vals: list[tuple[int, int]] = [(0, 0)] * g.edge_count
+    a = target % k
+    tower = build_tower(g, e_star, target & 1)
+    vals: list[int] = [0] * g.edge_count
     chains: list[CircuitChain] = []
     diags: list[StepDiagnostics] = []
     checks = _StageChecks(g, tag)
@@ -582,7 +586,7 @@ def building_phi(
             e = step.edge
             label = f"chord:{e}"
             if e == e_star:
-                if any(v != (0, 0) for v in vals):
+                if any(vals):
                     raise InternalDefectError("special chord is not the outermost stage")
                 direction, moving, cap = orientation, (), 0  # c is the target value
             else:
@@ -610,8 +614,8 @@ def building_phi(
             cap = 8 * delta - 15
         forb: set[int] = set()
         for e_mov, s_mov in moving:
-            x, y = vals[e_mov]
-            if y == 0:
+            x = vals[e_mov]
+            if x & 1 == 0:
                 forb.add((-x * s_mov) % k)
             # The edges adjacent to e_mov outside H and the step's edges (a
             # parallel one comes at both ends and adds nothing new).
@@ -633,14 +637,14 @@ def building_phi(
         diags.append(StepDiagnostics(label, len(forb), cap, c, chain_choices))
         checks.step(tuple(vals), stage, added, new_chains, f"stage:{j}")
     # The base step, from the base's edges (what the stage is now) to none.
-    if b == 1:
+    if tower.b == 1:
         circ = tower.base.circuits[0]
         pos = circ.edges.index(e_star)
         travel = (circ.vertices[pos], circ.vertices[(pos + 1) % len(circ)])
         if travel != orientation:
             circ = circ.reversed()
-        stored = vals[e_star][0]
-        current = stored if orientation == star.ends else (-stored) % k
+        stored = vals[e_star]
+        current = stored if orientation == star.ends else -stored
         c = (a - current) % k
         _send_on(g, vals, circ, c, 1, k)
         base_chain = CircuitChain((circ,))
@@ -654,11 +658,9 @@ def building_phi(
     checks.step(values, frozenset(), tower.base.edge_set, (base_chain,), "stage:base")
     flow0 = Flow(g, tag, values)
     stored = values[e_star]
-    fixed_value = stored if orientation == star.ends else ((-stored[0]) % k, stored[1])
-    if fixed_value != (a, b):
-        raise InternalDefectError(
-            f"special edge carries {fixed_value} instead of {(a, b)}"
-        )
+    fixed_value = stored if orientation == star.ends else -stored % tag.modulus
+    if fixed_value != target:
+        raise InternalDefectError(f"special edge carries {fixed_value} instead of {target}")
     return BuildingPhiResult(flow0, tower, tuple(chains), tuple(diags))
 
 
@@ -804,7 +806,6 @@ def _side_path(circ: Circuit, side: SubgraphSide, start: int, end: int):
 
 def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: BuildingPhiResult) -> RichModFlowResult:
     tag = left.flow.group
-    k = tag.k
     s1, s2 = split.side1, split.side2
     vals: list = [None] * g.edge_count
     for new_id, orig in enumerate(s1.edges_orig):
@@ -814,11 +815,11 @@ def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: Bui
         if orig is not None:
             vals[orig] = right.flow.values[new_id]
     t = left.flow.values[s1.added_edge]
-    minus_t = ((-t[0]) % k, t[1])
+    minus_t = -t % tag.modulus
     ea, eb = split.cut
     vals[ea] = t if g.edge(ea).ends == (split.u1, split.v1) else minus_t
     vals[eb] = t if g.edge(eb).ends == (split.v2, split.u2) else minus_t
-    if t[1] == 0:
+    if t & 1 == 0:
         chains = [_map_chain(ch, s1.vertices_orig, s1.edges_orig) for ch in left.chains]
         chains += [_map_chain(ch, s2.vertices_orig, s2.edges_orig) for ch in right.chains]
     else:
@@ -885,6 +886,7 @@ def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None)
         # Vacuously admissible edgeless graph; every property holds trivially.
         return RichModFlowResult(Flow(g, GroupTag.zkxz2(11), ()), (), ())
     delta = g.max_degree()
+    k = 8 * delta - 13
     splits: list[tuple[Multigraph, TwoCutSplit]] = []
     core = g
     while verdict.two_cuts:
@@ -894,12 +896,12 @@ def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None)
         verdict = is_rich_flow_admissible(core)
         if not verdict.admissible:
             raise InternalDefectError("near side with virtual edge is not admissible")
-    bp = building_phi(core, 0, (1, 0), delta)
+    bp = building_phi(core, 0, k + 1, delta)  # (1, 0) of Z_k x Z_2
     result = RichModFlowResult(bp.flow, bp.chains, (bp,))
     confluent = verify_mod_flow_bullets(core, result.flow, result.chains)
     for host, split in reversed(splits):
         t = result.flow.values[split.side1.added_edge]
-        if t == (0, 0):
+        if t == 0:
             raise InternalDefectError("virtual edge carries zero in the near-side flow")
         far = split.side2
         far_edge = far.graph.edge(far.added_edge)

@@ -3,8 +3,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from richflow import Multigraph, is_rich_flow_admissible, parse_multigraph
+
+# A failing property test prints a blob that replays it with
+# @reproduce_failure, so a failure on CI can be reproduced locally.
+# Registering over the active "default" profile takes effect at once; where
+# hypothesis detects CI it keeps its own "ci" profile, which derandomizes and
+# prints the blob too.
+settings.register_profile("default", print_blob=True)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -91,8 +91,8 @@ MUTANTS = (
     Mutant(
         "stage-conservation-ignores-parity",
         SYNTHESIS,
-        "dx = 2 * (a - a0) + k * (y - y0)",
-        "dx = 2 * (a - a0)",
+        "net.items() if x % (2 * k)]",
+        "net.items() if x % k]",
         f"{TOWER_CHECKS}::test_a_corrupt_stage_is_refused_like_the_full_check",
     ),
     Mutant(
@@ -136,6 +136,27 @@ MUTANTS = (
         "usage = _min_two_flow(g, u, v, edge_ids)",
         "usage = _min_two_flow(g, u, v)",
         f"{TEST_SYNTHESIS}::test_chain_search_leaving_an_edge_out_matches_the_copy",
+    ),
+    Mutant(
+        "related-pairs-compare-mod-k",
+        SYNTHESIS,
+        "    order = 2 * k\n",
+        "    order = k\n",
+        f"{TOWER_CHECKS}::test_related_pairs_match_pair_relation",
+    ),
+    Mutant(
+        "send-on-drops-parity",
+        SYNTHESIS,
+        "x = c + k * ((c + parity) & 1)",
+        "x = c + k * (c & 1)",
+        f"{TOWER_CHECKS}::test_send_on_matches_the_pair_reference",
+    ),
+    Mutant(
+        "two-cut-tree-prune-needs-both",
+        MULTIGRAPH,
+        "if not (i in tree or j in tree):",
+        "if not (i in tree and j in tree):",
+        "tests/test_multigraph.py::test_c4_two_cuts_are_all_pairs",
     ),
     Mutant(
         "lift-conservation-check-skipped",

@@ -9,6 +9,11 @@ circuits, found here by a BFS over the tree, against these.
 The flow builders `zero_flow`, `send_through_circuit` and
 `make_adjacent_pair`, `chain_edges` and the graph writer `format_multigraph`
 serve tests only, so they live here too.
+
+The reference computes on Z_k x Z_2 values as pairs (a, y). The package
+stores each as one int mod 2k, so a reference value meets a `Flow` only
+through `encode` and `decode` (or `to_flow`, `value_of` and `values_of`,
+which apply them to a flow's values).
 """
 
 from __future__ import annotations
@@ -17,6 +22,41 @@ from richflow import AdjacentPair, Flow, GroupTag, Multigraph
 from richflow.errors import InternalDefectError, PreconditionError
 from richflow.flowalg import FlowReport, RichnessChecks
 from richflow.multigraph import Circuit, _bfs_path, spanning_forest, validate_circuit
+
+
+# ---------------------------------------------------------------------------
+# Z_k x Z_2 pairs and the ints the package stores
+
+
+def encode(k: int, pair) -> int:
+    """An int x with x = a mod k and x = y mod 2 for the pair (a, y), odd k:
+    a*(k + 1) + y*k, as k + 1 is 1 mod k and 0 mod 2 and k the other way
+    round. It is not reduced mod 2k; `Flow` reduces it."""
+    a, y = pair
+    return a * (k + 1) + y * k
+
+
+def decode(k: int, x: int) -> tuple[int, int]:
+    """The pair (a, y) in Z_k x Z_2 of an int x."""
+    return (x % k, x % 2)
+
+
+def value_of(flow: Flow, e: int):
+    """Edge e's value as the reference computes on it: a pair for Z_k x Z_2."""
+    x = flow.values[e]
+    return decode(flow.group.k, x) if flow.group.kind == "zkxz2" else x
+
+
+def values_of(flow: Flow) -> tuple:
+    """Every edge's value as the reference computes on it."""
+    return tuple(value_of(flow, e) for e in range(len(flow.values)))
+
+
+def to_flow(g: Multigraph, tag: GroupTag, values) -> Flow:
+    """The `Flow` of reference values: pairs for Z_k x Z_2 are encoded."""
+    if tag.kind == "zkxz2":
+        values = [encode(tag.k, v) for v in values]
+    return Flow(g, tag, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +107,11 @@ def is_zero(tag: GroupTag, a) -> bool:
 def value_into(flow: Flow, e: int, v: int):
     """The value of edge e when e is oriented into vertex v."""
     edge = flow.graph.edge(e)
+    value = value_of(flow, e)
     if edge.head == v:
-        return flow.values[e]
+        return value
     if edge.tail == v:
-        return neg(flow.group, flow.values[e])
+        return neg(flow.group, value)
     raise PreconditionError(f"vertex {v} is not an endpoint of edge {e}")
 
 
@@ -79,7 +120,7 @@ def value_into(flow: Flow, e: int, v: int):
 
 
 def zero_flow(g: Multigraph, group: GroupTag) -> Flow:
-    return Flow(g, group, (zero(group),) * g.edge_count)
+    return to_flow(g, group, (zero(group),) * g.edge_count)
 
 
 def send_through_circuit(g: Multigraph, circuit: Circuit, a, group: GroupTag) -> Flow:
@@ -90,10 +131,10 @@ def send_through_circuit(g: Multigraph, circuit: Circuit, a, group: GroupTag) ->
     """
     if not validate_circuit(g, circuit):
         raise PreconditionError("not a valid circuit of this graph")
-    vals = list(zero_flow(g, group).values)
+    vals = [zero(group)] * g.edge_count
     for pos, eid in enumerate(circuit.edges):
         vals[eid] = a if circuit.traversal_sign(g, pos) == 1 else neg(group, a)
-    return Flow(g, group, tuple(vals))
+    return to_flow(g, group, vals)
 
 
 def make_adjacent_pair(g: Multigraph, e: int, f: int) -> AdjacentPair:
@@ -110,7 +151,7 @@ def chain_edges(flow: Flow) -> frozenset[int]:
     """Edges of a (Z_k x Z_2) flow whose value has second coordinate 1."""
     if flow.group.kind != "zkxz2":
         raise PreconditionError("chain edges are defined for zkxz2 flows")
-    return frozenset(e for e, v in enumerate(flow.values) if v[1] == 1)
+    return frozenset(e for e, v in enumerate(values_of(flow)) if v[1] == 1)
 
 
 def format_multigraph(g: Multigraph) -> str:
@@ -127,7 +168,7 @@ def linear_combine_values(terms) -> list:
     for e in range(terms[0][1].graph.edge_count):
         acc = zero(tag)
         for c, f in terms:
-            acc = add(tag, acc, scale(tag, c, f.values[e]))
+            acc = add(tag, acc, scale(tag, c, value_of(f, e)))
         out.append(acc)
     return out
 
@@ -150,17 +191,17 @@ def adjacent_pairs(g: Multigraph) -> list[AdjacentPair]:
 def verify_flow(g: Multigraph, flow: Flow) -> FlowReport:
     if flow.graph != g:
         raise PreconditionError("flow belongs to a different graph")
-    tag = flow.group
+    tag, values = flow.group, values_of(flow)
     bad_vertices = []
     for v in range(g.vertex_count):
         acc = zero(tag)
         for eid in g.incident(v):
             e = g.edge(eid)
-            val = flow.values[eid]
+            val = values[eid]
             acc = add(tag, acc, val if e.tail == v else neg(tag, val))
         if not is_zero(tag, acc):
             bad_vertices.append(v)
-    zeros = tuple(e for e in range(g.edge_count) if is_zero(tag, flow.values[e]))
+    zeros = tuple(e for e in range(g.edge_count) if is_zero(tag, values[e]))
     return FlowReport(
         conserved=not bad_vertices,
         nowhere_zero=not zeros,

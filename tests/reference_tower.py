@@ -7,6 +7,11 @@ graph, every chain and every adjacent pair.
 instead. Tests compare their results with these and run `check_stage` on
 every stage flow that `building_phi` produces.
 
+The reference computes on Z_k x Z_2 values as pairs (a, y), sends them with
+its own `send_on`, and checks stage flows with `reference_flow`'s pair-based
+`verify_flow` and `pair_relation`; pairs meet the package's stage values
+only through `reference_flow.encode` and `decode`.
+
 The reference also keeps the forms that synthesis no longer uses: blocks and
 their chains are searched on relabelled copies (`subgraph`,
 `induced_subgraph`, `find_attachable_block`, with `bridges`), components
@@ -20,9 +25,9 @@ from __future__ import annotations
 from collections import deque
 
 from richflow import Flow, GroupTag, Multigraph
-from richflow.flowalg import adjacent_pairs, verify_flow
+from richflow.flowalg import adjacent_pairs
 from richflow.errors import InternalDefectError, PreconditionError
-from richflow.flowalg import pair_relation, strongly_intersecting
+from richflow.flowalg import strongly_intersecting
 from richflow.multigraph import (
     CircuitChain,
     _bfs_path,
@@ -43,12 +48,11 @@ from richflow.synthesis import (
     _attach_circuit,
     _build_side,
     _map_chain,
-    _send_on,
     _smallest_allowed,
 )
 
 from conftest import three_edge_connected
-from reference_flow import chain_edges
+from reference_flow import chain_edges, decode, pair_relation, to_flow, verify_flow
 
 
 def bridges(g: Multigraph) -> frozenset[int]:
@@ -196,6 +200,15 @@ def adjacent_outside(g: Multigraph, e: int, inside_edges) -> list[int]:
     return sorted(out)
 
 
+def send_on(g: Multigraph, vals, circuit, c: int, parity: int, k: int) -> None:
+    """Add the pair (c, parity) around the circuit, each edge's Z_k
+    coordinate with its traversal sign and its Z_2 coordinate unsigned."""
+    for pos, eid in enumerate(circuit.edges):
+        sign = circuit.traversal_sign(g, pos)
+        a, y = vals[eid]
+        vals[eid] = ((a + sign * c) % k, (y + parity) % 2)
+
+
 def pair_forbidden(g, vals, k, e_mov, s_mov, f_static, forbidden) -> None:
     """Values of c making the moving/static pair confluent or contrafluent,
     read at a shared vertex of the two edges."""
@@ -238,7 +251,7 @@ def assign_chain_values(g, vals, chain: CircuitChain, k: int):
     read by `pair_forbidden`."""
     choices = []
     for idx, circ in enumerate(chain.circuits):
-        _send_on(g, vals, circ, 0, 1, k)
+        send_on(g, vals, circ, 0, 1, k)
         forbidden: set[int] = set()
         if idx:
             prev = chain.circuits[idx - 1]
@@ -251,7 +264,7 @@ def assign_chain_values(g, vals, chain: CircuitChain, k: int):
         if len(forbidden) > 8 or len(forbidden) >= k:
             raise InternalDefectError(f"chain value forbidden set has size {len(forbidden)}")
         c = _smallest_allowed(forbidden, k)
-        _send_on(g, vals, circ, c, 0, k)
+        send_on(g, vals, circ, c, 0, k)
         choices.append((c, len(forbidden)))
     return tuple(choices)
 
@@ -398,10 +411,10 @@ def check_stage(
     for p in pairs:
         if p.e in h_edges or p.f in h_edges:
             continue
-        rel = pair_relation(flow, p)
-        if rel.confluent:
+        is_confluent, is_contrafluent = pair_relation(flow, p)
+        if is_confluent:
             confluent.append(p)
-        if rel.contrafluent:
+        if is_contrafluent:
             le, lf = location.get(p.e), location.get(p.f)
             if le is None or le != lf:
                 raise InternalDefectError(
@@ -419,10 +432,12 @@ def check_stage(
 def building_phi(
     g: Multigraph,
     e_star: int,
-    target: tuple[int, int],
+    target: int,
     delta: int,
     orientation: tuple[int, int] | None = None,
 ) -> BuildingPhiResult:
+    """`synthesis.building_phi` on pairs, with the full checks of every
+    stage; `target` is a stage value, decoded to its pair here."""
     star = g.edge(e_star)
     if orientation is None:
         orientation = star.ends
@@ -434,7 +449,7 @@ def building_phi(
     if k % 2 == 0 or k < 11:
         raise InternalDefectError("group modulus must be odd and at least 11")
     tag = GroupTag.zkxz2(k)
-    a, b = target[0] % k, target[1] % 2
+    a, b = decode(k, target)
     if (a, b) == (0, 0):
         raise PreconditionError("target value must be nonzero")
     tower = build_tower(g, e_star, b)
@@ -474,7 +489,7 @@ def building_phi(
             circ = circuit_through_edge(g, e, allowed_edges=h_edges | {e}, direction=direction)
             if circ is None:
                 raise InternalDefectError("no circuit through the chord inside the stage")
-            _send_on(g, vals, circ, c, 0, k)
+            send_on(g, vals, circ, c, 0, k)
             diags.append(StepDiagnostics(f"chord:{e}", len(forb), cap, c))
         else:
             if isinstance(step, AddVertex):
@@ -507,7 +522,7 @@ def building_phi(
             if len(forb) > cap or len(forb) >= k:
                 raise InternalDefectError(f"attachment forbidden set {len(forb)} exceeds cap {cap}")
             c = _smallest_allowed(forb, k)
-            _send_on(g, vals, circ, c, 0, k)
+            send_on(g, vals, circ, c, 0, k)
             chain_choices = ()
             if block_chain is not None:
                 chain_choices = assign_chain_values(g, vals, block_chain, k)
@@ -515,10 +530,10 @@ def building_phi(
             diags.append(StepDiagnostics(label, len(forb), cap, c, chain_choices))
         check_stage(
             g,
-            Flow(g, tag, tuple(vals)),
+            to_flow(g, tag, vals),
             h_edges,
             chains,
-            prev_flow=Flow(g, tag, prev_vals),
+            prev_flow=to_flow(g, tag, prev_vals),
             prev_h_edges=h_next,
             pairs=pairs,
             stage=f"stage:{j}",
@@ -533,25 +548,25 @@ def building_phi(
         stored = vals[e_star][0]
         current = stored if orientation == star.ends else (-stored) % k
         c = (a - current) % k
-        _send_on(g, vals, circ, c, 1, k)
+        send_on(g, vals, circ, c, 1, k)
         chains.append(CircuitChain((circ,)))
         diags.append(StepDiagnostics("base:circuit", 0, 0, c))
     else:
         chain_choices = assign_chain_values(g, vals, tower.base, k)
         chains.append(tower.base)
         diags.append(StepDiagnostics("base:chain", 0, 0, chain_choices[0][0], chain_choices))
-    flow0 = Flow(g, tag, tuple(vals))
+    flow0 = to_flow(g, tag, vals)
     check_stage(
         g,
         flow0,
         frozenset(),
         chains,
-        prev_flow=Flow(g, tag, prev_vals),
+        prev_flow=to_flow(g, tag, prev_vals),
         prev_h_edges=stages[0],
         pairs=pairs,
         stage="final",
     )
-    stored = flow0.values[e_star]
+    stored = vals[e_star]
     fixed_value = stored if orientation == star.ends else ((-stored[0]) % k, stored[1])
     if fixed_value != (a, b):
         raise InternalDefectError(f"special edge carries {fixed_value} instead of {(a, b)}")

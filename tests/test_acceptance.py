@@ -29,7 +29,7 @@ from richflow.synthesis import split_on_two_cut, verify_mod_flow_bullets
 
 import reference_flow
 from reference_tower import bridges
-from reference_flow import send_through_circuit, zero_flow
+from reference_flow import encode, send_through_circuit, value_of, zero_flow
 from conftest import ADMISSIBLE_NAMES, ALL_NAMES, CORPUS, load, oracle_cuts, three_edge_connected
 from test_seymour import random_pair_set
 
@@ -110,13 +110,13 @@ def test_criterion_04_building_phi_suite():
             choices.append((e_star, target))
         assert len({c for c in choices}) >= 10 or m < 4
         for e_star, target in choices:
-            result = building_phi(g, e_star, target, delta)
+            result = building_phi(g, e_star, encode(k, target), delta)
             # Statement bullets: nowhere-zero with the right special value,
             # chain structure, confluency and contrafluency discipline.
             rep = verify_flow(g, result.flow)
             assert rep.conserved and rep.nowhere_zero, (name, e_star, target)
             verify_mod_flow_bullets(g, result.flow, result.chains)
-            stored = result.flow.values[e_star]
+            stored = value_of(result.flow, e_star)
             assert stored == (target[0] % k, target[1] % 2)
             for diag in result.diagnostics:
                 assert diag.forbidden_count < k

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -32,7 +33,14 @@ from richflow.cotree import cotree_flow_search, fundamental_circuit_signs
 from richflow.multigraph import find_circuit_through, spanning_forest
 
 import reference_flow
-from reference_flow import chain_edges, make_adjacent_pair, send_through_circuit, zero_flow
+from reference_flow import (
+    chain_edges,
+    make_adjacent_pair,
+    send_through_circuit,
+    to_flow,
+    values_of,
+    zero_flow,
+)
 from conftest import ALL_NAMES, load, prism, random_cubic
 
 
@@ -91,7 +99,7 @@ def test_projections(k4):
     circ = find_circuit_through(k4, 0)
     f1 = send_through_circuit(k4, circ, 2, GroupTag.zk(11))
     f2 = send_through_circuit(k4, circ, 1, GroupTag.z2())
-    pairs = Flow(k4, GroupTag.zkxz2(11), tuple(zip(f1.values, f2.values)))
+    pairs = to_flow(k4, GroupTag.zkxz2(11), zip(f1.values, f2.values))
     assert project_flow(pairs, 0).values == f1.values
     assert project_flow(pairs, 1).values == f2.values
 
@@ -183,7 +191,7 @@ def test_chain_edges_selection(t3):
     tag = GroupTag.zkxz2(11)
     f = zero_flow(t3, tag)
     assert chain_edges(f) == frozenset()
-    f2 = Flow(t3, tag, ((1, 1), (2, 0), (3, 1)))
+    f2 = to_flow(t3, tag, ((1, 1), (2, 0), (3, 1)))
     assert chain_edges(f2) == {0, 2}
     with pytest.raises(PreconditionError):
         chain_edges(zero_flow(t3, GroupTag.z6()))
@@ -294,8 +302,11 @@ def outcome(fn, *args):
 def test_kernels_match_generic_reference(case, c1, c2):
     g, tag, values = case
     # Values beyond an integer bound are accepted; rich_report's bound_ok decides.
-    flow = Flow(g, tag, tuple(values))
-    assert flow.values == tuple(reference_flow.normalize(tag, v) for v in values)
+    # A Z_k x Z_2 pair enters as one unreduced int, which Flow reduces mod 2k.
+    flow = to_flow(g, tag, values)
+    assert values_of(flow) == tuple(reference_flow.normalize(tag, v) for v in values)
+    if tag.modulus is not None:
+        assert all(0 <= x < tag.modulus for x in flow.values)
     assert verify_flow(g, flow) == reference_flow.verify_flow(g, flow)
     if tag.kind == "int":
         assert rich_report(g, flow) == reference_flow.rich_report(g, flow)
@@ -377,9 +388,9 @@ def test_cotree_search_runs_no_path_search(monkeypatch):
 def flip_edge(g: Multigraph, f: Flow, eid: int) -> tuple[Multigraph, Flow]:
     pairs = [(e.head, e.tail) if e.id == eid else e.ends for e in g.edges]
     g2 = Multigraph(g.vertex_count, pairs)
-    vals = list(f.values)
+    vals = list(values_of(f))
     vals[eid] = reference_flow.neg(f.group, vals[eid])
-    return g2, Flow(g2, f.group, tuple(vals))
+    return g2, to_flow(g2, f.group, vals)
 
 
 def test_reorientation_invariance():
@@ -391,14 +402,13 @@ def test_reorientation_invariance():
         for _e in range(g.edge_count):
             vals.append((rng.randrange(19), rng.randrange(2)))
         # Make it conserved by summing random circuit sends instead.
-        f = zero_flow(g, tag)
-        acc = list(f.values)
+        acc = list(values_of(zero_flow(g, tag)))
         for _ in range(4):
             circ = find_circuit_through(g, rng.randrange(g.edge_count))
             a = (rng.randrange(19), rng.randrange(2))
             s = send_through_circuit(g, circ, a, tag)
-            acc = [reference_flow.add(tag, x, y) for x, y in zip(acc, s.values)]
-        f = Flow(g, tag, tuple(acc))
+            acc = [reference_flow.add(tag, x, y) for x, y in zip(acc, values_of(s))]
+        f = to_flow(g, tag, acc)
         eid = rng.randrange(g.edge_count)
         g2, f2 = flip_edge(g, f, eid)
         assert verify_flow(g, f).conserved == verify_flow(g2, f2).conserved
@@ -507,10 +517,15 @@ def test_convert_properties_on_random_flows():
     (GroupTag.zk(5), (1, 2.0, 2)),
     (GroupTag.z2(), (1, 1, "0")),
     (GroupTag.z6(), (1, 2, 3.0)),
-    (GroupTag.zkxz2(11), ((3, 1), (7, 1.0), (1, 0))),
-    (GroupTag.zkxz2(11), ((3, 1), (7,), (1, 0))),
-    (GroupTag.zkxz2(11), ((3, 1), 7, (1, 0))),
-], ids=["int float", "int boolean", "zk", "z2", "z6", "zkxz2 float", "zkxz2 short", "zkxz2 scalar"])
+    # A Z_k x Z_2 value is one int mod 2k; pairs exist only in certificates.
+    (GroupTag.zkxz2(11), (3, 18.0, 12)),
+    (GroupTag.zkxz2(11), (3, True, 12)),
+    (GroupTag.zkxz2(11), (3, (7,), 12)),
+    (GroupTag.zkxz2(11), (3, (7, 1), 12)),
+], ids=[
+    "int float", "int boolean", "zk", "z2", "z6",
+    "zkxz2 float", "zkxz2 boolean", "zkxz2 short", "zkxz2 pair",
+])
 def test_flow_rejects_values_that_are_not_ints(t3, tag, values):
     with pytest.raises(PreconditionError, match="int"):
         Flow(t3, tag, values)
@@ -527,9 +542,45 @@ def test_flow_json_round_trip(t3):
 
 
 def test_flow_json_zkxz2_round_trip(t3):
-    f = Flow(t3, GroupTag.zkxz2(11), ((3, 1), (7, 1), (1, 0)))
+    f = to_flow(t3, GroupTag.zkxz2(11), ((3, 1), (7, 1), (1, 0)))
     back = read_flow_json(write_flow_json(f), t3)
     assert back.values == f.values
+
+
+def zkxz2_certificate(k: int, rows) -> str:
+    """A zkxz2 certificate in `write_flow_json`'s layout; rows are
+    (tail, head, [a, y]) in edge id order."""
+    edges = [
+        {"id": e, "tail": tail, "head": head, "value": value}
+        for e, (tail, head, value) in enumerate(rows)
+    ]
+    return json.dumps({"format": 1, "group": "zkxz2", "k": k, "edges": edges}, indent=2) + "\n"
+
+
+def test_flow_json_reversed_zkxz2_row_negates_the_zk_coordinate(t3):
+    # t3's edges all run 0 -> 1; rows 0 and 2 are written head -> tail.
+    text = zkxz2_certificate(11, [(1, 0, [3, 1]), (0, 1, [7, 1]), (1, 0, [0, 1])])
+    back = read_flow_json(text, t3)
+    assert values_of(back) == ((8, 1), (7, 1), (0, 1))
+    assert verify_flow(t3, back) == reference_flow.verify_flow(t3, back)
+
+
+def test_flow_json_reduces_an_out_of_range_pair(t3):
+    text = zkxz2_certificate(11, [(0, 1, [-8, 3]), (1, 0, [-8, 3]), (0, 1, [25, -2])])
+    back = read_flow_json(text, t3)
+    assert values_of(back) == ((3, 1), (8, 1), (3, 0))
+    rows = json.loads(write_flow_json(back))["edges"]
+    assert [row["value"] for row in rows] == [[3, 1], [8, 1], [3, 0]]
+
+
+def test_flow_json_round_trips_every_zkxz2_value():
+    pairs = [[a, y] for a in range(11) for y in range(2)]
+    g = Multigraph(2, [(0, 1)] * len(pairs))
+    text = zkxz2_certificate(11, [(0, 1, v) for v in pairs])
+    back = read_flow_json(text, g)
+    assert values_of(back) == tuple(map(tuple, pairs))
+    assert sorted(back.values) == list(range(22))
+    assert write_flow_json(back) == text
 
 
 def test_flow_json_reversed_row_normalizes(t3):

@@ -41,7 +41,7 @@ from richflow.synthesis import AddChord, build_tower, split_on_two_cut, verify_m
 
 import reference_flow
 import reference_tower
-from reference_flow import chain_edges
+from reference_flow import chain_edges, encode, to_flow, values_of
 from reference_tower import stage_edges, step_edges, subgraph
 from conftest import ADMISSIBLE_NAMES, load, random_cubic, three_edge_connected
 from test_multigraph import small_multigraphs
@@ -161,38 +161,40 @@ def check_bullets(g, result, e_star, orientation, target):
     assert rep.conserved and rep.nowhere_zero
     verify_mod_flow_bullets(g, flow, result.chains)
     star = g.edge(e_star)
-    stored = flow.values[e_star]
+    stored = values_of(flow)[e_star]
     fixed = stored if orientation == star.ends else reference_flow.neg(flow.group, stored)
     k = flow.group.k
     assert fixed == (target[0] % k, target[1] % 2)
 
 
 def test_building_phi_t3(t3):
-    res = building_phi(t3, 0, (3, 1), 3)
+    res = building_phi(t3, 0, encode(11, (3, 1)), 3)
     check_bullets(t3, res, 0, t3.edge(0).ends, (3, 1))
 
 
 def test_building_phi_k4_chains_are_base(k4):
-    res = building_phi(k4, 0, (1, 0), 3)
+    res = building_phi(k4, 0, encode(11, (1, 0)), 3)
     check_bullets(k4, res, 0, k4.edge(0).ends, (1, 0))
     assert chain_edges(res.flow) == res.tower.base.edge_set
 
 
 def test_building_phi_rejects_zero_target(k4):
     with pytest.raises(PreconditionError):
-        building_phi(k4, 0, (0, 0), 3)
+        building_phi(k4, 0, encode(11, (0, 0)), 3)
     with pytest.raises(PreconditionError):
-        building_phi(k4, 0, (11, 2), 3)  # reduces to (0, 0)
+        building_phi(k4, 0, encode(11, (11, 2)), 3)  # reduces to (0, 0)
+    with pytest.raises(PreconditionError, match="not a stage value"):
+        building_phi(k4, 0, (1, 0), 3)  # a pair, not its stage value
 
 
 def test_building_phi_reversed_orientation(k4):
     star = k4.edge(2)
-    res = building_phi(k4, 2, (5, 1), 3, orientation=(star.head, star.tail))
+    res = building_phi(k4, 2, encode(11, (5, 1)), 3, orientation=(star.head, star.tail))
     check_bullets(k4, res, 2, (star.head, star.tail), (5, 1))
 
 
 def test_building_phi_accepts_larger_delta(t3):
-    res = building_phi(t3, 0, (2, 1), 5)
+    res = building_phi(t3, 0, encode(27, (2, 1)), 5)
     assert res.flow.group.k == 8 * 5 - 13
     check_bullets(t3, res, 0, t3.edge(0).ends, (2, 1))
 
@@ -202,7 +204,7 @@ def test_building_phi_forbidden_sets_respect_caps():
         g = load(name)
         delta = g.max_degree()
         k = 8 * delta - 13
-        res = building_phi(g, 0, (1, 1), delta)
+        res = building_phi(g, 0, encode(k, (1, 1)), delta)
         for d in res.diagnostics:
             assert d.forbidden_count < k
             if d.cap:
@@ -313,9 +315,9 @@ def test_rich_mod_flow_glued_two_k4():
     # Cut edges carry one value along the directed crossing path.
     split = split_on_two_cut(g, is_rich_flow_admissible(g).two_cuts)
     ea, eb = split.cut
-    tag = res.flow.group
-    va = res.flow.values[ea] if g.edge(ea).ends == (split.u1, split.v1) else reference_flow.neg(tag, res.flow.values[ea])
-    vb = res.flow.values[eb] if g.edge(eb).ends == (split.v2, split.u2) else reference_flow.neg(tag, res.flow.values[eb])
+    tag, values = res.flow.group, values_of(res.flow)
+    va = values[ea] if g.edge(ea).ends == (split.u1, split.v1) else reference_flow.neg(tag, values[ea])
+    vb = values[eb] if g.edge(eb).ends == (split.v2, split.u2) else reference_flow.neg(tag, values[eb])
     assert va == vb != (0, 0)
 
 
@@ -621,7 +623,7 @@ def retained_bytes(g: Multigraph) -> int:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = building_phi(g, 0, (1, 0), 3)
+        result = building_phi(g, 0, encode(11, (1, 0)), 3)
         gc.collect()
         assert result.tower.steps
         return tracemalloc.get_traced_memory()[0] - before
@@ -705,12 +707,12 @@ def test_strongly_intersecting_confluent_pairs_fail_the_bullet_check():
     # its one contrafluent pair lies in one chain circuit. Edge 0 cancels
     # edges 3 and 4 at vertex 0, and the three edges meet there.
     from richflow import InternalDefectError, Multigraph
-    from richflow.flowalg import Flow, GroupTag
+    from richflow.flowalg import GroupTag
     from richflow.multigraph import Circuit, CircuitChain
 
     g = Multigraph(4, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 0), (1, 3), (2, 3)])
     values = ((1, 1), (1, 1), (2, 1), (1, 1), (1, 1), (10, 0), (3, 0))
-    flow = Flow(g, GroupTag.zkxz2(11), values)
+    flow = to_flow(g, GroupTag.zkxz2(11), values)
     chain = CircuitChain((Circuit((0, 1, 2), (0, 2, 1)), Circuit((0, 3), (3, 4))))
     with pytest.raises(
         InternalDefectError, match=r"^\[bullets\] confluent pairs \(0,4\) and \(0,3\) strongly intersect$"

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from richflow import Flow, GroupTag, InternalDefectError, Multigraph, is_rich_flow_admissible
 from richflow import synthesis
-from richflow.flowalg import adjacent_pairs, pair_relation
+from richflow.flowalg import adjacent_pairs
 from richflow.multigraph import Circuit, CircuitChain, circuit_through_edge
 
 import reference_tower
-from reference_flow import zero_flow
+from reference_flow import encode, pair_relation, to_flow, values_of, zero_flow
 from conftest import ADMISSIBLE_NAMES, load, three_edge_connected
 
 
@@ -90,7 +90,9 @@ def building_phi_calls(g: Multigraph) -> list[tuple[tuple, dict]]:
     if three_edge_connected(g):
         e = g.edge_count - 1
         tail, head = g.edge(e).ends
-        calls.append(((g, e, (2, 1), g.max_degree()), {"orientation": (head, tail)}))
+        delta = g.max_degree()
+        target = encode(8 * delta - 13, (2, 1))
+        calls.append(((g, e, target, delta), {"orientation": (head, tail)}))
     return calls
 
 
@@ -163,7 +165,8 @@ def test_local_checks_match_the_full_reference_on_the_corpus(name):
     calls = building_phi_calls(g)
     if three_edge_connected(g):
         delta = g.max_degree()
-        calls += [((g, e, (1, b), delta), {}) for e in range(g.edge_count) for b in (0, 1)]
+        k = 8 * delta - 13
+        calls += [((g, e, encode(k, (1, b)), delta), {}) for e in range(g.edge_count) for b in (0, 1)]
     for args, kwargs in calls:
         assert_matches_reference(args, kwargs)
 
@@ -191,13 +194,13 @@ def test_a_step_check_fails_exactly_when_the_full_check_fails(g, data):
     prev = zero_flow(h, tag)
     chains = []
     for flow, h_edges, added, new_chains, stage in stages[:j]:
-        checks.step(list(flow.values), h_edges, added, new_chains, stage)
+        checks.step(flow.values, h_edges, added, new_chains, stage)
         prev = flow
         chains += new_chains
     flow, h_edges, added, new_chains, stage = stages[j]
     h_next = h_edges | added
     chains += new_chains
-    vals = list(flow.values)
+    vals = list(values_of(flow))
     e = data.draw(st.integers(0, h.edge_count - 1))
     value = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 1)))
     kind = data.draw(st.sampled_from(["edge", "circuit", "stage circuit", "pair"]))
@@ -210,21 +213,22 @@ def test_a_step_check_fails_exactly_when_the_full_check_fails(g, data):
         forbidden: set[int] = set()
         reference_tower.pair_forbidden(h, vals, k, p.e, 1, p.f, forbidden)
         if circ is not None and forbidden:
-            synthesis._send_on(h, vals, circ, data.draw(st.sampled_from(sorted(forbidden))), 0, k)
+            reference_tower.send_on(h, vals, circ, data.draw(st.sampled_from(sorted(forbidden))), 0, k)
     elif kind != "pair":
         allowed = h_next if kind == "stage circuit" and e in h_next else None
         circ = circuit_through_edge(h, e, allowed_edges=allowed)
-        synthesis._send_on(h, vals, circ, value[0], value[1], k)
+        reference_tower.send_on(h, vals, circ, value[0], value[1], k)
+    corrupt = to_flow(h, tag, vals)
     try:
         reference_tower.check_stage(
-            h, Flow(h, tag, tuple(vals)), h_edges, chains,
+            h, corrupt, h_edges, chains,
             prev_flow=prev, prev_h_edges=h_next, pairs=adjacent_pairs(h), stage=stage,
         )
         full = None
     except InternalDefectError as exc:
         full = exc
     try:
-        checks.step(vals, h_edges, added, new_chains, stage)
+        checks.step(corrupt.values, h_edges, added, new_chains, stage)
         local = None
     except InternalDefectError as exc:
         local = exc
@@ -243,6 +247,7 @@ def faulty_send_on(fault: str, on_call: int, outside_edge: int | None = None):
     def send(g, vals, circuit, c, parity, k):
         nonlocal calls
         calls += 1
+        x = encode(k, (c, parity))
         for pos, eid in enumerate(circuit.edges):
             sign = circuit.traversal_sign(g, pos)
             if calls == on_call and pos == 0:
@@ -250,11 +255,9 @@ def faulty_send_on(fault: str, on_call: int, outside_edge: int | None = None):
                     continue
                 if fault == "flip":
                     sign = -sign
-            x, y = vals[eid]
-            vals[eid] = ((x + sign * c) % k, (y + parity) % 2)
+            vals[eid] = (vals[eid] + sign * x) % (2 * k)
         if calls == on_call and fault == "outside":
-            x, y = vals[outside_edge]
-            vals[outside_edge] = ((x + 1) % k, y)
+            vals[outside_edge] = (vals[outside_edge] + encode(k, (1, 0))) % (2 * k)
 
     return send
 
@@ -270,7 +273,7 @@ def test_send_on_faults_are_caught_at_their_stage(monkeypatch, k4, fault):
     on_call = 2 if fault == "outside" else 1
     monkeypatch.setattr(synthesis, "_send_on", faulty_send_on(fault, on_call, outside_edge=0))
     with pytest.raises(InternalDefectError, match=r"\[stage:\d+\]") as err:
-        synthesis.building_phi(k4, 0, (1, 0), 3)
+        synthesis.building_phi(k4, 0, encode(11, (1, 0)), 3)
     assert "final" not in str(err.value) and "bullets" not in str(err.value)
 
 
@@ -299,9 +302,9 @@ def test_related_pairs_match_pair_relation(data):
     ends = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
     g = Multigraph(n, [(u, (u + d) % n) for u, d in data.draw(st.lists(ends, min_size=1, max_size=10))])
     k = data.draw(st.sampled_from((3, 5)))
-    flow = Flow(g, GroupTag.zkxz2(k), tuple(
+    flow = to_flow(g, GroupTag.zkxz2(k), [
         data.draw(st.tuples(st.integers(0, k - 1), st.integers(0, 1))) for _ in g.edges
-    ))
+    ])
     some = st.sets(st.integers(0, g.edge_count - 1))
     edges, h_edges = data.draw(some), frozenset(data.draw(some))
     got = {}
@@ -311,8 +314,8 @@ def test_related_pairs_match_pair_relation(data):
     want = {}
     for p in adjacent_pairs(g):
         rel = pair_relation(flow, p)
-        if (p.e in edges or p.f in edges) and not {p.e, p.f} & h_edges and (rel.confluent or rel.contrafluent):
-            want[p.e, p.f] = (rel.confluent, rel.contrafluent)
+        if (p.e in edges or p.f in edges) and not {p.e, p.f} & h_edges and any(rel):
+            want[p.e, p.f] = rel
     assert got == want
 
 
@@ -325,14 +328,33 @@ def test_pair_forbidden_reads_no_orientation(data):
     ends = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
     g = Multigraph(n, [(u, (u + d) % n) for u, d in data.draw(st.lists(ends, min_size=2, max_size=8))])
     k = data.draw(st.sampled_from((3, 5, 11)))
-    vals = [data.draw(st.tuples(st.integers(0, k - 1), st.integers(0, 1))) for _ in g.edges]
+    pairs = [data.draw(st.tuples(st.integers(0, k - 1), st.integers(0, 1))) for _ in g.edges]
     p = data.draw(st.sampled_from(adjacent_pairs(g) or [reject()]))
     e, f = data.draw(st.permutations((p.e, p.f)))
     s = data.draw(st.sampled_from((1, -1)))
     got, want = set(), set()
-    synthesis._pair_forbidden(vals, k, e, s, f, got)
-    reference_tower.pair_forbidden(g, vals, k, e, s, f, want)
+    synthesis._pair_forbidden(to_flow(g, GroupTag.zkxz2(k), pairs).values, k, e, s, f, got)
+    reference_tower.pair_forbidden(g, pairs, k, e, s, f, want)
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ADMISSIBLE_NAMES), st.sampled_from((3, 5, 11)), st.data())
+def test_send_on_matches_the_pair_reference(name, k, data):
+    # _send_on adds (c, parity) as one stage value mod 2k; the reference adds
+    # c to the Z_k coordinate with the traversal sign and parity to the Z_2 one.
+    g = load(name)
+    circ = circuit_through_edge(g, data.draw(st.integers(0, g.edge_count - 1)))
+    if data.draw(st.booleans()):
+        circ = circ.reversed()
+    pairs = [data.draw(st.tuples(st.integers(0, k - 1), st.integers(0, 1))) for _ in g.edges]
+    c, parity = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 1))
+    tag = GroupTag.zkxz2(k)
+    vals = list(to_flow(g, tag, pairs).values)
+    synthesis._send_on(g, vals, circ, c, parity, k)
+    reference_tower.send_on(g, pairs, circ, c, parity, k)
+    assert all(0 <= x < 2 * k for x in vals)
+    assert tuple(vals) == to_flow(g, tag, pairs).values
 
 
 # Prism: triangle 0 1 2 (edges 0 1 2), triangle 3 4 5 (edges 3 4 5), and the
@@ -371,15 +393,16 @@ def test_a_chain_touching_the_stage_is_refused():
     tag = GroupTag.zkxz2(11)
     chain = CircuitChain((Circuit((1, 2, 3), (3, 4, 5)),))
     vals = [(0, 0)] * 6
-    synthesis._send_on(g, vals, chain.circuits[0], 1, 1, 11)
+    reference_tower.send_on(g, vals, chain.circuits[0], 1, 1, 11)
+    flow = to_flow(g, tag, vals)
     h_edges, h_next = frozenset({0, 1, 2}), frozenset(range(6))
     with pytest.raises(InternalDefectError, match="touches the current stage"):
         reference_tower.check_stage(
-            g, Flow(g, tag, tuple(vals)), h_edges, [chain], prev_flow=zero_flow(g, tag),
+            g, flow, h_edges, [chain], prev_flow=zero_flow(g, tag),
             prev_h_edges=h_next, pairs=adjacent_pairs(g), stage="stage:0",
         )
     with pytest.raises(InternalDefectError, match="touches the current stage"):
-        synthesis._StageChecks(g, tag).step(vals, h_edges, chain.edge_set, (chain,), "stage:0")
+        synthesis._StageChecks(g, tag).step(flow.values, h_edges, chain.edge_set, (chain,), "stage:0")
 
 
 def test_a_changed_frozen_edge_is_refused(t3):
@@ -388,15 +411,15 @@ def test_a_changed_frozen_edge_is_refused(t3):
     # added. Every other condition holds: the flow is conserved, edge 1 is
     # nonzero, and the one confluent pair (1, 2) meets no other.
     tag = GroupTag.zkxz2(11)
-    vals = [(0, 0), (1, 0), (10, 0)]
+    flow = to_flow(t3, tag, [(0, 0), (1, 0), (10, 0)])
     h_edges, added = frozenset({0}), frozenset({1})
     with pytest.raises(InternalDefectError, match=r"^\[stage:0\] frozen edge 2 changed value$"):
         reference_tower.check_stage(
-            t3, Flow(t3, tag, tuple(vals)), h_edges, [], prev_flow=zero_flow(t3, tag),
+            t3, flow, h_edges, [], prev_flow=zero_flow(t3, tag),
             prev_h_edges=h_edges | added, pairs=adjacent_pairs(t3), stage="stage:0",
         )
     with pytest.raises(InternalDefectError, match=r"^\[stage:0\] frozen edge 2 changed value$"):
-        synthesis._StageChecks(t3, tag).step(vals, h_edges, added, (), "stage:0")
+        synthesis._StageChecks(t3, tag).step(flow.values, h_edges, added, (), "stage:0")
 
 
 # Stage flows of t3 (three edges 0 -> 1) right after the all-zero top stage,
@@ -412,17 +435,17 @@ T3_STAGES = [
 @pytest.mark.parametrize("fault, values", T3_STAGES)
 def test_a_corrupt_stage_is_refused_like_the_full_check(t3, fault, values):
     tag = GroupTag.zkxz2(11)
-    vals = list(values)
+    flow = to_flow(t3, tag, values)
     everything = frozenset(range(3))
     with pytest.raises(InternalDefectError, match=fault):
         reference_tower.check_stage(
-            t3, Flow(t3, tag, tuple(vals)), frozenset(), [], prev_flow=zero_flow(t3, tag),
+            t3, flow, frozenset(), [], prev_flow=zero_flow(t3, tag),
             prev_h_edges=everything, pairs=adjacent_pairs(t3), stage="stage:0",
         )
     with pytest.raises(InternalDefectError, match=fault):
-        synthesis._StageChecks(t3, tag).step(vals, frozenset(), everything, (), "stage:0")
+        synthesis._StageChecks(t3, tag).step(flow.values, frozenset(), everything, (), "stage:0")
     with pytest.raises(InternalDefectError, match=rf"^\[bullets\] .*{fault}"):
-        synthesis.verify_mod_flow_bullets(t3, Flow(t3, tag, tuple(vals)), [])
+        synthesis.verify_mod_flow_bullets(t3, flow, [])
 
 
 @settings(
@@ -442,7 +465,7 @@ def test_the_bullet_check_fails_exactly_when_the_full_check_fails(g, data):
     result = synthesis.rich_mod_flow(g)
     tag = result.flow.group
     k = tag.k
-    vals, chains = list(result.flow.values), list(result.chains)
+    vals, chains = list(values_of(result.flow)), list(result.chains)
     e = data.draw(st.integers(0, g.edge_count - 1))
     value = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 1)))
     kind = data.draw(st.sampled_from(["none", "edge", "circuit", "pair", "chain"]))
@@ -450,14 +473,14 @@ def test_the_bullet_check_fails_exactly_when_the_full_check_fails(g, data):
     if kind == "edge":
         vals[e] = value
     elif kind == "circuit":
-        synthesis._send_on(g, vals, circuit_through_edge(g, e), value[0], value[1], k)
+        reference_tower.send_on(g, vals, circuit_through_edge(g, e), value[0], value[1], k)
     elif kind == "pair":
         p = data.draw(st.sampled_from(adjacent_pairs(g)))
         circ = circuit_through_edge(g, p.e, allowed_edges=every_edge - {p.f})
         forbidden: set[int] = set()
         reference_tower.pair_forbidden(g, vals, k, p.e, 1, p.f, forbidden)
         if circ is not None and forbidden:
-            synthesis._send_on(g, vals, circ, data.draw(st.sampled_from(sorted(forbidden))), 0, k)
+            reference_tower.send_on(g, vals, circ, data.draw(st.sampled_from(sorted(forbidden))), 0, k)
     elif kind == "chain":
         i = data.draw(st.integers(0, len(chains) - 1))
         fault = data.draw(st.sampled_from(["drop", "repeat", "repeat circuit"]))
@@ -467,7 +490,7 @@ def test_the_bullet_check_fails_exactly_when_the_full_check_fails(g, data):
             chains.append(chains[i])
         else:
             chains[i] = CircuitChain(chains[i].circuits + chains[i].circuits[-1:])
-    flow = Flow(g, tag, tuple(vals))
+    flow = to_flow(g, tag, vals)
     try:
         reference_tower.check_stage(
             g, flow, frozenset(), chains, prev_flow=zero_flow(g, tag), prev_h_edges=every_edge,
@@ -490,9 +513,10 @@ def test_a_new_confluent_pair_is_tested_against_the_kept_ones():
     # all of parity 1: {0, 1} and {1, 2} are confluent and strongly
     # intersect; {0, 2} is contrafluent, and edges 0 and 2 share a circuit.
     g = Multigraph(4, [(0, 1), (0, 2), (0, 3)])
-    checks = synthesis._StageChecks(g, GroupTag.zkxz2(11))
+    tag = GroupTag.zkxz2(11)
+    checks = synthesis._StageChecks(g, tag)
     checks.location = {0: (0, 0), 2: (0, 0)}
-    values = ((1, 1), (10, 1), (1, 1))
+    values = to_flow(g, tag, ((1, 1), (10, 1), (1, 1))).values
     checks._check_pairs(values, frozenset({2}), {0, 1}, "stage:1")
     with pytest.raises(InternalDefectError, match=r"\(1,2\) and \(0,1\) strongly intersect"):
         checks._check_pairs(values, frozenset(), {2}, "stage:0")
@@ -538,7 +562,7 @@ def full_pass_counts(monkeypatch, g: Multigraph) -> tuple[dict[str, int], int]:
         real_init(self, vertex_count, edge_pairs)
 
     monkeypatch.setattr(Multigraph, "__init__", counting_init)
-    res = synthesis.building_phi(g, 0, (1, 0), 3)
+    res = synthesis.building_phi(g, 0, encode(11, (1, 0)), 3)
     monkeypatch.undo()
     return counts, len(res.tower.steps)
 
