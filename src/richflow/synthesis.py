@@ -5,8 +5,8 @@ or circuit chain, assigns (Z_k x Z_2) circuit values, each one integer mod 2k
 (see `flowalg`), backwards through the tower while steering every adjacent
 pair away from forbidden confluency. A graph that is not 3-edge-connected
 is handled by one loop: it peels a smallest 2-edge-cut side off at a time,
-each read from the admissibility verdict of the graph that remains, and then
-glues the sides' flows back innermost first.
+choosing from g's verdict's cuts, then from each near side's, read off its
+host's list, and glues the sides' flows back innermost first.
 A confluence-free Z_6 flow and modular-to-integer lifting then combine the
 pieces into a certified rich flow with all absolute values below 264*Delta-445.
 
@@ -685,6 +685,7 @@ class TwoCutSplit:
     v2: int
     side1: SubgraphSide
     side2: SubgraphSide
+    near_cuts: tuple[tuple[int, int], ...]  # side1.graph's 2-edge-cuts, ascending
 
 
 def _build_side(g: Multigraph, vertex_set, inner_edges, x: int, y: int) -> SubgraphSide:
@@ -702,9 +703,9 @@ def _build_side(g: Multigraph, vertex_set, inner_edges, x: int, y: int) -> Subgr
 
 
 def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
-    """Split an admissible g along the one of its 2-edge-cuts `two_cuts` (the
-    admissibility verdict's, not empty) with the smallest far side, adding one
-    virtual edge per side.
+    """Split an admissible g along the one of its 2-edge-cuts `two_cuts` (its
+    complete list, not empty: the verdict's or a `near_cuts`) with the
+    smallest far side, adding one virtual edge per side.
 
     Each cut gets one union-find pass over g minus its two edges, which must
     leave two sides. Each cut edge has one end on each side, so vertex 0's
@@ -712,10 +713,11 @@ def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
     of the m - 2; a side's size is (inner edges, vertices). The vertices and
     inner edges of the sides are listed for the chosen cut only.
 
-    The far side plus its virtual edge is 3-edge-connected, which is asserted
-    here on its admissibility verdict; the near side plus its virtual edge
-    stays admissible, which `rich_mod_flow` asserts with the verdict it next
-    splits by.
+    The far side plus its virtual edge is 3-edge-connected, asserted here on
+    its verdict. The near side's cuts `near_cuts` are each cut of `two_cuts`
+    but (ea, eb) inside the near side, ea and eb read as the virtual edge,
+    deduplicated, ascending: as the far side joins the virtual edge's ends,
+    these are all its cuts, and the near side is admissible as g is.
     """
     if not two_cuts:
         raise PreconditionError("no 2-edge-cut to split along")
@@ -752,7 +754,11 @@ def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
     verdict = is_rich_flow_admissible(side2.graph)
     if not verdict.admissible or verdict.two_cuts:
         raise InternalDefectError("minimal far side with virtual edge is not 3-edge-connected")
-    return TwoCutSplit((ea, eb), u1, u2, v1, v2, side1, side2)
+    near_id = {e: i for i, e in enumerate(side1.edges_orig)}
+    near_id[ea] = near_id[eb] = side1.added_edge
+    near_cuts = {tuple(sorted((near_id[a], near_id[b]))) for a, b in two_cuts
+                 if (a, b) != (ea, eb) and a in near_id and b in near_id}
+    return TwoCutSplit((ea, eb), u1, u2, v1, v2, side1, side2, tuple(sorted(near_cuts)))
 
 
 def _tower_trace(bp: BuildingPhiResult) -> dict:
@@ -866,17 +872,16 @@ def _glue(g: Multigraph, split: TwoCutSplit, left: RichModFlowResult, right: Bui
 def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None) -> RichModFlowResult:
     """The (Z_k x Z_2) stage flow of an admissible graph, k = 8*Delta - 13.
 
-    The admissibility verdict is computed once per graph the loop meets; for
-    g itself a caller may pass it as `verdict`, which must be
-    `is_rich_flow_admissible(g)` of this same g.
+    g's admissibility verdict is computed once, or taken from `verdict`,
+    which must be `is_rich_flow_admissible(g)` of this same g.
     While the current graph has 2-edge-cuts, it splits along the one with the
-    smallest far side and goes on with the near side, whose verdict both
-    asserts that it stays admissible and lists its cuts. The 3-edge-connected
-    core left gets the backward tower assignment; then, innermost split
-    first, each far side receives its virtual edge's value and orientation,
-    and its flow is glued to the flow so far. Every glued flow is re-verified
-    against all bullet properties; the result carries the confluent pairs
-    that the last check found.
+    smallest far side and goes on with the near side and its `near_cuts`, so
+    the loop enumerates no cut. The 3-edge-connected core left gets the
+    backward tower assignment; then, innermost split first, each far side
+    receives its virtual edge's value and orientation, and its flow is glued
+    to the flow so far. Every glued flow is re-verified against all bullet
+    properties; the result carries the confluent pairs that the last check
+    found.
     """
     if verdict is None:
         verdict = is_rich_flow_admissible(g)
@@ -888,14 +893,11 @@ def rich_mod_flow(g: Multigraph, *, verdict: AdmissibilityVerdict | None = None)
     delta = g.max_degree()
     k = 8 * delta - 13
     splits: list[tuple[Multigraph, TwoCutSplit]] = []
-    core = g
-    while verdict.two_cuts:
-        split = split_on_two_cut(core, verdict.two_cuts)
+    core, cuts = g, verdict.two_cuts
+    while cuts:
+        split = split_on_two_cut(core, cuts)
         splits.append((core, split))
-        core = split.side1.graph
-        verdict = is_rich_flow_admissible(core)
-        if not verdict.admissible:
-            raise InternalDefectError("near side with virtual edge is not admissible")
+        core, cuts = split.side1.graph, split.near_cuts
     bp = building_phi(core, 0, k + 1, delta)  # (1, 0) of Z_k x Z_2
     result = RichModFlowResult(bp.flow, bp.chains, (bp,))
     confluent = verify_mod_flow_bullets(core, result.flow, result.chains)

@@ -159,6 +159,27 @@ MUTANTS = (
         "tests/test_multigraph.py::test_c4_two_cuts_are_all_pairs",
     ),
     Mutant(
+        "two-cut-bundle-prune-skips-twins",
+        MULTIGRAPH,
+        "        elif i in twin:\n",
+        "        elif False:\n",
+        "tests/test_multigraph.py::test_two_cut_enumeration_edge_cases",
+    ),
+    Mutant(
+        "near-cuts-drop-virtual",
+        SYNTHESIS,
+        "    near_id[ea] = near_id[eb] = side1.added_edge\n",
+        "",
+        f"{TEST_SYNTHESIS}::test_near_cuts_are_the_near_sides_cuts_by_brute_force",
+    ),
+    Mutant(
+        "near-cuts-keep-split-cut",
+        SYNTHESIS,
+        "if (a, b) != (ea, eb) and a in near_id",
+        "if a in near_id",
+        f"{TEST_SYNTHESIS}::test_near_cuts_are_the_near_sides_cuts_by_brute_force",
+    ),
+    Mutant(
         "lift-conservation-check-skipped",
         "src/richflow/flowalg.py",
         "    if any(net):\n",

@@ -16,8 +16,9 @@ The reference also keeps the forms that synthesis no longer uses: blocks and
 their chains are searched on relabelled copies (`subgraph`,
 `induced_subgraph`, `find_attachable_block`, with `bridges`), components
 are found by BFS (`connected_components`), the 2-cut split lists both sides
-of every cut (`split_on_two_cut`), and the forbidden values of a pair are
-computed from the pair's shared vertex, one pair at a time.
+of every cut and enumerates its near side's cuts by brute force
+(`split_on_two_cut`), and the forbidden values of a pair are computed from
+the pair's shared vertex, one pair at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from richflow.synthesis import (
     _smallest_allowed,
 )
 
-from conftest import three_edge_connected
+from conftest import oracle_cuts, three_edge_connected
 from reference_flow import chain_edges, decode, pair_relation, to_flow, verify_flow
 
 
@@ -88,7 +89,8 @@ def connected_components(g: Multigraph, *, without: frozenset[int] = frozenset()
 
 def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
     """`synthesis.split_on_two_cut`, listing both sides' vertices and inner
-    edges for every cut and comparing their sizes (inner edges, vertices)."""
+    edges for every cut and comparing their sizes (inner edges, vertices);
+    `near_cuts` is side 1's own cut list, by subset deletion."""
     best = None
     for ea, eb in two_cuts:
         comps = connected_components(g, without=frozenset((ea, eb)))
@@ -121,7 +123,8 @@ def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
     side2 = _build_side(g, far_set, far_inner, v1, v2)
     if not three_edge_connected(side2.graph):
         raise InternalDefectError("minimal far side with virtual edge is not 3-edge-connected")
-    return TwoCutSplit((ea, eb), u1, u2, v1, v2, side1, side2)
+    near_cuts = tuple(sorted(oracle_cuts(side1.graph)[1]))
+    return TwoCutSplit((ea, eb), u1, u2, v1, v2, side1, side2, near_cuts)
 
 
 def subgraph(

@@ -105,12 +105,13 @@ def test_exact_checks_admissibility_once(monkeypatch, capsys, name, code, expect
 
 
 @pytest.mark.parametrize(
-    "name, count", [("k4", 2), ("petersen", 2), ("two_k4", 5), ("three_k4", 8), ("bridge", 0)]
+    "name, count", [("k4", 2), ("petersen", 2), ("two_k4", 4), ("three_k4", 6), ("bridge", 0)]
 )
 def test_batch_row_enumerates_two_edge_cuts(monkeypatch, name, count):
     # One verdict for the row, handed to the oracle and to synthesis, plus
     # build_tower's guard per tower and split_on_two_cut's far-side assert
-    # per split; a graph with a bridge is refused before any enumeration.
+    # per split; a near side's cuts are read off its host's list, and a
+    # graph with a bridge is refused before any enumeration.
     calls = []
     real = multigraph.enumerate_two_edge_cuts
     monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -43,7 +44,14 @@ import reference_flow
 import reference_tower
 from reference_flow import chain_edges, encode, to_flow, values_of
 from reference_tower import stage_edges, step_edges, subgraph
-from conftest import ADMISSIBLE_NAMES, load, random_cubic, three_edge_connected
+from conftest import (
+    ADMISSIBLE_NAMES,
+    load,
+    oracle_components,
+    oracle_cuts,
+    random_cubic,
+    three_edge_connected,
+)
 from test_multigraph import small_multigraphs
 import test_tower_checks
 from test_tower_checks import admissible_multigraphs, draw_block, shuffled_graph
@@ -225,6 +233,7 @@ def test_split_two_k4():
         assert side.graph.vertex_count == 4
         assert side.graph.edge_count == 7  # K4 plus one parallel edge
     assert is_rich_flow_admissible(split.side1.graph).admissible
+    assert split.near_cuts == ()  # the near side is 3-edge-connected too
     assert three_edge_connected(split.side2.graph)
 
 
@@ -260,8 +269,9 @@ def blocks_in_a_ring_or_chain(draw) -> Multigraph:
 
 
 def split_or_error(split, g, cuts):
+    """The split with no `near_cuts`, or the text of its internal defect."""
     try:
-        return split(g, cuts)
+        return replace(split(g, cuts), near_cuts=None)
     except InternalDefectError as exc:
         return str(exc)
 
@@ -275,8 +285,10 @@ def split_or_error(split, g, cuts):
 def test_split_matches_the_per_cut_listing_reference(g, data):
     # One union-find pass per cut picks the same cut and the same sides as
     # listing both sides of every cut: down the split loop of rich_mod_flow,
-    # and on any sublist of each verdict's cuts, where the chosen far side
-    # may fail its 3-edge-connectivity assert in both.
+    # where the near side's cuts read off the host's list also equal its own
+    # enumeration, and on any sublist of each level's cuts, where the chosen
+    # far side may fail its 3-edge-connectivity assert in both (a sublist is
+    # not a complete list, so its near_cuts are not compared).
     cuts = is_rich_flow_admissible(g).two_cuts
     while cuts:
         some = tuple(data.draw(st.lists(st.sampled_from(cuts), min_size=1, unique=True)))
@@ -285,8 +297,30 @@ def test_split_matches_the_per_cut_listing_reference(g, data):
         )
         split = split_on_two_cut(g, cuts)
         assert split == reference_tower.split_on_two_cut(g, cuts)
-        g = split.side1.graph
-        cuts = is_rich_flow_admissible(g).two_cuts
+        g, cuts = split.side1.graph, split.near_cuts
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(blocks_in_a_ring_or_chain() | admissible_multigraphs())
+def test_near_cuts_are_the_near_sides_cuts_by_brute_force(g):
+    # rich_mod_flow splits each near side by the cuts read off its host's
+    # list, with no verdict of its own: at every level of the loop they are
+    # the near side's complete cut list, and the near side is admissible by
+    # definition (connected, no bridge, no cut of two edges at one vertex).
+    cuts = is_rich_flow_admissible(g).two_cuts
+    while cuts:
+        split = split_on_two_cut(g, cuts)
+        g, cuts = split.side1.graph, split.near_cuts
+        bridges, two_cuts = oracle_cuts(g)
+        assert cuts == tuple(sorted(two_cuts))
+        assert oracle_components(g.vertex_count, [e.ends for e in g.edges]) == 1
+        assert not bridges
+        for a, b in cuts:
+            assert not set(g.edge(a).ends) & set(g.edge(b).ends)
 
 
 def test_split_recursion_depth_two():
@@ -295,6 +329,7 @@ def test_split_recursion_depth_two():
     near = first.side1.graph
     cuts = is_rich_flow_admissible(near).two_cuts
     assert cuts  # the near side still has a 2-edge-cut
+    assert first.near_cuts == cuts
     second = split_on_two_cut(near, cuts)
     assert three_edge_connected(second.side2.graph)
 
@@ -431,6 +466,19 @@ def test_k4_rings_and_chains_match_golden_digest():
     assert digest.hexdigest() == golden.read_text().strip()
 
 
+def test_k4_rings_and_chains_enumerate_two_edge_cuts_twice_per_tower(monkeypatch):
+    # r copies make r towers: the input's verdict, r - 1 far-side asserts and
+    # r tower guards, 2r enumerations; a near side's cuts need none.
+    calls = []
+    real = multigraph.enumerate_two_edge_cuts
+    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
+    for count in range(3, 11):
+        for g in (k4_ring(count), k4_chain(count)):
+            calls.clear()
+            assert len(synthesize_rich_flow(g).stage.towers) == count
+            assert len(calls) == 2 * count
+
+
 def seeded_small_multigraphs(seed: int, count: int) -> list[Multigraph]:
     """`count` admissible multigraphs with n <= 6 and m <= 14, most of them
     with parallel edges, drawn from random.Random(seed)."""
@@ -477,11 +525,12 @@ def test_seeded_synthesis_matches_golden_digest():
     assert digest.hexdigest() == golden.read_text().strip()
 
 
-@pytest.mark.parametrize("name, most", [("k4", 2), ("petersen", 2), ("two_k4", 5), ("three_k4", 8)])
+@pytest.mark.parametrize("name, most", [("k4", 2), ("petersen", 2), ("two_k4", 4), ("three_k4", 6)])
 def test_synthesis_enumerates_two_edge_cuts_at_most(monkeypatch, name, most):
-    # One verdict per graph the split loop meets (the input's is also read by
-    # the confluence step) and one per far side's 3-edge-connectivity
-    # assert, plus build_tower's guard (one per tower).
+    # One verdict for the input (also read by the confluence step), none for
+    # a near side, whose cuts are read off its host's list, and one per far
+    # side's 3-edge-connectivity assert, plus build_tower's guard (one per
+    # tower).
     calls = []
     real = multigraph.enumerate_two_edge_cuts
     monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
