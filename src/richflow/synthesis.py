@@ -6,7 +6,8 @@ or circuit chain, assigns (Z_k x Z_2) circuit values, each one integer mod 2k
 pair away from forbidden confluency. A graph that is not 3-edge-connected
 is handled by one loop: it peels a smallest 2-edge-cut side off at a time,
 choosing from g's verdict's cuts, then from each near side's, read off its
-host's list, and glues the sides' flows back innermost first.
+host's list, with one union-find pass per cut class (see `split_on_two_cut`),
+and glues the sides' flows back innermost first.
 A confluence-free Z_6 flow and modular-to-integer lifting then combine the
 pieces into a certified rich flow with all absolute values below 264*Delta-445.
 
@@ -14,10 +15,10 @@ Every "clearly" step of the construction is re-checked mechanically. The
 tower (its base and steps) and the backward pass (one edge set, shrinking a
 step at a time) check each step locally, on what it adds or changes, and the
 invariants of every stage follow by induction. Every stage flow of
-`rich_mod_flow`, glued or not, gets the full
-check, which is the same per-step check (`_StageChecks`) run once from the
-all-zero flow over the whole graph; the combined integer flow gets the
-richness, conservation and bound checks.
+`rich_mod_flow`, glued or not, gets the full check, which is the same
+per-step check (`_StageChecks`) run once from the all-zero flow over the
+whole graph; the combined integer flow gets the richness, conservation and
+bound checks.
 """
 
 from __future__ import annotations
@@ -547,11 +548,11 @@ def building_phi(
     the circuit is searched on the stage as it is (one edge set that loses
     each step's edges, a chord's first), and a pair with a moving edge
     forbids the same two values whichever way its edges point (see
-    `_pair_forbidden`). Each stage, the
-    base step's included, is then checked on what its step changed, and every
-    condition holds for every stage by induction from the all-zero flow (see
-    `_StageChecks`). `rich_mod_flow` checks the result in full with
-    `verify_mod_flow_bullets`, the same checks run once over the whole graph.
+    `_pair_forbidden`). Each stage, the base step's included, is then checked
+    on what its step changed, and every condition holds for every stage by
+    induction from the all-zero flow (see `_StageChecks`). `rich_mod_flow`
+    checks the result in full with `verify_mod_flow_bullets`, the same checks
+    run once over the whole graph.
     """
     star = g.edge(e_star)
     if orientation is None:
@@ -561,8 +562,6 @@ def building_phi(
     if delta < 3 or delta < g.max_degree():
         raise PreconditionError("delta must be >= 3 and >= the maximum degree")
     k = 8 * delta - 13
-    if k % 2 == 0 or k < 11:
-        raise InternalDefectError("group modulus must be odd and at least 11")
     tag = GroupTag.zkxz2(k)
     if type(target) is not int:
         raise PreconditionError(f"target {target!r} is not a stage value, an int mod 2k")
@@ -707,53 +706,57 @@ def split_on_two_cut(g: Multigraph, two_cuts) -> TwoCutSplit:
     complete list, not empty: the verdict's or a `near_cuts`) with the
     smallest far side, adding one virtual edge per side.
 
-    Each cut gets one union-find pass over g minus its two edges, which must
-    leave two sides. Each cut edge has one end on each side, so vertex 0's
-    side S0 has (deg(S0) - 2) / 2 inner edges, and the other side the rest
-    of the m - 2; a side's size is (inner edges, vertices). The vertices and
-    inner edges of the sides are listed for the chosen cut only.
+    The pairs join into classes, any two edges of a class forming a cut. One
+    union-find pass over g minus a class of s edges must leave s sides, in a
+    ring, each meeting two of its edges. The far side is the side of least
+    key: (inner edges, vertices), the two cut edges it meets, whether it
+    holds vertex 0. A side made of several ring sides holds one with fewer
+    inner edges, so no listed cut has a smaller side.
 
-    The far side plus its virtual edge is 3-edge-connected, asserted here on
-    its verdict. The near side's cuts `near_cuts` are each cut of `two_cuts`
+    The far side plus its virtual edge is 3-edge-connected (`build_tower`
+    checks it). The near side's cuts `near_cuts` are each cut of `two_cuts`
     but (ea, eb) inside the near side, ea and eb read as the virtual edge,
     deduplicated, ascending: as the far side joins the virtual edge's ends,
     these are all its cuts, and the near side is admissible as g is.
     """
     if not two_cuts:
         raise PreconditionError("no 2-edge-cut to split along")
-    n, m = g.vertex_count, g.edge_count
+    n = g.vertex_count
+    joined = _UnionFind(g.edge_count)
+    for a, b in two_cuts:
+        joined.union(a, b)
+    classes: dict[int, list[int]] = {}
+    for e in sorted({e for cut in two_cuts for e in cut}):
+        classes.setdefault(joined.find(e), []).append(e)
     best = None
-    for ea, eb in two_cuts:
-        uf = _UnionFind(n)
-        merges = sum(uf.union(e.tail, e.head) for e in g.edges if e.id != ea and e.id != eb)
-        if merges != n - 2:
-            raise InternalDefectError(f"edges {ea} and {eb} do not split g in two")
-        zero = uf.find(0)
-        on_zero = [v for v in range(n) if uf.find(v) == zero]
-        e0 = (sum(map(g.degree, on_zero)) - 2) // 2
-        key0, key1 = (e0, len(on_zero)), (m - 2 - e0, n - len(on_zero))
-        far = 1 if key1 <= key0 else 0  # ties keep vertex 0 on the near side
-        candidate_key = (key1 if far == 1 else key0, (ea, eb))
-        if best is None or candidate_key < best[0]:
-            best = (candidate_key, uf, far)
-    (_, (ea, eb)), uf, far = best
-    zero = uf.find(0)
-    near_set = {v for v in range(n) if (uf.find(v) == zero) == (far == 1)}
-    far_set = [v for v in range(n) if v not in near_set]
-    near_inner, far_inner = [], []
-    for e in g.edges:
-        if e.id != ea and e.id != eb:
-            (near_inner if e.tail in near_set else far_inner).append(e.id)
-    edge_a, edge_b = g.edge(ea), g.edge(eb)
-    u1 = edge_a.tail if edge_a.tail in near_set else edge_a.head
-    v1 = edge_a.other_end(u1)
-    u2 = edge_b.tail if edge_b.tail in near_set else edge_b.head
-    v2 = edge_b.other_end(u2)
+    for cls in classes.values():
+        cut, uf = set(cls), _UnionFind(n)
+        merges = sum(uf.union(e.tail, e.head) for e in g.edges if e.id not in cut)
+        if merges != n - len(cut):
+            raise InternalDefectError(f"edges {cls} do not split g into {len(cls)} sides")
+        roots = list(map(uf.find, range(n)))
+        sides = {r: [0, 0, []] for r in set(roots)}  # [inner edges, vertices, cut edges met]
+        for r in roots:
+            sides[r][1] += 1
+        for e in g.edges:
+            if e.id in cut:
+                for x in e.ends:
+                    sides[roots[x]][2].append(e.id)
+            else:
+                sides[roots[e.tail]][0] += 1
+        for root, (inner, count, met) in sides.items():
+            key = ((inner, count), tuple(sorted(met)), root == roots[0])
+            if best is None or key < best[0]:
+                best = (key, roots, root)
+    (_, (ea, eb), _), roots, far_root = best
+    far_set = [v for v in range(n) if roots[v] == far_root]
+    near_set = set(range(n)).difference(far_set)
+    near_inner = [e.id for e in g.edges if e.tail in near_set and e.head in near_set]
+    far_inner = [e.id for e in g.edges if e.tail not in near_set and e.head not in near_set]
+    ends = [e.ends if e.tail in near_set else e.ends[::-1] for e in map(g.edge, (ea, eb))]
+    (u1, v1), (u2, v2) = ends  # each cut edge's near end first
     side1 = _build_side(g, near_set, near_inner, u1, u2)
     side2 = _build_side(g, far_set, far_inner, v1, v2)
-    verdict = is_rich_flow_admissible(side2.graph)
-    if not verdict.admissible or verdict.two_cuts:
-        raise InternalDefectError("minimal far side with virtual edge is not 3-edge-connected")
     near_id = {e: i for i, e in enumerate(side1.edges_orig)}
     near_id[ea] = near_id[eb] = side1.added_edge
     near_cuts = {tuple(sorted((near_id[a], near_id[b]))) for a, b in two_cuts
@@ -962,7 +965,6 @@ def synthesize_rich_flow(
         return RichFlowCertificate(empty, g.max_degree(), 0, checks, mod)
     delta = g.max_degree()
     k = 8 * delta - 13
-    bound = 264 * delta - 445
     # `rich_mod_flow` has verified these against strong intersection.
     phi3_mod = flow_avoiding_confluence(g, mod.confluent, verdict=verdict)
     phi1 = modular_to_integer(g, project_flow(mod.flow, 0))
@@ -975,11 +977,9 @@ def synthesize_rich_flow(
         raise InternalDefectError("lifted parity flow leaves the range -1..1")
     if max(map(abs, phi1.values)) >= k:
         raise InternalDefectError("lifted modular flow breaks its bound")
-    combined = linear_combine(((1, phi3), (11, phi2), (33, phi1)), bound=bound)
+    combined = linear_combine(((1, phi3), (11, phi2), (33, phi1)), bound=264 * delta - 445)
     checks = rich_report(g, combined)
     if not checks.all_ok:
         raise InternalDefectError(f"combined flow fails richness checks: {checks}")
     max_abs = max(abs(v) for v in combined.values)
-    if max_abs > 264 * delta - 446:
-        raise InternalDefectError("combined flow exceeds the stated maximum value")
     return RichFlowCertificate(combined, delta, max_abs, checks, mod)

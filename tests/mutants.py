@@ -105,16 +105,23 @@ MUTANTS = (
     Mutant(
         "split-tie-goes-to-vertex-0",
         SYNTHESIS,
-        "far = 1 if key1 <= key0 else 0",
-        "far = 1 if key1 < key0 else 0",
+        "tuple(sorted(met)), root == roots[0])",
+        "tuple(sorted(met)), root != roots[0])",
         f"{TEST_SYNTHESIS}::test_k4_rings_and_chains_match_golden_digest",
     ),
     Mutant(
         "split-counts-cut-edges-as-inner",
         SYNTHESIS,
-        "(sum(map(g.degree, on_zero)) - 2) // 2",
-        "sum(map(g.degree, on_zero)) // 2",
+        "            else:\n                sides[roots[e.tail]][0] += 1\n",
+        "            sides[roots[e.tail]][0] += 1\n",
         f"{TEST_SYNTHESIS}::test_k4_rings_and_chains_match_golden_digest",
+    ),
+    Mutant(
+        "split-class-pass-keeps-class-edges",
+        SYNTHESIS,
+        "for e in g.edges if e.id not in cut)",
+        "for e in g.edges)",
+        f"{TEST_SYNTHESIS}::test_split_two_k4",
     ),
     Mutant(
         "block-search-union-dropped",
@@ -178,6 +185,13 @@ MUTANTS = (
         "if (a, b) != (ea, eb) and a in near_id",
         "if a in near_id",
         f"{TEST_SYNTHESIS}::test_near_cuts_are_the_near_sides_cuts_by_brute_force",
+    ),
+    Mutant(
+        "rich-report-bound-inclusive",
+        "src/richflow/flowalg.py",
+        "max(size, default=0) < flow.group.bound",
+        "max(size, default=0) <= flow.group.bound",
+        "tests/test_cli.py::test_verify_reads_the_bound_as_strict",
     ),
     Mutant(
         "lift-conservation-check-skipped",

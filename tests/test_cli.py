@@ -105,13 +105,14 @@ def test_exact_checks_admissibility_once(monkeypatch, capsys, name, code, expect
 
 
 @pytest.mark.parametrize(
-    "name, count", [("k4", 2), ("petersen", 2), ("two_k4", 4), ("three_k4", 6), ("bridge", 0)]
+    "name, count", [("k4", 2), ("petersen", 2), ("two_k4", 3), ("three_k4", 4), ("bridge", 0)]
 )
 def test_batch_row_enumerates_two_edge_cuts(monkeypatch, name, count):
     # One verdict for the row, handed to the oracle and to synthesis, plus
-    # build_tower's guard per tower and split_on_two_cut's far-side assert
-    # per split; a near side's cuts are read off its host's list, and a
-    # graph with a bridge is refused before any enumeration.
+    # build_tower's guard per tower; split_on_two_cut computes none (a near
+    # side's cuts are read off its host's list, and build_tower guards the
+    # far side), and a graph with a bridge is refused before any
+    # enumeration.
     calls = []
     real = multigraph.enumerate_two_edge_cuts
     monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
@@ -223,6 +224,19 @@ def test_verify_reports_a_value_beyond_the_bound(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "conserved: PASS\nnowhere_zero: PASS\nbound_ok: FAIL\nadjacent_abs_distinct: PASS\n"
     )
+
+
+@pytest.mark.parametrize("bound, code, verdict", [(332, 1, "FAIL"), (333, 0, "PASS")])
+def test_verify_reads_the_bound_as_strict(tmp_path, capsys, bound, code, verdict):
+    # Every |value| must be below the bound: t3's largest is 332, so bound
+    # 332 fails and 333 passes. This is the only bound check of a certificate.
+    cert = json.loads((GOLDEN / "t3.flow.json").read_text())
+    assert max(abs(edge["value"]) for edge in cert["edges"]) == 332
+    cert["bound"] = bound
+    path = tmp_path / "t3.flow.json"
+    path.write_text(json.dumps(cert))
+    assert run(["verify", graph("t3"), str(path)]) == code
+    assert f"bound_ok: {verdict}\n" in capsys.readouterr().out
 
 
 def test_synth_inadmissible_exit(tmp_path, capsys):
