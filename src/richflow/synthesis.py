@@ -157,9 +157,11 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
 
     g must be 3-edge-connected, which is read off its admissibility verdict:
     admissible with no 2-edge-cut. For b = 0 the base chain is searched in g
-    with the special edge left out. A block-chain step searches for its
-    block, and for the chain through it, on g over edge subsets too, so no
-    step builds a graph.
+    with the special edge left out, and the chain search reads from the same
+    verdict that g minus that edge is 2-edge-connected. A block-chain step
+    searches for its block, and for the chain through it, on g over edge
+    subsets too, so no step builds a graph; the chain search reads the
+    block's 2-edge-connectivity off the blocks its search found.
 
     The tower is an ear decomposition, so only the base stage is checked for
     2-edge-connectivity as a whole, as a valid circuit chain in O(|base|): it
@@ -185,7 +187,7 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
         star = g.edge(e_star)
         # find_circuit_chain validates that the chain joins the two ends.
         rest = [f for f in range(g.edge_count) if f != e_star]
-        base = find_circuit_chain(g, star.tail, star.head, edge_ids=rest)
+        base = find_circuit_chain(g, star.tail, star.head, edge_ids=rest, verdict=verdict)
         if e_star in base.edge_set:
             raise InternalDefectError("base chain uses the special edge it must leave out")
     if not validate_circuit_chain(g, base):
@@ -213,9 +215,10 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
                     step = AddVertex(v, into[0], into[1])
                     break
         if step is None:
-            blk, e1, e2, b1, b2 = find_attachable_block(g, h_vertices)
+            blocks: list = []
+            blk, e1, e2, b1, b2 = find_attachable_block(g, h_vertices, blocks=blocks)
             inner = [e.id for e in g.edges if e.tail in blk and e.head in blk]
-            chain = find_circuit_chain(g, b1, b2, vertices=blk, edge_ids=inner)
+            chain = find_circuit_chain(g, b1, b2, vertices=blk, edge_ids=inner, blocks=blocks)
             a1 = g.edge(e1).other_end(b1)
             a2 = g.edge(e2).other_end(b2)
             step = AddBlockChain(chain, e1, e2, a1, a2, b1, b2)

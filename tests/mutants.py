@@ -42,8 +42,10 @@ class Mutant(NamedTuple):
 
 SYNTHESIS = "src/richflow/synthesis.py"
 MULTIGRAPH = "src/richflow/multigraph.py"
+SEYMOUR = "src/richflow/seymour.py"
 TOWER_CHECKS = "tests/test_tower_checks.py"
 TEST_SYNTHESIS = "tests/test_synthesis.py"
+TEST_MULTIGRAPH = "tests/test_multigraph.py"
 
 MUTANTS = (
     Mutant(
@@ -171,6 +173,55 @@ MUTANTS = (
         "        elif i in twin:\n",
         "        elif False:\n",
         "tests/test_multigraph.py::test_two_cut_enumeration_edge_cases",
+    ),
+    Mutant(
+        "two-cut-enum-ignores-handed-bridges",
+        MULTIGRAPH,
+        "bridge_set, tree = _dfs_facts(g) if facts is None else facts\n",
+        "bridge_set, tree = _dfs_facts(g) if facts is None else (facts[0], frozenset(), facts[2])\n",
+        f"{TEST_MULTIGRAPH}::test_handed_dfs_facts_give_the_one_argument_two_cuts",
+    ),
+    Mutant(
+        "z6-accepts-an-inadmissible-verdict",
+        SEYMOUR,
+        'connected, bridge = verdict.kind != "disconnected", verdict.bridge',
+        "connected, bridge = True, None",
+        "tests/test_seymour.py::test_z6_rejects_bridge",
+    ),
+    Mutant(
+        "z6-ignores-handed-bridges",
+        SEYMOUR,
+        "connected, br, _ = _dfs_facts(g) if facts is None else facts\n",
+        "connected, br, _ = _dfs_facts(g) if facts is None else (facts[0], frozenset(), facts[2])\n",
+        "tests/test_seymour.py::test_z6_rejects_bridge",
+    ),
+    Mutant(
+        "chain-search-verdict-ignores-two-cuts",
+        MULTIGRAPH,
+        'verdict.kind not in ("disconnected", "bridge") and not any(',
+        'verdict.kind not in ("disconnected", "bridge") or not any(',
+        f"{TEST_MULTIGRAPH}::test_chain_search_refuses_evidence_of_a_two_edge_cut_or_a_single_edge_block",
+    ),
+    Mutant(
+        "chain-search-accepts-a-single-edge-block",
+        MULTIGRAPH,
+        " and all(len(grp) > 1 for grp in blocks)",
+        "",
+        f"{TEST_MULTIGRAPH}::test_chain_search_refuses_evidence_of_a_two_edge_cut_or_a_single_edge_block",
+    ),
+    Mutant(
+        "chain-search-blocks-need-not-span",
+        MULTIGRAPH,
+        "spanned >= len(vertices) - 1 and ",
+        "",
+        f"{TEST_MULTIGRAPH}::test_chain_search_refuses_evidence_of_a_two_edge_cut_or_a_single_edge_block",
+    ),
+    Mutant(
+        "attachable-block-hands-bridges",
+        MULTIGRAPH,
+        "if len(grp) > 1 and g.edges[min(grp)].tail in blk",
+        "if g.edges[min(grp)].tail in blk",
+        f"{TEST_MULTIGRAPH}::test_attachable_block_leaves_out_the_bridges_between_blocks",
     ),
     Mutant(
         "near-cuts-drop-virtual",

@@ -115,7 +115,7 @@ def test_batch_row_enumerates_two_edge_cuts(monkeypatch, name, count):
     # enumeration.
     calls = []
     real = multigraph.enumerate_two_edge_cuts
-    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g, **kw: calls.append(g) or real(g, **kw))
     row = cli._batch_row(name, load(name))
     assert row["status"].split(";")[0] == ("not_admissible" if name == "bridge" else "ok")
     assert len(calls) == count

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from richflow import (
@@ -12,6 +13,7 @@ from richflow import (
     Multigraph,
     PreconditionError,
     is_rich_flow_admissible,
+    nowhere_zero_z6,
     parse_multigraph,
 )
 from richflow.multigraph import (
@@ -291,6 +293,98 @@ def test_two_cut_list_equals_brute_force_oracle(g):
     assert is_rich_flow_admissible(g).two_cuts == (() if expect_bridges else tuple(expected))
 
 
+def outcome(call, *args, **kwargs):
+    """What a call gives: ("ok", result), or the PreconditionError's message."""
+    try:
+        return ("ok", call(*args, **kwargs))
+    except PreconditionError as err:
+        return ("refused", str(err))
+
+
+any_small_graph = st.one_of(dense_multigraphs(), small_cubic_graphs(), bundled_multigraphs())
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_small_graph)
+@example(load("bridge"))
+@example(Multigraph(4, [(1, 2), (2, 3), (1, 3)]))
+def test_handed_dfs_facts_give_the_one_argument_two_cuts(g):
+    # The verdict hands its DFS facts to the enumerator, which reads the
+    # connectivity, the bridges and the tree off them: the same list as the
+    # one-argument call and the oracle, or the same refusal.
+    got = outcome(enumerate_two_edge_cuts, g, facts=_dfs_facts(g))
+    assert got == outcome(enumerate_two_edge_cuts, g)
+    if oracle_components(g.vertex_count, [e.ends for e in g.edges]) != 1:
+        assert got == ("refused", "two-edge-cut enumeration requires a connected graph")
+    else:
+        assert got == ("ok", sorted(oracle_cuts(g)[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_small_graph)
+@example(load("bridge"))
+def test_handed_verdict_or_facts_give_the_one_argument_z6_flow(g):
+    # Connectivity and bridges read off a verdict or DFS facts give the same
+    # flow as the one-argument call, or the same refusal.
+    def z6(**evidence):
+        got = outcome(nowhere_zero_z6, g, **evidence)
+        return got if got[0] == "refused" else ("ok", got[1].values)
+
+    want = z6()
+    assert z6(verdict=is_rich_flow_admissible(g)) == want
+    assert z6(facts=_dfs_facts(g)) == want
+    assert (want[0] == "ok") == (not bridges(g) and _dfs_facts(g)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_small_graph, st.data())
+def test_handed_evidence_gives_the_one_argument_chain(g, data):
+    # The tower hands the chain search its guard's verdict (g, or g minus the
+    # special edge) or the blocks its block search found: the same chain as
+    # the one-argument call, or the same refusal.
+    u, v = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=2, max_size=2,
+                              unique=True))
+    verdict = is_rich_flow_admissible(g)
+    want = outcome(find_circuit_chain, g, u, v)
+    assert outcome(find_circuit_chain, g, u, v, verdict=verdict) == want
+    assert outcome(find_circuit_chain, g, u, v, blocks=_biconnected_edge_groups(g)) == want
+    if not g.edge_count:
+        return
+    e = data.draw(st.integers(0, g.edge_count - 1))
+    keep = [f for f in range(g.edge_count) if f != e]
+    want = outcome(find_circuit_chain, g, u, v, edge_ids=keep)
+    assert outcome(find_circuit_chain, g, u, v, edge_ids=keep, verdict=verdict) == want
+    blocks = _biconnected_edge_groups(g, keep)
+    assert outcome(find_circuit_chain, g, u, v, edge_ids=keep, blocks=blocks) == want
+
+
+def test_chain_search_refuses_evidence_of_a_two_edge_cut_or_a_single_edge_block():
+    # Admissible, with one 2-edge-cut {4, 5}: g minus edge 4 has the bridge 5,
+    # and g minus edge 0 is 2-edge-connected.
+    g = Multigraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
+    verdict = is_rich_flow_admissible(g)
+    refused = "^circuit chain search requires a 2-edge-connected graph$"
+    with pytest.raises(PreconditionError, match=refused):
+        find_circuit_chain(g, 0, 2, edge_ids=[0, 1, 2, 3, 5], verdict=verdict)
+    chain = find_circuit_chain(g, 0, 2, edge_ids=[1, 2, 3, 4, 5], verdict=verdict)
+    assert validate_circuit_chain(g, chain, (0, 2)) and 0 not in chain.edge_set
+    # A verdict answers for g or g minus one edge, nothing smaller.
+    with pytest.raises(PreconditionError, match="minus one edge"):
+        find_circuit_chain(g, 0, 1, edge_ids=[0, 1, 2, 3], verdict=verdict)
+    with pytest.raises(PreconditionError, match="minus one edge"):
+        find_circuit_chain(g, 0, 1, vertices={0, 1}, edge_ids=[0, 1], verdict=verdict)
+    bridged = load("bridge")
+    for evidence in ({"verdict": is_rich_flow_admissible(bridged)},
+                     {"blocks": _biconnected_edge_groups(bridged)}):
+        with pytest.raises(PreconditionError, match=refused):
+            find_circuit_chain(bridged, 0, 5, **evidence)
+    # Two triangles sharing no vertex: no block is a single edge, but the
+    # blocks do not span the six vertices.
+    apart = Multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(PreconditionError, match=refused):
+        find_circuit_chain(apart, 0, 3, blocks=_biconnected_edge_groups(apart))
+
+
 # ---------------------------------------------------------------------------
 # Admissibility
 
@@ -442,8 +536,10 @@ def test_validate_endpoints_must_be_internal(bowtie):
 
 def test_attachable_block_two_triangles():
     g = Multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4)])
-    blk, e1, e2, b1, b2 = find_attachable_block(g, {0, 1, 2})
+    blocks = []
+    blk, e1, e2, b1, b2 = find_attachable_block(g, {0, 1, 2}, blocks=blocks)
     assert blk == {3, 4, 5}
+    assert blocks == [frozenset({3, 4, 5})]
     assert (e1, e2) == (6, 7)
     assert (b1, b2) == (3, 4)
 
@@ -458,6 +554,11 @@ def test_attachable_block_leaves_out_the_bridges_between_blocks():
          (0, 3), (1, 4), (2, 7), (0, 8)],
     )
     assert find_attachable_block(g, {0, 1, 2}) == (frozenset({3, 4, 5}), 10, 11, 3, 4)
+    # The blocks handed to the chain search are the block's own: the bridge
+    # 6 leaves vertex 5 of the block, but is no block of it.
+    blocks = []
+    find_attachable_block(g, {0, 1, 2}, blocks=blocks)
+    assert blocks == [frozenset({3, 4, 5})]
 
 
 def test_attachable_block_spanning_error(k4):

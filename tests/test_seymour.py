@@ -10,9 +10,11 @@ from richflow import (
     Multigraph,
     PreconditionError,
     flow_avoiding_confluence,
+    is_rich_flow_admissible,
     nowhere_zero_z6,
 )
 from richflow.flowalg import adjacent_pairs, pair_relation, strongly_intersecting, verify_flow
+from richflow.multigraph import _dfs_facts
 from richflow.seymour import build_pair_splitting, validate_pair_set
 
 from conftest import ADMISSIBLE_NAMES, doubled_cycle, load
@@ -119,15 +121,25 @@ def test_z6_on_a_long_doubled_cycle():
     assert rep.conserved and rep.nowhere_zero
 
 
+def z6_evidence(g) -> tuple[dict, ...]:
+    """Each way to call the Z6 search: on its own, or handed g's verdict or
+    g's DFS facts."""
+    return ({}, {"verdict": is_rich_flow_admissible(g)}, {"facts": _dfs_facts(g)})
+
+
 def test_z6_rejects_bridge():
-    with pytest.raises(PreconditionError, match="bridge"):
-        nowhere_zero_z6(load("bridge"))
+    # A handed verdict or DFS facts that show the bridge refuse it alike.
+    g = load("bridge")
+    for evidence in z6_evidence(g):
+        with pytest.raises(PreconditionError, match=r"^graph has a bridge \(edge 6\); no nowhere-zero"):
+            nowhere_zero_z6(g, **evidence)
 
 
 def test_z6_rejects_disconnected():
     g = Multigraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
-    with pytest.raises(PreconditionError, match="connected"):
-        nowhere_zero_z6(g)
+    for evidence in z6_evidence(g):
+        with pytest.raises(PreconditionError, match="^nowhere-zero flow search requires a connected graph$"):
+            nowhere_zero_z6(g, **evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +186,12 @@ def test_randomized_pair_sets_across_corpus():
     for trial in range(30):
         g = load(ADMISSIBLE_NAMES[trial % len(ADMISSIBLE_NAMES)])
         ps = random_pair_set(g, rng)
-        h = build_pair_splitting(g, ps)
+        facts = []
+        h = build_pair_splitting(g, ps, facts=facts)
         assert not bridges(h)
+        # The facts the split asserted, which the Z6 step reads; none when
+        # nothing is split and h is g.
+        assert facts == (list(_dfs_facts(h)) if ps else [])
         for i in range(len(ps)):
             assert h.degree(g.vertex_count + i) == 3
         f = flow_avoiding_confluence(g, ps)

@@ -510,7 +510,7 @@ def test_k4_rings_and_chains_enumerate_two_edge_cuts_once_per_tower_and_once_mor
     # enumerations; a split side's cuts need none.
     calls = []
     real = multigraph.enumerate_two_edge_cuts
-    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g, **kw: calls.append(g) or real(g, **kw))
     for count in range(3, 11):
         for g in (k4_ring(count), k4_chain(count)):
             calls.clear()
@@ -571,31 +571,7 @@ def test_synthesis_enumerates_two_edge_cuts_at_most(monkeypatch, name, most):
     # asked, plus build_tower's guard (one per tower).
     calls = []
     real = multigraph.enumerate_two_edge_cuts
-    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g: calls.append(g) or real(g))
-    synthesize_rich_flow(load(name))
-    assert len(calls) <= most
-
-
-@pytest.mark.parametrize(
-    "name, most", [("k4", 8), ("petersen", 8), ("two_k4", 14), ("three_k4", 22)]
-)
-def test_synthesis_runs_few_linear_passes(monkeypatch, name, most):
-    # A lowpoint DFS or a BFS spanning forest is one linear pass over a graph.
-    # Connectivity, bridges and the enumerator's spanning tree come from one
-    # DFS per question asked of a graph (22 passes on k4 and Petersen and 36
-    # on two_k4 when each answer ran its own), and the BFS forest only gives
-    # the co-tree basis. A tower's base is checked as a circuit chain, with
-    # no DFS (9, 9, 16 and 25 passes with one).
-    from richflow import cotree
-
-    calls = []
-    for module, attr in (
-        (multigraph, "_biconnected_edge_groups"),
-        (multigraph, "spanning_forest"),
-        (cotree, "spanning_forest"),
-    ):
-        real = getattr(module, attr)
-        monkeypatch.setattr(module, attr, lambda *a, real=real, **kw: calls.append(a[0]) or real(*a, **kw))
+    monkeypatch.setattr(multigraph, "enumerate_two_edge_cuts", lambda g, **kw: calls.append(g) or real(g, **kw))
     synthesize_rich_flow(load(name))
     assert len(calls) <= most
 
@@ -607,6 +583,61 @@ COUNTED = {
     **{f"cubic-{n}-{seed}": (lambda seed=seed, n=n: test_tower_checks.random_cubic(seed, n))
        for seed, n in ((16, 16), (1, 24), (2, 24))},
 }
+
+
+@pytest.mark.parametrize(
+    "name, most",
+    [("k4", 4), ("petersen", 4), ("two_k4", 5), ("three_k4", 7),
+     ("cubic-16-16", 6), ("cubic-24-1", 8), ("cubic-24-2", 8)],
+)
+def test_synthesis_runs_few_linear_passes(monkeypatch, name, most):
+    # A lowpoint DFS or a BFS spanning forest is one linear pass over a graph.
+    # Connectivity, bridges and the enumerator's spanning tree come from one
+    # DFS per graph, handed to each step that asks: the enumerator reads the
+    # verdict's, the Z6 step reads the verdict or the split graph's asserted
+    # facts, the base chain search reads the tower guard's verdict and a
+    # block-chain search the blocks its block search found. The BFS forest
+    # only gives the co-tree basis. History: 22, 22 and 36 passes on k4,
+    # Petersen and two_k4 when each answer ran its own DFS; 9, 9, 16 and 25
+    # on the corpus graphs with a DFS check of the tower base; 8, 8, 10 and
+    # 14 (11, 14 and 14 on the cubic graphs) when the enumerator, the Z6 step
+    # and the chain searches each re-ran the DFS their caller had run.
+    from richflow import cotree
+
+    g = COUNTED[name]()  # built first: random_cubic filters its draws by verdict
+    calls = []
+    for module, attr in (
+        (multigraph, "_biconnected_edge_groups"),
+        (multigraph, "spanning_forest"),
+        (cotree, "spanning_forest"),
+    ):
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, real=real, **kw: calls.append(a[0]) or real(*a, **kw))
+    synthesize_rich_flow(g)
+    assert len(calls) <= most
+
+
+def test_tower_chain_searches_read_the_evidence_of_their_graph(monkeypatch):
+    # The base chain search reads the tower guard's verdict of g, and a
+    # block-chain search the blocks its block search found: those of the
+    # block's subgraph, as one DFS on it gives them.
+    real = multigraph.find_circuit_chain
+    handed = {"verdict": 0, "blocks": 0}
+
+    def checked(g, u, v, **kwargs):
+        if kwargs.get("blocks") is not None:
+            handed["blocks"] += 1
+            want = multigraph._biconnected_edge_groups(g, kwargs["edge_ids"])
+            assert sorted(map(sorted, kwargs["blocks"])) == sorted(map(sorted, want))
+        else:
+            handed["verdict"] += 1
+            assert kwargs["verdict"] == is_rich_flow_admissible(g)
+        return real(g, u, v, **kwargs)
+
+    monkeypatch.setattr(synthesis, "find_circuit_chain", checked)
+    for name in ("cubic-16-16", "cubic-24-1", "cubic-24-2"):
+        synthesize_rich_flow(COUNTED[name]())
+    assert handed["blocks"] == 5 and handed["verdict"] > 0
 
 
 @pytest.mark.parametrize(

@@ -284,8 +284,8 @@ def test_block_chain_attachment_missing_the_stage_is_caught_at_its_step(monkeypa
     g = load("prism")
     real = synthesis.find_attachable_block
 
-    def misattached(graph, inside):
-        blk, e1, e2, b1, b2 = real(graph, inside)
+    def misattached(graph, inside, **kwargs):
+        blk, e1, e2, b1, b2 = real(graph, inside, **kwargs)
         inner = next(e for e in graph.incident(b1) if graph.edge(e).other_end(b1) in blk)
         return blk, inner, e2, b1, b2
 
