@@ -52,6 +52,15 @@ BATCH_COLUMNS = [
     "elapsed_ms",
 ]
 
+# Seconds of its own rows after which `batch` forks its helper processes.
+# Forking one child that finds no row left and joining it took 2.4 ms (median
+# of 50; 18 ms for the first, which also imports multiprocessing) in a
+# 51 MB process on a 2-vCPU Linux host, and the child then contends with the
+# parent for the CPUs. A 24-row directory of small graphs takes about 17 ms
+# in all, so it runs here alone; a fork after 0.1 s of rows costs a few
+# percent of the work it follows, a fifth at a process's first fork.
+FORK_AFTER_S = 0.1
+
 
 def _time_limit() -> float:
     """RICHFLOW_TIME_LIMIT_S as a number; `SearchBudget` refuses it unless it
@@ -260,19 +269,30 @@ def _child_rows(graphs: list, counter, write_fd: int) -> NoReturn:
 
 
 def _rows_forked(graphs: list, workers: int) -> list[dict[str, str]]:
-    """The rows of `graphs`, computed by this process and `workers` - 1 forked
-    children. Children inherit the parsed graphs, so nothing is pickled on the
-    way in; each process claims the next unclaimed graph from a shared counter,
-    most edges first, until none is left."""
-    # Imported here, so that the other commands and the library do not load them.
+    """The rows of `graphs`. This process computes them, most edges first,
+    alone until its rows have run for FORK_AFTER_S; if two or more are left
+    then, it forks `workers` - 1 children, which inherit the parsed graphs, so
+    nothing is pickled on the way in. From then on each process claims the
+    next unclaimed graph from a shared counter, which starts where this
+    process stopped, until none is left."""
+    # Most edges first: a row's cost grows with m, so the last rows to be
+    # claimed are small ones.
+    graphs = sorted(graphs, key=lambda item: item[1].edge_count, reverse=True)
+    rows = []
+    start = time.perf_counter()
+    while len(rows) < len(graphs) and (
+        len(graphs) - len(rows) < 2 or time.perf_counter() - start < FORK_AFTER_S
+    ):
+        rows.append(_batch_row(*graphs[len(rows)]))
+    if len(rows) == len(graphs):
+        return rows
+    # Imported here, so that the other commands, the library and a batch that
+    # never forks do not load them.
     import multiprocessing
     import pickle
     import signal
 
-    # Most edges first: a row's cost grows with m, so the last rows to be
-    # claimed are small ones.
-    graphs = sorted(graphs, key=lambda item: item[1].edge_count, reverse=True)
-    counter = multiprocessing.get_context("fork").Value("i", 0)
+    counter = multiprocessing.get_context("fork").Value("i", len(rows))
     children: dict[int, int] = {}  # pid -> read end of its result pipe
     results, statuses = [], {}
     try:
@@ -284,7 +304,7 @@ def _rows_forked(graphs: list, workers: int) -> list[dict[str, str]]:
                 _child_rows(graphs, counter, write_fd)
             os.close(write_fd)
             children[pid] = read_fd
-        rows = [_batch_row(*item) for item in _claimed(graphs, counter)]
+        rows += [_batch_row(*item) for item in _claimed(graphs, counter)]
         for pid, read_fd in children.items():
             with open(read_fd, "rb", closefd=False) as pipe:
                 results.append((pid, pipe.read()))
@@ -334,12 +354,14 @@ def _cmd_batch(args) -> int:
     workers = min(args.jobs, len(graphs), _usable_cpus())
     # Processes, not threads: rows are pure Python and hold the interpreter
     # lock, and a thread pool ran --jobs 2 at 0.81x the rows/s of --jobs 1 on
-    # 2 CPUs. This process computes rows too, beside workers - 1 forked
-    # children; all of them claim rows one at a time, most edges first, and
-    # every child is killed if still running and reaped on any exit. Not
-    # spawned: spawned workers import everything afresh. Not a
-    # ProcessPoolExecutor: it cost about a third of a 24-row directory at
-    # --jobs 2 while this process sat idle. This command starts no threads
+    # 2 CPUs. Forked lazily: this process computes rows, most edges first,
+    # and forks workers - 1 children only once its rows have run for
+    # FORK_AFTER_S with two or more rows left, since forking and joining cost
+    # more than a small directory's rows. From then on all of them claim rows
+    # one at a time, and every child is killed if still running and reaped
+    # on any exit. Not spawned: spawned workers import everything afresh.
+    # Not a ProcessPoolExecutor: it cost about a third of a 24-row directory
+    # at --jobs 2 while this process sat idle. This command starts no threads
     # before it forks. Without os.fork the rows run here, one by one.
     if workers > 1 and hasattr(os, "fork"):
         rows += _rows_forked(graphs, workers)

@@ -160,8 +160,9 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
     with the special edge left out, and the chain search reads from the same
     verdict that g minus that edge is 2-edge-connected. A block-chain step
     searches for its block, and for the chain through it, on g over edge
-    subsets too, so no step builds a graph; the chain search reads the
-    block's 2-edge-connectivity off the blocks its search found.
+    subsets too, so no step builds a graph; the step reads the block's edges,
+    and the chain search its 2-edge-connectivity, off the blocks its search
+    found.
 
     The tower is an ear decomposition, so only the base stage is checked for
     2-edge-connectivity as a whole, as a valid circuit chain in O(|base|): it
@@ -217,7 +218,9 @@ def build_tower(g: Multigraph, e_star: int, b: int) -> Tower:
         if step is None:
             blocks: list = []
             blk, e1, e2, b1, b2 = find_attachable_block(g, h_vertices, blocks=blocks)
-            inner = [e.id for e in g.edges if e.tail in blk and e.head in blk]
+            # g has no loops, and a bridge never joins two vertices of one
+            # edge-block, so the block's blocks hold all its edges.
+            inner = sorted(eid for grp in blocks for eid in grp)
             chain = find_circuit_chain(g, b1, b2, vertices=blk, edge_ids=inner, blocks=blocks)
             a1 = g.edge(e1).other_end(b1)
             a2 = g.edge(e2).other_end(b2)

@@ -46,6 +46,8 @@ SEYMOUR = "src/richflow/seymour.py"
 TOWER_CHECKS = "tests/test_tower_checks.py"
 TEST_SYNTHESIS = "tests/test_synthesis.py"
 TEST_MULTIGRAPH = "tests/test_multigraph.py"
+CLI = "src/richflow/cli.py"
+TEST_CLI = "tests/test_cli.py"
 
 MUTANTS = (
     Mutant(
@@ -250,6 +252,20 @@ MUTANTS = (
         "    if any(net):\n",
         "    if False:\n",
         "tests/test_flowalg.py::test_a_wrong_circulation_fails_the_lift_check",
+    ),
+    Mutant(
+        "batch-forks-eagerly",
+        CLI,
+        "time.perf_counter() - start < FORK_AFTER_S",
+        "time.perf_counter() - start >= FORK_AFTER_S",
+        f"{TEST_CLI}::test_batch_of_small_graphs_forks_no_process",
+    ),
+    Mutant(
+        "batch-never-forks",
+        CLI,
+        "len(graphs) - len(rows) < 2 or ",
+        "True or ",
+        f"{TEST_CLI}::test_batch_forks_once_its_rows_outlast_the_threshold",
     ),
 )
 

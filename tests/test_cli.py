@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import os
 import re
@@ -21,6 +22,8 @@ from richflow.flowalg import read_flow_json, verify_flow
 
 from conftest import ADMISSIBLE_NAMES, CORPUS, doubled_cycle, load
 from reference_flow import format_multigraph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -310,6 +313,14 @@ def test_batch_report(tmp_path, capsys):
             assert int(row["synth_max_abs"]) < int(row["synth_bound"])
 
 
+def stable_rows(report: Path) -> list[dict]:
+    """A batch report's rows without their elapsed_ms."""
+    rows = list(csv.DictReader(report.read_text().splitlines()))
+    for row in rows:
+        row.pop("elapsed_ms")
+    return rows
+
+
 def test_batch_jobs_rows_identical(tmp_path):
     directory = tmp_path / "graphs"
     shutil.copytree(CORPUS, directory)
@@ -318,16 +329,65 @@ def test_batch_jobs_rows_identical(tmp_path):
     r2 = tmp_path / "r2.csv"
     assert run(["batch", str(directory), "--report", str(r1)]) == 0
     assert run(["batch", str(directory), "--report", str(r2), "--jobs", "4"]) == 0
-
-    def strip_elapsed(path):
-        rows = list(csv.DictReader(path.read_text().splitlines()))
-        for r in rows:
-            r.pop("elapsed_ms")
-        return rows
-
-    assert strip_elapsed(r1) == strip_elapsed(r2)
-    broken = next(r for r in strip_elapsed(r2) if r["graph_path"] == "broken.graph")
+    assert stable_rows(r1) == stable_rows(r2)
+    broken = next(r for r in stable_rows(r2) if r["graph_path"] == "broken.graph")
     assert broken["status"].startswith("parse_error: edge count mismatch")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the processes that this process forks: returns their pids."""
+    pids: list = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def test_batch_of_small_graphs_forks_no_process(monkeypatch, tmp_path, forks):
+    # A directory like the benchmark's batch-small ones: 24 graphs of at most
+    # 14 edges, whose rows take a few tens of milliseconds in all, less than
+    # FORK_AFTER_S, so they run in this process at any --jobs.
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    directory = tmp_path / "small"
+    directory.mkdir()
+    for name, text in workloads.batch_small(1, 24):
+        (directory / f"{name}.graph").write_text(text)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert run(["batch", str(directory), "--report", str(serial), "--jobs", "1"]) == 0
+    assert run(["batch", str(directory), "--report", str(parallel), "--jobs", "2"]) == 0
+    assert forks == []
+    assert len(stable_rows(parallel)) == 24
+    assert stable_rows(parallel) == stable_rows(serial)
+
+
+def test_batch_forks_once_its_rows_outlast_the_threshold(monkeypatch, tmp_path, forks):
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert run(["batch", str(CORPUS), "--report", str(serial), "--jobs", "1"]) == 0
+    real_row = cli._batch_row
+    slowed: list = []
+
+    def row(*item):
+        # The first row, which this process computes, outlasts FORK_AFTER_S.
+        if not slowed:
+            slowed.append(item[0])
+            time.sleep(1.5 * cli.FORK_AFTER_S)
+        return real_row(*item)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_batch_row", row)
+    assert run(["batch", str(CORPUS), "--report", str(parallel), "--jobs", "2"]) == 0
+    assert len(slowed) == 1 and len(forks) == 1
+    # The child starts after the row this process computed: none is computed twice.
+    assert stable_rows(parallel) == stable_rows(serial)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
@@ -336,13 +396,12 @@ def test_batch_corpus_matches_golden_report(monkeypatch, tmp_path, jobs):
     # change to the oracles or the synthesis that moves one must update this.
     monkeypatch.setenv("RICHFLOW_TIME_LIMIT_S", "1000000")
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    if jobs != "1":
+        monkeypatch.setattr(cli, "FORK_AFTER_S", 0)  # forks before the first row
     report = tmp_path / "report.csv"
     assert run(["batch", str(CORPUS), "--report", str(report), "--jobs", jobs]) == 0
-    rows = list(csv.DictReader(report.read_text().splitlines()))
-    for row in rows:
-        row.pop("elapsed_ms")
     golden = Path(__file__).resolve().parent / "golden" / "corpus_batch.csv"
-    assert rows == list(csv.DictReader(golden.read_text().splitlines()))
+    assert stable_rows(report) == list(csv.DictReader(golden.read_text().splitlines()))
 
 
 @pytest.fixture
@@ -360,9 +419,10 @@ def forked_workers(monkeypatch):
 
 
 def split_rows(monkeypatch, tmp_path, child, parent=lambda: None):
-    """Makes batch rows run in this process and one forked child: the child
-    calls child() on the first row it claims; this process's first row waits
-    until the child has claimed one, then calls parent()."""
+    """Makes batch rows run in this process and one child, forked before the
+    first row: the child calls child() on the first row it claims; this
+    process's first row waits until the child has claimed one, then calls
+    parent()."""
     parent_pid = os.getpid()
     claimed = tmp_path / "claimed"
     real_row = cli._batch_row
@@ -382,6 +442,7 @@ def split_rows(monkeypatch, tmp_path, child, parent=lambda: None):
         return real_row(*item)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "FORK_AFTER_S", 0)
     monkeypatch.setattr(cli, "_batch_row", row)
 
 
@@ -391,6 +452,7 @@ def test_batch_worker_defect_exits_three(monkeypatch, tmp_path, capsys):
 
     # Workers are forked, so they see the patched function.
     monkeypatch.setattr(cli, "synthesize_rich_flow", boom)
+    monkeypatch.setattr(cli, "FORK_AFTER_S", 0)
     code = run(["batch", str(CORPUS), "--report", str(tmp_path / "r.csv"), "--jobs", "2"])
     assert code == 3
     assert "internal defect: synthetic" in capsys.readouterr().err

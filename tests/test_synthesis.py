@@ -158,6 +158,34 @@ def test_tower_exercises_block_step():
                 assert_adds_every_edge_once(g, build_tower(g, e, b))
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.sampled_from([8, 10, 12, 16]), st.integers(0, 2**32 - 1), st.data())
+def test_block_chain_inner_edges_are_the_union_of_the_handed_blocks(n, seed, data):
+    # A block-chain step lists its block's edges as the union of the blocks
+    # that find_attachable_block hands on, not by a scan of every edge of g.
+    g = random_cubic(random.Random(seed), n)
+    if not three_edge_connected(g):
+        reject()
+    real = synthesis.find_attachable_block
+    steps = []
+
+    def checked(g, inside, *, blocks):
+        found = real(g, inside, blocks=blocks)
+        blk = found[0]
+        scanned = [e.id for e in g.edges if e.tail in blk and e.head in blk]
+        assert sorted(eid for grp in blocks for eid in grp) == scanned
+        steps.append(blk)
+        return found
+
+    e_star = data.draw(st.integers(0, g.edge_count - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthesis, "find_attachable_block", checked)
+        tower = build_tower(g, e_star, data.draw(st.integers(0, 1)))
+    if not steps:
+        reject()
+    assert len(steps) == sum(isinstance(s, synthesis.AddBlockChain) for s in tower.steps)
+
+
 # ---------------------------------------------------------------------------
 # building_phi
 
